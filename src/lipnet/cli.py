@@ -354,6 +354,8 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
     payload = {"guarantee": report.as_dict(), "rho": compute_rho(labels)}
 
     if checkpoint is not None:
+        if float(cfg["audit_sigma"]) <= 0:
+            raise ConfigError(f"audit_sigma must be > 0, got {cfg['audit_sigma']}")
         _, test_ds = load_datasets(cfg)
         model = build_registered(cfg["model"], _arch_seed(cfg))
         model = load_checkpoint(model, checkpoint)

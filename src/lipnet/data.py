@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .seeding import derive_rng
+from .seeding import derive_rng, seed_repr
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -38,7 +38,7 @@ class Provenance:
     source: str
     sigma_test: float = 0.0
     subset_ratio: float = 1.0
-    seed: int | None = None
+    seed: int | list[int] | None = None
 
     def as_dict(self) -> dict:
         return {"source": self.source, "sigma_test": self.sigma_test,
@@ -155,18 +155,12 @@ def corrupt(ds: LabeledDataset, sigma_test: float, seed) -> LabeledDataset:
     returns a bit-identical copy. Labels are untouched."""
     if sigma_test < 0:
         raise ValueError(f"corrupt: sigma_test must be >= 0, got {sigma_test}")
-    prov = replace(ds.provenance, sigma_test=float(sigma_test), seed=_seed_repr(seed))
+    prov = replace(ds.provenance, sigma_test=float(sigma_test), seed=seed_repr(seed))
     if sigma_test == 0:
         return LabeledDataset(ds.images, ds.labels, prov)
     rng = np.random.default_rng(seed)
     noisy = ds.images + rng.normal(0.0, sigma_test, size=ds.images.shape)
     return LabeledDataset(noisy, ds.labels, prov)
-
-
-def _seed_repr(seed):
-    if seed is None or isinstance(seed, (int, np.integer)):
-        return None if seed is None else int(seed)
-    return int(np.random.SeedSequence(seed).generate_state(1)[0])
 
 
 def batches(ds: LabeledDataset, batch_size: int, shuffle_seed):

@@ -17,8 +17,6 @@ from .ioutil import atomic_write_bytes
 from .tensor import (Graph, Tensor, add_channelvec, add_rowvec, conv2d,
                      matmul, relu, reshape, softmax)
 
-LAYER_KINDS = ("conv2d", "dense", "relu", "flatten", "softmax")
-
 CHECKPOINT_MAGIC = b"LIPN"
 CHECKPOINT_VERSION = 1
 
@@ -45,10 +43,9 @@ class Model:
     checkpoint record order and the optimizer update order.
     """
 
-    def __init__(self, layers, params, rng_seed, input_shape):
+    def __init__(self, layers, params, input_shape):
         self.layers = list(layers)
         self.params: dict[str, Tensor] = params
-        self.rng_seed = rng_seed
         self.input_shape = tuple(input_shape)
 
     @property
@@ -58,11 +55,6 @@ class Model:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
-
-    def clone(self) -> "Model":
-        params = {name: Tensor(p.data.copy(), requires_grad=True)
-                  for name, p in self.params.items()}
-        return Model(self.layers, params, self.rng_seed, self.input_shape)
 
 
 def _compose_shape(shape, spec: LayerSpec, index: int):
@@ -128,18 +120,11 @@ def build_model(specs, input_shape, seed: int) -> Model:
             params[f"{i}.dense.weight"] = Tensor(w, requires_grad=True)
             params[f"{i}.dense.bias"] = Tensor(np.zeros(spec.out_features), requires_grad=True)
         shape = out_shape
-    return Model(specs, params, seed, input_shape)
+    return Model(specs, params, input_shape)
 
 
-def forward(model: Model, x: Tensor, graph: Graph | None = None,
-            output: str = "probs") -> Tensor:
-    """Run the stack on a batch; rows of the result are probability vectors.
-
-    ``output="logits"`` stops before the final softmax (used by the
-    logits-mode quotient, off by default).
-    """
-    if output not in ("probs", "logits"):
-        raise ValueError(f"forward: output must be 'probs' or 'logits', got {output!r}")
+def forward(model: Model, x: Tensor, graph: Graph | None = None) -> Tensor:
+    """Run the stack on a batch; rows of the result are probability vectors."""
     expected = (x.shape[0],) + model.input_shape
     if x.shape != expected:
         raise ValueError(f"forward: input shape {x.shape}, model expects {expected}")
@@ -156,8 +141,6 @@ def forward(model: Model, x: Tensor, graph: Graph | None = None,
         elif spec.kind == "flatten":
             out = reshape(out, (out.shape[0], -1), graph)
         elif spec.kind == "softmax":
-            if output == "logits":
-                return out
             out = softmax(out, graph)
     return out
 
@@ -235,32 +218,39 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
-    """Parse a checkpoint file back into an ordered name->array mapping."""
+    """Parse a checkpoint file back into an ordered name->array mapping.
+
+    Every malformed input raises a ValueError that names the path.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic {blob[:4]!r})")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: checkpoint format version {version}, "
-                         f"expected {CHECKPOINT_VERSION}")
-    off = 8
-    out: dict[str, np.ndarray] = {}
-    while off < len(blob):
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        extents = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        count = int(np.prod(extents)) if rank else 1
-        end = off + 8 * count
-        if end > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint payload for {name!r}")
-        out[name] = np.frombuffer(blob[off:end], dtype="<f8").reshape(extents).copy()
-        off = end
+    off = 4
+    try:
+        (version,) = struct.unpack_from("<I", blob, off)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: checkpoint format version {version}, "
+                             f"expected {CHECKPOINT_VERSION}")
+        off = 8
+        out: dict[str, np.ndarray] = {}
+        while off < len(blob):
+            (nlen,) = struct.unpack_from("<I", blob, off)
+            off += 4
+            name = blob[off:off + nlen].decode("utf-8")
+            off += nlen
+            (rank,) = struct.unpack_from("<I", blob, off)
+            off += 4
+            extents = struct.unpack_from(f"<{rank}I", blob, off)
+            off += 4 * rank
+            end = off + 8 * math.prod(extents)
+            if end > len(blob):
+                raise ValueError(f"{path}: truncated checkpoint payload for {name!r}")
+            out[name] = np.frombuffer(blob[off:end], dtype="<f8").reshape(extents).copy()
+            off = end
+    except (struct.error, UnicodeDecodeError) as e:
+        raise ValueError(f"{path}: truncated or malformed checkpoint "
+                         f"at byte {off}: {e}") from None
     return out
 
 

@@ -49,19 +49,16 @@ class LipschitzParams:
 class KStatistics:
     """Per-sample quotient estimates plus summary stats.
 
-    per_sample_k is a Tensor when produced on a graph (training path) and a
-    plain ndarray from the bulk audit. fraction_exceeding_l_n is NaN when no
-    l_n was supplied.
+    per_sample_k is on the graph when estimate_k was given one (training
+    path). fraction_exceeding_l_n is NaN when no l_n was supplied.
     """
-    per_sample_k: object
+    per_sample_k: Tensor
     mean: float
     max: float
     fraction_exceeding_l_n: float
 
     def values(self) -> np.ndarray:
-        if isinstance(self.per_sample_k, Tensor):
-            return self.per_sample_k.data
-        return self.per_sample_k
+        return self.per_sample_k.data
 
     def as_dict(self) -> dict:
         return {"mean": self.mean, "max": self.max,
@@ -69,14 +66,15 @@ class KStatistics:
                 "n": int(self.values().shape[0])}
 
 
-def _summaries(values: np.ndarray, l_n: float | None):
-    frac = float(np.mean(values > l_n)) if l_n is not None else float("nan")
-    return float(values.mean()), float(values.max()), frac
+def _k_statistics(k: Tensor, l_n: float | None) -> KStatistics:
+    v = k.data
+    frac = float(np.mean(v > l_n)) if l_n is not None else float("nan")
+    return KStatistics(k, float(v.mean()), float(v.max()), frac)
 
 
 class _PassCounter:
-    """Counts perturbed forward passes; used to prove the beta=0 fast path
-    never touches the regularizer."""
+    """Counts perturb() calls process-wide; used to prove the beta=0 fast
+    path never touches the regularizer. Runs count their own passes."""
 
     def __init__(self):
         self.perturbed_passes = 0
@@ -104,34 +102,43 @@ def perturb(x: Tensor, sigma: float, rng) -> Tensor:
     """
     if sigma < 0:
         raise ValueError(f"perturb: sigma must be >= 0, got {sigma}")
+    pass_counter.perturbed_passes += 1
     if sigma == 0:
         return Tensor(x.data.copy())
     return Tensor(x.data + rng.normal(0.0, sigma, size=x.shape))
 
 
+def quotient(f_x: Tensor, f_x_bar: Tensor, x: np.ndarray, x_bar: np.ndarray,
+             graph: Graph | None = None) -> Tensor:
+    """Per-row k_i = ||f(x_bar_i) - f(x_i)|| / max(||x_bar_i - x_i||, NORM_EPS).
+
+    The input difference is a constant. The output difference is recorded on
+    the graph when one is given, so gradients flow through f(x_bar) and f(x);
+    with graph=None everything runs eagerly.
+    """
+    dx = (x_bar - x).reshape(x.shape[0], -1)
+    inv = 1.0 / np.maximum(np.sqrt((dx * dx).sum(axis=1)), NORM_EPS)
+    diff = sub(f_x_bar, f_x, graph)
+    return mul_elementwise(l2_norm_rows(diff, graph), Tensor(inv), graph)
+
+
 def estimate_k(model: Model, x: Tensor, sigma: float, rng,
                graph: Graph | None = None, l_n: float | None = None,
                clean_probs: Tensor | None = None) -> KStatistics:
-    """Differentiable per-sample k_i = ||f(x_bar_i) - f(x_i)|| / ||noise_i||.
+    """Per-sample quotient k over one fresh noise draw per row.
 
-    Both forward passes are recorded on the graph, so gradients flow through
-    f(x_bar) and f(x). The denominator is the drawn noise norm, treated as a
-    constant and guarded at NORM_EPS. Pass clean_probs to reuse an already
-    recorded clean forward pass.
+    Both forward passes are recorded on the graph, so the result is
+    differentiable. Pass clean_probs to reuse an already recorded clean
+    forward pass.
     """
     if sigma <= 0:
         raise ValueError(f"estimate_k: sigma must be > 0, got {sigma}")
     x_bar = perturb(x, sigma, rng)
-    pass_counter.perturbed_passes += 1
-    noise = (x_bar.data - x.data).reshape(x.shape[0], -1)
-    denom = np.maximum(np.sqrt((noise * noise).sum(axis=1)), NORM_EPS)
     if clean_probs is None:
         clean_probs = _model_forward(model, x, graph)
     pert_probs = _model_forward(model, x_bar, graph)
-    diff = sub(pert_probs, clean_probs, graph)
-    k = mul_elementwise(l2_norm_rows(diff, graph), Tensor(1.0 / denom), graph)
-    mean, kmax, frac = _summaries(k.data, l_n)
-    return KStatistics(k, mean, kmax, frac)
+    k = quotient(clean_probs, pert_probs, x.data, x_bar.data, graph)
+    return _k_statistics(k, l_n)
 
 
 def lipschitz_loss(k: KStatistics, params: LipschitzParams,
@@ -142,9 +149,6 @@ def lipschitz_loss(k: KStatistics, params: LipschitzParams,
     contributes with slope beta / batch. Exactly zero when all k_i <= l_n.
     """
     kt = k.per_sample_k
-    if not isinstance(kt, Tensor):
-        raise TypeError("lipschitz_loss needs the differentiable KStatistics "
-                        "from estimate_k, not an audit result")
     batch = kt.shape[0]
     excess = relu(sub(kt, Tensor(np.full(batch, params.l_n)), graph), graph)
     return scale(reduce_sum(excess, graph), params.beta / batch, graph)
@@ -157,18 +161,21 @@ def aggregated_loss(model: Model, x: Tensor, labels, params: LipschitzParams,
     L_usual is cross-entropy on the clean inputs only. With beta == 0 the
     returned tensor IS that cross-entropy (no perturbed pass, bit-identical
     to plain training). Returns (loss, parts) where parts carries float
-    values of both terms and the batch mean k for logging.
+    values of both terms, the batch mean k for logging, and the number of
+    perturbed passes run (0 or 1).
     """
     clean_probs = _model_forward(model, x, graph)
     usual = cross_entropy(clean_probs, labels, graph)
     if params.beta == 0:
-        parts = {"usual": usual.item(), "lipschitz": 0.0, "mean_k": float("nan")}
+        parts = {"usual": usual.item(), "lipschitz": 0.0, "mean_k": float("nan"),
+                 "perturbed_passes": 0}
         return usual, parts
     k = estimate_k(model, x, params.sigma_train, rng, graph,
                    l_n=params.l_n, clean_probs=clean_probs)
     lip = lipschitz_loss(k, params, graph)
     total = add(usual, lip, graph)
-    parts = {"usual": usual.item(), "lipschitz": lip.item(), "mean_k": k.mean}
+    parts = {"usual": usual.item(), "lipschitz": lip.item(), "mean_k": k.mean,
+             "perturbed_passes": 1}
     return total, parts
 
 
@@ -319,21 +326,19 @@ def audit_empirical_k(model: Model, dataset, sigma: float, n: int, rng,
                       batch_size: int = 200) -> KStatistics:
     """Bulk, non-differentiable k over n samples drawn from the dataset.
 
-    One fresh noise draw per sample; forward passes run eagerly (no graph).
+    One fresh noise draw per sample; forward passes run eagerly (no graph),
+    so each chunk equals estimate_k(..., graph=None) on its rows.
     Reproducible bit-exactly for a given rng state.
     """
+    if sigma <= 0:
+        raise ValueError(f"audit_empirical_k: sigma must be > 0, got {sigma}")
     n = min(n, dataset.n)
     idx = np.sort(rng.permutation(dataset.n)[:n])
     images = dataset.images[idx]
-    ks = np.empty(n)
+    ks = []
     for start in range(0, n, batch_size):
-        chunk = images[start:start + batch_size]
-        x = Tensor(chunk)
+        x = Tensor(images[start:start + batch_size])
         x_bar = perturb(x, sigma, rng)
-        pass_counter.perturbed_passes += 1
-        noise = (x_bar.data - x.data).reshape(chunk.shape[0], -1)
-        denom = np.maximum(np.sqrt((noise * noise).sum(axis=1)), NORM_EPS)
-        diff = _model_forward(model, x_bar).data - _model_forward(model, x).data
-        ks[start:start + chunk.shape[0]] = np.sqrt((diff * diff).sum(axis=1)) / denom
-    mean, kmax, frac = _summaries(ks, l_n)
-    return KStatistics(ks, mean, kmax, frac)
+        ks.append(quotient(_model_forward(model, x), _model_forward(model, x_bar),
+                           x.data, x_bar.data).data)
+    return _k_statistics(Tensor(np.concatenate(ks)), l_n)

@@ -29,3 +29,12 @@ def derive_rng(seed: int, *tags) -> np.random.Generator:
 def derive_int(seed: int, *tags) -> int:
     """A derived 32-bit seed, for APIs that want a plain integer."""
     return int(np.random.SeedSequence(derive_key(seed, *tags)).generate_state(1)[0])
+
+
+def seed_repr(seed):
+    """A seed as recorded in provenance and metadata: an int stays an int,
+    None stays None, and a sequence (such as a derive_key list) becomes a
+    list of ints, so the recorded value reproduces the stream."""
+    if seed is None or isinstance(seed, (int, np.integer)):
+        return None if seed is None else int(seed)
+    return [int(s) for s in seed]

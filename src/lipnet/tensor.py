@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-NORM_EPS = 1e-12  # below this, l2_norm gradients are defined as zero
+NORM_EPS = 1e-12  # below this, l2_norm_rows gradients are defined as zero
 
 
 class Tensor:
@@ -260,20 +260,9 @@ def cross_entropy(p: Tensor, labels, graph: Graph | None = None) -> Tensor:
     return _record(graph, "cross_entropy", (p,), out, rule)
 
 
-def l2_norm(a: Tensor, graph: Graph | None = None) -> Tensor:
-    """Euclidean norm of the flattened tensor; gradient at ~zero is zero."""
-    n = float(np.sqrt((a.data * a.data).sum()))
-    out = Tensor(n)
-
-    def rule(g):
-        if n >= NORM_EPS:
-            _acc(a, (float(g) / n) * a.data)
-
-    return _record(graph, "l2_norm", (a,), out, rule)
-
-
 def l2_norm_rows(a: Tensor, graph: Graph | None = None) -> Tensor:
-    """Per-row Euclidean norm of a [rows, m] tensor, with the same zero guard."""
+    """Per-row Euclidean norm of a [rows, m] tensor; the gradient of a row
+    whose norm is below NORM_EPS is zero."""
     if a.data.ndim != 2:
         raise ValueError(f"l2_norm_rows: expects 2-D input, got {a.shape}")
     n = np.sqrt((a.data * a.data).sum(axis=1))

@@ -16,10 +16,10 @@ import numpy as np
 
 from .data import LabeledDataset, batches, corrupt, subsample
 from .layers import Model, checkpoint_bytes, forward
-from .regularizer import LipschitzParams, aggregated_loss, pass_counter
+from .regularizer import LipschitzParams, aggregated_loss, quotient
 from .reports import (EpochRecord, EvalReport, EvalRow, SensitivityEntry,
                       SensitivityReport, StepRecord, TrainRecord)
-from .seeding import derive_int, derive_key, derive_rng
+from .seeding import derive_int, derive_key, derive_rng, seed_repr
 from .tensor import Graph, Tensor, backward
 from .version import VERSION
 
@@ -113,7 +113,7 @@ def train(model: Model, ds: LabeledDataset, hp: HyperParams):
     lr = hp.lr
     steps: list[StepRecord] = []
     epochs: list[EpochRecord] = []
-    passes_before = pass_counter.perturbed_passes
+    passes = 0
     step_i = 0
     for epoch in range(1, hp.epochs + 1):
         if epoch in drops:
@@ -130,12 +130,13 @@ def train(model: Model, ds: LabeledDataset, hp: HyperParams):
             model.zero_grad()
             backward(loss, graph)
             opt.step(model.params, lr)
+            passes += parts["perturbed_passes"]
             steps.append(StepRecord(step_i, parts["usual"], parts["lipschitz"],
                                     parts["mean_k"], total))
             step_i += 1
         epochs.append(EpochRecord(epoch, evaluate(model, probe)["accuracy"],
                                   time.perf_counter() - t0))
-    meta = {"perturbed_passes": pass_counter.perturbed_passes - passes_before,
+    meta = {"perturbed_passes": passes,
             "n_train": ds.n, "n_steps": step_i, "final_lr": lr}
     return model, TrainRecord(steps, epochs, meta)
 
@@ -186,26 +187,19 @@ def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed,
             noisy = corrupt(clean_test, sigma,
                             derive_key(corruption_seed, "sigma", repr(sigma)))
             probs = _batched_probs(model, noisy.images)
-            d_out = probs - clean_probs
-            d_in = (noisy.images - clean_test.images).reshape(clean_test.n, -1)
-            denom = np.maximum(np.sqrt((d_in * d_in).sum(axis=1)), 1e-12)
-            mean_k = float((np.sqrt((d_out * d_out).sum(axis=1)) / denom).mean())
+            k = quotient(Tensor(clean_probs), Tensor(probs),
+                         clean_test.images, noisy.images)
+            mean_k = float(k.data.mean())
         accuracy, conf = _acc_conf(probs, clean_test.labels)
         rows.append(EvalRow(sigma, accuracy, conf, mean_k, clean_test.n))
     metadata = {
         "hyperparams": hyperparams,
         "model_hash": hashlib.sha256(checkpoint_bytes(model)).hexdigest(),
         "dataset": clean_test.provenance.as_dict(),
-        "corruption_seed": _seed_note(corruption_seed),
+        "corruption_seed": seed_repr(corruption_seed),
         "code_version": VERSION,
     }
     return EvalReport(rows, metadata)
-
-
-def _seed_note(seed):
-    if seed is None or isinstance(seed, (int, np.integer)):
-        return None if seed is None else int(seed)
-    return list(map(int, seed))
 
 
 def ratio_study(arch_seed: int, ds_train: LabeledDataset, ds_test: LabeledDataset,
@@ -270,7 +264,7 @@ def sensitivity(baseline: HyperParams, deltas: dict, train_ds: LabeledDataset,
         entries.append(SensitivityEntry(name, delta, acc_before, acc_after,
                                         (acc_after - acc_before) / delta))
     metadata = {"sigma_eval": float(sigma_eval), "units": "percentage points",
-                "corruption_seed": _seed_note(corruption_seed),
+                "corruption_seed": seed_repr(corruption_seed),
                 "code_version": VERSION}
     return SensitivityReport(baseline=baseline.as_dict(), entries=entries,
                              metadata=metadata)

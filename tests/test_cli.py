@@ -164,11 +164,18 @@ def test_grid_parallel_workers_match_serial(tmp_path):
     cfg1 = write_cfg(tmp_path, "serial.json", grid_sigma_train=[0.5],
                      grid_beta=[10.0], grid_l_n=[0.005, 0.01])
     cfg2 = write_cfg(tmp_path, "par.json", grid_sigma_train=[0.5],
-                     grid_beta=[10.0], grid_l_n=[0.005, 0.01], workers=3)
+                     grid_beta=[10.0], grid_l_n=[0.005, 0.01], workers=2)
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("grid", "--config", cfg1, "--out", a) == 0
     assert run("grid", "--config", cfg2, "--out", b) == 0
     assert (a / "grid_summary.csv").read_bytes() == (b / "grid_summary.csv").read_bytes()
+    # each run counts its own perturbed passes, even while others run alongside
+    for cell in ("standard", "s0p5_b10_l0p005", "s0p5_b10_l0p01"):
+        serial, par = (json.loads((d / cell / "timings.json").read_text())["meta"]
+                       for d in (a, b))
+        assert par["perturbed_passes"] == serial["perturbed_passes"]
+        want = 0 if cell == "standard" else serial["n_steps"]
+        assert serial["perturbed_passes"] == want
 
 
 def test_guarantee_requires_explicit_l_n(tmp_path, capsys):
@@ -209,6 +216,17 @@ def test_guarantee_audit_with_checkpoint(tmp_path):
     assert audit["sigma"] == 0.5
     assert 0.0 <= audit["fraction_within"] <= 1.0
     assert audit["fraction_within"] + audit["fraction_exceeding_l_n"] == 1.0
+
+
+def test_guarantee_rejects_non_positive_audit_sigma(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, l_n=0.01, audit_sigma=0.0)
+    trained = tmp_path / "trained"
+    assert run("train", "--config", cfg, "--out", trained) == 0
+    out = tmp_path / "g"
+    assert run("guarantee", "--config", cfg, "--out", out,
+               "--checkpoint", trained / "model.ckpt") == 2
+    assert "audit_sigma" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ratio_study_command(tmp_path):

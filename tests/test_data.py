@@ -12,6 +12,7 @@ from lipnet import (IdxCountMismatchError, IdxError, IdxMagicError,
                     IdxTruncatedError, LabeledDataset, Provenance, batches,
                     corrupt, load_idx, save_idx, subsample, synthetic_blobs,
                     synthetic_digits)
+from lipnet.seeding import derive_key
 
 
 def write_pair(tmp_path, n=20, h=6, w=5, seed=0, gz=False):
@@ -117,6 +118,14 @@ def test_corrupt_sigma_zero_bit_identical():
     out = corrupt(ds, 0.0, seed=4)
     assert out.images.tobytes() == ds.images.tobytes()
     assert out.provenance.sigma_test == 0.0
+
+
+def test_corrupt_records_seed_losslessly():
+    ds = synthetic_blobs(4, seed=0)
+    key = derive_key(3, "sigma", "0.5")
+    assert corrupt(ds, 0.5, key).provenance.seed == key
+    assert corrupt(ds, 0.5, np.int64(7)).provenance.seed == 7
+    assert corrupt(ds, 0.0, None).provenance.seed is None
 
 
 def test_corrupt_is_seeded_and_unclipped():

@@ -9,10 +9,11 @@ from scipy.spatial.distance import pdist
 
 from lipnet import (Graph, GuaranteeReport, LipschitzParams, RampClassifier,
                     Tensor, aggregated_loss, audit_empirical_k, backward,
-                    build_blobs_mlp, compute_rho, counterexample_outside_radius,
-                    estimate_k, forward, gradcheck, guarantee, lipschitz_loss,
-                    one_hot_labels, pass_counter, perturb, sample_in_ball,
-                    synthetic_blobs, verify_theorem1_synthetic)
+                    build_blobs_mlp, build_mnist_model, compute_rho,
+                    counterexample_outside_radius, estimate_k, forward,
+                    gradcheck, guarantee, lipschitz_loss, one_hot_labels,
+                    pass_counter, perturb, sample_in_ball, synthetic_blobs,
+                    synthetic_digits, verify_theorem1_synthetic)
 from lipnet.seeding import derive_rng
 from lipnet.tensor import cross_entropy, mul_elementwise
 
@@ -120,10 +121,8 @@ def test_estimate_k_counts_perturbed_passes():
 
 
 def make_k_stats(values, l_n=0.01):
-    t = Tensor(np.asarray(values, dtype=np.float64))
-    from lipnet.regularizer import KStatistics, _summaries
-    mean, kmax, frac = _summaries(t.data, l_n)
-    return KStatistics(t, mean, kmax, frac)
+    from lipnet.regularizer import _k_statistics
+    return _k_statistics(Tensor(np.asarray(values, dtype=np.float64)), l_n)
 
 
 def test_hinge_hand_arithmetic():
@@ -327,3 +326,22 @@ def test_audit_caps_n_and_reports_fraction():
     assert stats.values().shape == (30,)
     assert stats.fraction_exceeding_l_n == 1.0
     assert stats.max >= stats.mean >= 0.0
+
+
+def test_audit_rejects_non_positive_sigma():
+    model = build_blobs_mlp(seed=1)
+    ds = synthetic_blobs(20, seed=2)
+    for sigma in (0.0, -0.5):
+        with pytest.raises(ValueError, match="sigma"):
+            audit_empirical_k(model, ds, sigma, 10, np.random.default_rng(0))
+
+
+def test_audit_equals_eager_estimate_k_bitwise():
+    # same rows, same rng stream: the audit is eager estimate_k, bit for bit
+    model = build_mnist_model(seed=4)
+    ds = synthetic_digits(300, seed=5)
+    audit = audit_empirical_k(model, ds, 0.5, 200, np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    idx = np.sort(rng.permutation(ds.n)[:200])
+    eager = estimate_k(model, Tensor(ds.images[idx]), 0.5, rng, graph=None)
+    assert audit.values().tobytes() == eager.values().tobytes()

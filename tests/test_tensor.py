@@ -99,10 +99,6 @@ def test_softmax_backward():
     check_op(T.softmax, [(3, 5)])
 
 
-def test_l2_norm_backward():
-    check_op(T.l2_norm, [(3, 3)])
-
-
 def test_l2_norm_rows_backward():
     check_op(T.l2_norm_rows, [(4, 6)])
 
@@ -237,13 +233,6 @@ def test_grad_accumulates_across_shared_operand():
     graph = Graph()
     backward(T.reduce_sum(T.add(a, a, graph), graph), graph)
     np.testing.assert_array_equal(a.grad, np.full(2, 2.0))
-
-
-def test_l2_norm_zero_guard():
-    a = Tensor(np.zeros(4), requires_grad=True)
-    graph = Graph()
-    backward(T.l2_norm(a, graph), graph)
-    assert a.grad is None or np.all(a.grad == 0.0)
 
 
 def test_l2_norm_rows_zero_guard_mixed_rows():
