@@ -14,14 +14,12 @@ from .data import (IdxCountMismatchError, IdxError, IdxMagicError,
 from .layers import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, LayerSpec, Model,
                      build_blobs_mlp, build_mnist_model, build_model,
                      build_registered, checkpoint_bytes, forward,
-                     load_checkpoint, predict, read_checkpoint, register_model,
-                     save_checkpoint)
+                     load_checkpoint, read_checkpoint, save_checkpoint)
 from .regularizer import (GuaranteeReport, KStatistics, LipschitzParams,
                           RampClassifier, aggregated_loss, audit_empirical_k,
                           compute_rho, counterexample_outside_radius,
                           estimate_k, guarantee, lipschitz_loss, one_hot_labels,
-                          pass_counter, perturb, sample_in_ball,
-                          verify_theorem1_synthetic)
+                          perturb, sample_in_ball, verify_theorem1_synthetic)
 from .reports import (EvalReport, EvalRow, SensitivityEntry, SensitivityReport,
                       StepRecord, TrainRecord, svg_line_chart,
                       write_eval_report, write_json, write_ratio_table,
@@ -47,10 +45,10 @@ __all__ = [
     "counterexample_outside_radius", "derive_int", "derive_key", "derive_rng",
     "estimate_k", "evaluate", "forward", "gradcheck", "guarantee",
     "lipschitz_loss", "load_checkpoint", "load_idx", "one_hot_labels",
-    "pass_counter", "perturb", "predict", "ratio_study", "read_checkpoint",
-    "register_model", "sample_in_ball", "save_checkpoint", "save_idx",
-    "sensitivity", "subsample", "svg_line_chart", "sweep", "synthetic_blobs",
-    "synthetic_digits", "train", "verify_theorem1_synthetic",
+    "perturb", "ratio_study", "read_checkpoint", "sample_in_ball",
+    "save_checkpoint", "save_idx", "sensitivity", "subsample",
+    "svg_line_chart", "sweep", "synthetic_blobs", "synthetic_digits",
+    "train", "verify_theorem1_synthetic",
     "write_eval_report", "write_json", "write_ratio_table",
     "write_sensitivity_report", "write_train_record", "__version__",
 ]

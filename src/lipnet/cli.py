@@ -167,26 +167,26 @@ def _limit(ds: LabeledDataset, n) -> LabeledDataset:
     return LabeledDataset(ds.images[:n], ds.labels[:n], ds.provenance)
 
 
-def load_datasets(cfg):
-    """(train, test) per the config. Raises ConfigError before anything has
-    been written, so failed runs leave no partial outputs."""
+def _load_split(cfg, split: str) -> LabeledDataset:
+    """The "train" or "test" split per the config. Raises ConfigError before
+    anything has been written, so failed runs leave no partial outputs. The
+    two splits are seeded independently, so either loads alone."""
     kind = cfg["dataset"]
     if kind == "idx":
-        train_ds = load_idx(_resolve_idx_path(cfg, "train_images"),
-                            _resolve_idx_path(cfg, "train_labels"))
-        test_ds = load_idx(_resolve_idx_path(cfg, "test_images"),
-                           _resolve_idx_path(cfg, "test_labels"))
-        return _limit(train_ds, cfg["train_limit"]), test_ds
-    if kind == "synthetic_digits":
-        maker = synthetic_digits
-    elif kind == "synthetic_blobs":
-        maker = synthetic_blobs
+        ds = load_idx(_resolve_idx_path(cfg, f"{split}_images"),
+                      _resolve_idx_path(cfg, f"{split}_labels"))
+    elif kind in ("synthetic_digits", "synthetic_blobs"):
+        maker = synthetic_digits if kind == "synthetic_digits" else synthetic_blobs
+        ds = maker(int(cfg[f"synthetic_{split}_n"]),
+                   derive_int(int(cfg["synthetic_seed"]), split))
     else:
         raise ConfigError(f"unknown dataset kind: {kind!r}")
-    seed = int(cfg["synthetic_seed"])
-    train_ds = maker(int(cfg["synthetic_train_n"]), derive_int(seed, "train"))
-    test_ds = maker(int(cfg["synthetic_test_n"]), derive_int(seed, "test"))
-    return _limit(train_ds, cfg["train_limit"]), test_ds
+    return _limit(ds, cfg["train_limit"]) if split == "train" else ds
+
+
+def load_datasets(cfg):
+    """(train, test) per the config, for commands that use both."""
+    return _load_split(cfg, "train"), _load_split(cfg, "test")
 
 
 def _arch_seed(cfg) -> int:
@@ -208,8 +208,8 @@ def _write_resolved_config(cfg, out: Path, command: str, extra: dict | None = No
     write_json(out / "resolved_config.json", doc)
 
 
-def cmd_train(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
-    train_ds, _ = load_datasets(cfg)
+def cmd_train(cfg, out: Path) -> int:
+    train_ds = _load_split(cfg, "train")
     hp = _hp_from_cfg(cfg)
     model = build_registered(cfg["model"], _arch_seed(cfg))
     model, record = train(model, train_ds, hp)
@@ -220,13 +220,13 @@ def cmd_train(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
     return 0
 
 
-def cmd_sweep(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
+def cmd_sweep(cfg, out: Path, checkpoint=None) -> int:
     if checkpoint is None:
         raise ConfigError("sweep needs --checkpoint")
     sigmas = cfg["sweep_sigmas"]
     if not sigmas:
         raise ConfigError("sweep_sigmas must be a nonempty list")
-    _, test_ds = load_datasets(cfg)
+    test_ds = _load_split(cfg, "test")
     model = build_registered(cfg["model"], _arch_seed(cfg))
     model = load_checkpoint(model, checkpoint)
     report = sweep(model, test_ds, sigmas, int(cfg["corruption_seed"]),
@@ -254,6 +254,12 @@ def _grid_cells(cfg):
                 cells.append(LipschitzParams(float(s), float(b), float(l)))
     if not cells:
         raise ConfigError("grid is empty: no standard baseline and no cells")
+    names = [_cell_name(lip) for lip in cells]
+    shared = sorted({n for n in names if names.count(n) > 1})
+    if shared:
+        raise ConfigError(f"grid cells share a directory name: {shared}; axis values "
+                          f"must differ in their %g form, and every beta-0 cell "
+                          f"is named 'standard'")
     return cells
 
 
@@ -271,7 +277,7 @@ def _run_cell(cfg, cell_dir: Path, lip: LipschitzParams, train_ds, test_ds):
     return report
 
 
-def cmd_grid(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
+def cmd_grid(cfg, out: Path) -> int:
     """Train + sweep every (sigma_train, beta, l_n) cell plus the standard
     baseline. Cells with a DONE marker are skipped, so an interrupted grid
     resumes; per-cell failures are recorded and the other cells continue."""
@@ -279,6 +285,9 @@ def cmd_grid(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
     sigmas = sorted(float(s) for s in cfg["sweep_sigmas"])
     if not sigmas:
         raise ConfigError("sweep_sigmas must be a nonempty list")
+    workers = int(cfg["workers"])
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     train_ds, test_ds = load_datasets(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -295,7 +304,6 @@ def cmd_grid(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
                                                 encoding="utf-8")
             return "failed"
 
-    workers = max(1, int(cfg["workers"]))
     if workers == 1:
         outcomes = [run_one(lip) for lip in cells]
     else:
@@ -326,7 +334,7 @@ def cmd_grid(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
     return 0
 
 
-def cmd_sensitivity(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
+def cmd_sensitivity(cfg, out: Path) -> int:
     train_ds, test_ds = load_datasets(cfg)
     baseline = _hp_from_cfg(cfg)
     deltas = cfg["sensitivity_deltas"]
@@ -356,7 +364,7 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
     if checkpoint is not None:
         if float(cfg["audit_sigma"]) <= 0:
             raise ConfigError(f"audit_sigma must be > 0, got {cfg['audit_sigma']}")
-        _, test_ds = load_datasets(cfg)
+        test_ds = _load_split(cfg, "test")
         model = build_registered(cfg["model"], _arch_seed(cfg))
         model = load_checkpoint(model, checkpoint)
         stats = audit_empirical_k(model, test_ds, float(cfg["audit_sigma"]),
@@ -390,7 +398,7 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
     return 0
 
 
-def cmd_ratio_study(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
+def cmd_ratio_study(cfg, out: Path) -> int:
     ratios = cfg["ratios"]
     if not ratios:
         raise ConfigError("ratios must be a nonempty list")
@@ -428,19 +436,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (all artifacts go here)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--checkpoint", type=Path, default=None,
-                       help="checkpoint to evaluate (sweep, guarantee)")
-        p.add_argument("--synthetic", action="store_true",
-                       help="guarantee: also run the exact synthetic oracle")
+        if name in ("sweep", "guarantee"):
+            p.add_argument("--checkpoint", type=Path, default=None,
+                           help="checkpoint to evaluate")
+        if name == "guarantee":
+            p.add_argument("--synthetic", action="store_true",
+                           help="also run the exact synthetic oracle")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = {k: v for k, v in vars(args).items() if k in ("checkpoint", "synthetic")}
     try:
         cfg = load_config(args.config, seed_override=args.seed)
-        return COMMANDS[args.command](cfg, args.out, checkpoint=args.checkpoint,
-                                      synthetic=args.synthetic)
+        return COMMANDS[args.command](cfg, args.out, **flags)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -145,14 +145,6 @@ def forward(model: Model, x: Tensor, graph: Graph | None = None) -> Tensor:
     return out
 
 
-def predict(model: Model, x: Tensor):
-    """Argmax labels (ties break to the lowest index) and their probabilities."""
-    probs = forward(model, x).data
-    labels = probs.argmax(axis=1)
-    confidence = probs[np.arange(probs.shape[0]), labels]
-    return labels, confidence
-
-
 def build_mnist_model(seed: int) -> Model:
     """The 28x28 grayscale reference net: conv 8@5x5/s2/p2, dense 128, dense 10."""
     specs = [
@@ -178,11 +170,7 @@ def build_blobs_mlp(seed: int) -> Model:
     return build_model(specs, (2,), seed)
 
 
-MODEL_REGISTRY: dict[str, object] = {}
-
-
-def register_model(name: str, builder) -> None:
-    MODEL_REGISTRY[name] = builder
+MODEL_REGISTRY = {"mnist_cnn": build_mnist_model, "blobs_mlp": build_blobs_mlp}
 
 
 def build_registered(name: str, seed: int) -> Model:
@@ -192,10 +180,6 @@ def build_registered(name: str, seed: int) -> Model:
         known = ", ".join(sorted(MODEL_REGISTRY))
         raise ValueError(f"unknown model {name!r}; registered: {known}") from None
     return builder(seed)
-
-
-register_model("mnist_cnn", build_mnist_model)
-register_model("blobs_mlp", build_blobs_mlp)
 
 
 def checkpoint_bytes(model: Model) -> bytes:

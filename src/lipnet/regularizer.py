@@ -72,20 +72,6 @@ def _k_statistics(k: Tensor, l_n: float | None) -> KStatistics:
     return KStatistics(k, float(v.mean()), float(v.max()), frac)
 
 
-class _PassCounter:
-    """Counts perturb() calls process-wide; used to prove the beta=0 fast
-    path never touches the regularizer. Runs count their own passes."""
-
-    def __init__(self):
-        self.perturbed_passes = 0
-
-    def reset(self) -> None:
-        self.perturbed_passes = 0
-
-
-pass_counter = _PassCounter()
-
-
 def _model_forward(model, x: Tensor, graph: Graph | None = None) -> Tensor:
     # Ops below take either a real Model or any fn(x, graph) -> Tensor, so
     # analytic toy maps can stand in for a network.
@@ -102,7 +88,6 @@ def perturb(x: Tensor, sigma: float, rng) -> Tensor:
     """
     if sigma < 0:
         raise ValueError(f"perturb: sigma must be >= 0, got {sigma}")
-    pass_counter.perturbed_passes += 1
     if sigma == 0:
         return Tensor(x.data.copy())
     return Tensor(x.data + rng.normal(0.0, sigma, size=x.shape))

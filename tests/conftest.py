@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lipnet import HyperParams, LipschitzParams, synthetic_blobs
+from lipnet import HyperParams, LipschitzParams, regularizer, synthetic_blobs
 
 try:
     from hypothesis import settings
@@ -31,3 +31,21 @@ def quick_hp():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def perturb_calls(monkeypatch):
+    """One entry per regularizer.perturb call made during the test.
+
+    estimate_k and audit_empirical_k look perturb up in their module, so
+    every perturbed pass of training and of the audit goes through here.
+    """
+    calls = []
+    original = regularizer.perturb
+
+    def witness(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(regularizer, "perturb", witness)
+    return calls

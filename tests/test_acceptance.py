@@ -21,7 +21,7 @@ from lipnet import (Graph, HyperParams, LipschitzParams, SGD, Tensor,
                     audit_empirical_k, backward, build_mnist_model,
                     checkpoint_bytes, compute_rho,
                     counterexample_outside_radius, forward, gradcheck,
-                    load_idx, one_hot_labels, pass_counter, sweep,
+                    load_idx, one_hot_labels, sweep,
                     synthetic_digits, train, verify_theorem1_synthetic,
                     LabeledDataset, RampClassifier)
 from lipnet.cli import DATA_DIR_ENV, IDX_STANDARD_NAMES
@@ -241,14 +241,13 @@ def test_criterion_07_audit_k_ordering(mnist):
     report(7, ok, " ".join(details))
 
 
-def test_criterion_08_beta_zero_is_bitwise_plain_training():
+def test_criterion_08_beta_zero_is_bitwise_plain_training(perturb_calls):
     """beta=0 must run zero perturbed passes and produce per-step losses and
     final weights bit-identical to a loop with the regularizer stubbed out."""
     ds = synthetic_digits(500, seed=21)
     hp = HyperParams(lr=0.05, epochs=2, batch_size=50, seed=9)
-    passes_before = pass_counter.perturbed_passes
     full, record = train(build_mnist_model(seed=9), ds, hp)
-    passes = pass_counter.perturbed_passes - passes_before
+    passes = len(perturb_calls)
 
     # the stub: plain cross-entropy SGD, no regularizer code in the loop
     stub = build_mnist_model(seed=9)

@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from lipnet import EvalReport
-from lipnet.cli import main
+from lipnet import EvalReport, build_mnist_model, save_checkpoint, save_idx
+from lipnet.cli import IDX_STANDARD_NAMES, main
 
 BASE_CFG = {
     "dataset": "synthetic_blobs",
@@ -102,6 +103,36 @@ def test_invalid_hyperparam_is_usage_error(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def write_idx_split(data_dir, split, n=20):
+    """Write only the given split ("train" or "test") of 28x28 IDX digits."""
+    data_dir.mkdir(exist_ok=True)
+    rng = np.random.default_rng(0)
+    save_idx(rng.integers(0, 256, size=(n, 28, 28)), rng.integers(0, 10, size=n),
+             data_dir / IDX_STANDARD_NAMES[f"{split}_images"],
+             data_dir / IDX_STANDARD_NAMES[f"{split}_labels"])
+
+
+def test_train_needs_only_the_train_split(tmp_path, monkeypatch):
+    monkeypatch.delenv("LIPNET_DATA_DIR", raising=False)
+    write_idx_split(tmp_path / "data", "train")
+    cfg = write_cfg(tmp_path, dataset="idx", data_dir=str(tmp_path / "data"),
+                    model="mnist_cnn", batch_size=10)
+    assert run("train", "--config", cfg, "--out", tmp_path / "run") == 0
+    assert (tmp_path / "run" / "model.ckpt").exists()
+
+
+def test_sweep_needs_only_the_test_split(tmp_path, monkeypatch):
+    monkeypatch.delenv("LIPNET_DATA_DIR", raising=False)
+    write_idx_split(tmp_path / "data", "test")
+    save_checkpoint(build_mnist_model(seed=0), tmp_path / "model.ckpt")
+    cfg = write_cfg(tmp_path, dataset="idx", data_dir=str(tmp_path / "data"),
+                    model="mnist_cnn")
+    assert run("sweep", "--config", cfg, "--out", tmp_path / "swept",
+               "--checkpoint", tmp_path / "model.ckpt") == 0
+    report = EvalReport.from_csv_text((tmp_path / "swept" / "eval_report.csv").read_text())
+    assert [r.n for r in report.rows] == [20, 20]
+
+
 def test_missing_idx_data_fails_before_writing(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("LIPNET_DATA_DIR", raising=False)
     cfg = write_cfg(tmp_path, dataset="idx")
@@ -176,6 +207,28 @@ def test_grid_parallel_workers_match_serial(tmp_path):
         assert par["perturbed_passes"] == serial["perturbed_passes"]
         want = 0 if cell == "standard" else serial["n_steps"]
         assert serial["perturbed_passes"] == want
+
+
+@pytest.mark.parametrize("axes", [
+    {"grid_l_n": [0.005, 0.0050000001]},   # equal in %g form
+    {"grid_l_n": [0.005, 0.005]},          # exact duplicate
+    {"grid_beta": [0.0]},                  # a beta-0 cell next to the baseline
+])
+def test_grid_cells_sharing_a_directory_are_usage_error(tmp_path, capsys, axes):
+    cfg = write_cfg(tmp_path, **{"grid_sigma_train": [0.5], "grid_beta": [10.0],
+                                 "grid_l_n": [0.005], **axes})
+    out = tmp_path / "grid"
+    assert run("grid", "--config", cfg, "--out", out) == 2
+    assert "share a directory name" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_rejects_non_positive_workers(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, workers=0)
+    out = tmp_path / "grid"
+    assert run("grid", "--config", cfg, "--out", out) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_guarantee_requires_explicit_l_n(tmp_path, capsys):
@@ -257,6 +310,20 @@ def test_missing_out_flag_is_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--checkpoint", "x"],
+    ["grid", "--checkpoint", "x"],
+    ["sensitivity", "--checkpoint", "x"],
+    ["ratio-study", "--checkpoint", "x"],
+    ["sweep", "--checkpoint", "x", "--synthetic"],
+])
+def test_flag_the_command_does_not_read_is_argparse_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_file_not_found(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from lipnet import (CHECKPOINT_VERSION, LayerSpec, Tensor, build_blobs_mlp,
                     build_mnist_model, build_model, build_registered,
-                    checkpoint_bytes, forward, load_checkpoint, predict,
+                    checkpoint_bytes, forward, load_checkpoint,
                     read_checkpoint, save_checkpoint)
 from lipnet.layers import _compose_shape
 
@@ -32,15 +32,6 @@ def test_forward_validates_input_shape():
     model = build_blobs_mlp(seed=1)
     with pytest.raises(ValueError, match="expects"):
         forward(model, Tensor(np.ones((2, 3))))
-
-
-def test_predict_tie_breaks_to_lowest_index():
-    model = build_blobs_mlp(seed=1)
-    for p in model.params.values():
-        p.data[...] = 0.0  # uniform outputs
-    labels, confidence = predict(model, Tensor(np.ones((5, 2))))
-    assert (labels == 0).all()
-    np.testing.assert_allclose(confidence, 0.5)
 
 
 def test_build_model_requires_final_softmax():

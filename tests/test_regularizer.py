@@ -12,8 +12,8 @@ from lipnet import (Graph, GuaranteeReport, LipschitzParams, RampClassifier,
                     build_blobs_mlp, build_mnist_model, compute_rho,
                     counterexample_outside_radius, estimate_k, forward,
                     gradcheck, guarantee, lipschitz_loss, one_hot_labels,
-                    pass_counter, perturb, sample_in_ball, synthetic_blobs,
-                    synthetic_digits, verify_theorem1_synthetic)
+                    perturb, sample_in_ball, synthetic_blobs, synthetic_digits,
+                    verify_theorem1_synthetic)
 from lipnet.seeding import derive_rng
 from lipnet.tensor import cross_entropy, mul_elementwise
 
@@ -113,11 +113,10 @@ def test_estimate_k_requires_positive_sigma():
                    np.random.default_rng(0))
 
 
-def test_estimate_k_counts_perturbed_passes():
-    pass_counter.reset()
+def test_estimate_k_counts_perturbed_passes(perturb_calls):
     estimate_k(linear_map(np.eye(2)), Tensor(np.ones((2, 2))), 0.5,
                np.random.default_rng(0))
-    assert pass_counter.perturbed_passes == 1
+    assert len(perturb_calls) == 1
 
 
 def make_k_stats(values, l_n=0.01):
@@ -158,14 +157,13 @@ def test_hinge_slope_is_beta_over_batch():
     np.testing.assert_allclose(stats.per_sample_k.grad, [2.0, 0.0, 2.0], atol=1e-12)
 
 
-def test_aggregated_loss_beta_zero_is_plain_cross_entropy():
+def test_aggregated_loss_beta_zero_is_plain_cross_entropy(perturb_calls):
     model = build_blobs_mlp(seed=2)
     ds = synthetic_blobs(16, seed=3)
     x = Tensor(ds.images)
-    pass_counter.reset()
     loss, parts = aggregated_loss(model, x, ds.labels, LipschitzParams(),
                                   np.random.default_rng(0))
-    assert pass_counter.perturbed_passes == 0
+    assert perturb_calls == []
     want = cross_entropy(forward(model, x), ds.labels).item()
     assert loss.item() == want  # bit-identical, not approximately
     assert parts["lipschitz"] == 0.0
