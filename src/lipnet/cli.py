@@ -17,7 +17,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .data import (LabeledDataset, load_idx, synthetic_blobs, synthetic_digits)
 from .ioutil import atomic_write_text
@@ -126,11 +126,19 @@ def load_config(path, seed_override=None) -> dict:
     return cfg
 
 
+def _lip_params(sigma_train, beta, l_n) -> LipschitzParams:
+    # Every LipschitzParams built from the config comes from here, so a bad
+    # value exits with the usage code before anything trains or is written.
+    try:
+        return LipschitzParams(float(sigma_train), float(beta), float(l_n))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e)) from None
+
+
 def _hp_from_cfg(cfg) -> HyperParams:
     # Bad values are config mistakes, so they exit with the usage code.
+    lip = _lip_params(cfg["sigma_train"], cfg["beta"], cfg["l_n"])
     try:
-        lip = LipschitzParams(sigma_train=float(cfg["sigma_train"]),
-                              beta=float(cfg["beta"]), l_n=float(cfg["l_n"]))
         return HyperParams(lip=lip, lr=float(cfg["lr"]), epochs=int(cfg["epochs"]),
                            batch_size=int(cfg["batch_size"]),
                            lr_drops=tuple((int(e), float(f)) for e, f in cfg["lr_drops"]),
@@ -247,11 +255,11 @@ def _cell_name(lip: LipschitzParams) -> str:
 def _grid_cells(cfg):
     cells = []
     if cfg["grid_include_standard"]:
-        cells.append(LipschitzParams(0.0, 0.0, float(cfg["l_n"])))
+        cells.append(_lip_params(0.0, 0.0, cfg["l_n"]))
     for s in cfg["grid_sigma_train"]:
         for b in cfg["grid_beta"]:
             for l in cfg["grid_l_n"]:
-                cells.append(LipschitzParams(float(s), float(b), float(l)))
+                cells.append(_lip_params(s, b, l))
     if not cells:
         raise ConfigError("grid is empty: no standard baseline and no cells")
     names = [_cell_name(lip) for lip in cells]
@@ -282,6 +290,7 @@ def cmd_grid(cfg, out: Path) -> int:
     baseline. Cells with a DONE marker are skipped, so an interrupted grid
     resumes; per-cell failures are recorded and the other cells continue."""
     cells = _grid_cells(cfg)
+    _hp_from_cfg(cfg)  # each cell's run is built from it: fail the grid, not every cell
     sigmas = sorted(float(s) for s in cfg["sweep_sigmas"])
     if not sigmas:
         raise ConfigError("sweep_sigmas must be a nonempty list")
@@ -335,11 +344,15 @@ def cmd_grid(cfg, out: Path) -> int:
 
 
 def cmd_sensitivity(cfg, out: Path) -> int:
-    train_ds, test_ds = load_datasets(cfg)
     baseline = _hp_from_cfg(cfg)
     deltas = cfg["sensitivity_deltas"]
     if not isinstance(deltas, dict) or not deltas:
         raise ConfigError("sensitivity_deltas must be a nonempty object")
+    for name in set(deltas) & {"sigma_train", "beta", "l_n"}:  # before the baseline trains
+        shifted = asdict(baseline.lip)
+        shifted[name] += float(deltas[name])
+        _lip_params(**shifted)
+    train_ds, test_ds = load_datasets(cfg)
     report = sensitivity(baseline, deltas, train_ds, test_ds,
                          float(cfg["sigma_eval"]),
                          model_builder=lambda seed: build_registered(cfg["model"], seed),
@@ -356,9 +369,9 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
         raise ConfigError("guarantee requires an explicit 'l_n' config key "
                           "(plus optional: n_classes, audit_sigma, audit_n, "
                           "synthetic_trials, synthetic_seeds, synthetic_l, synthetic_dim)")
-    l_n = float(cfg["l_n"])
+    lip = _lip_params(0.0, 0.0, cfg["l_n"])
     labels = one_hot_labels(int(cfg["n_classes"]))
-    report = guarantee(LipschitzParams(l_n=l_n), labels)
+    report = guarantee(lip, labels)
     payload = {"guarantee": report.as_dict(), "rho": compute_rho(labels)}
 
     if checkpoint is not None:
@@ -369,7 +382,7 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
         model = load_checkpoint(model, checkpoint)
         stats = audit_empirical_k(model, test_ds, float(cfg["audit_sigma"]),
                                   int(cfg["audit_n"]),
-                                  derive_rng(int(cfg["seed"]), "audit"), l_n=l_n)
+                                  derive_rng(int(cfg["seed"]), "audit"), l_n=lip.l_n)
         payload["audit"] = dict(stats.as_dict(), sigma=float(cfg["audit_sigma"]),
                                 fraction_within=1.0 - stats.fraction_exceeding_l_n)
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .layers import Model, forward
 from .tensor import (NORM_EPS, Graph, Tensor, add, cross_entropy,
-                     l2_norm_rows, mul_elementwise, reduce_sum, relu, scale,
-                     sub)
+                     l2_norm_rows, mul_elementwise, reduce_sum, relu, rows,
+                     scale, sub)
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,13 @@ def _model_forward(model, x: Tensor, graph: Graph | None = None) -> Tensor:
     return model(x, graph)
 
 
+def _paired_forward(model, x: Tensor, x_bar: Tensor, graph: Graph | None = None):
+    """(f(x), f(x_bar)) from one forward pass over the stacked [x; x_bar]."""
+    b = x.shape[0]
+    both = _model_forward(model, Tensor(np.concatenate([x.data, x_bar.data])), graph)
+    return rows(both, 0, b, graph), rows(both, b, 2 * b, graph)
+
+
 def perturb(x: Tensor, sigma: float, rng) -> Tensor:
     """x_bar = x + N(0, sigma) drawn independently per component.
 
@@ -108,22 +115,17 @@ def quotient(f_x: Tensor, f_x_bar: Tensor, x: np.ndarray, x_bar: np.ndarray,
 
 
 def estimate_k(model: Model, x: Tensor, sigma: float, rng,
-               graph: Graph | None = None, l_n: float | None = None,
-               clean_probs: Tensor | None = None) -> KStatistics:
+               graph: Graph | None = None, l_n: float | None = None) -> KStatistics:
     """Per-sample quotient k over one fresh noise draw per row.
 
-    Both forward passes are recorded on the graph, so the result is
-    differentiable. Pass clean_probs to reuse an already recorded clean
-    forward pass.
+    The clean and perturbed rows share one forward pass, recorded on the
+    graph when one is given, so the result is differentiable.
     """
     if sigma <= 0:
         raise ValueError(f"estimate_k: sigma must be > 0, got {sigma}")
     x_bar = perturb(x, sigma, rng)
-    if clean_probs is None:
-        clean_probs = _model_forward(model, x, graph)
-    pert_probs = _model_forward(model, x_bar, graph)
-    k = quotient(clean_probs, pert_probs, x.data, x_bar.data, graph)
-    return _k_statistics(k, l_n)
+    f_x, f_x_bar = _paired_forward(model, x, x_bar, graph)
+    return _k_statistics(quotient(f_x, f_x_bar, x.data, x_bar.data, graph), l_n)
 
 
 def lipschitz_loss(k: KStatistics, params: LipschitzParams,
@@ -144,19 +146,21 @@ def aggregated_loss(model: Model, x: Tensor, labels, params: LipschitzParams,
     """Training loss L = L_usual + L_Lipschitz.
 
     L_usual is cross-entropy on the clean inputs only. With beta == 0 the
-    returned tensor IS that cross-entropy (no perturbed pass, bit-identical
-    to plain training). Returns (loss, parts) where parts carries float
-    values of both terms, the batch mean k for logging, and the number of
-    perturbed passes run (0 or 1).
+    returned tensor IS that cross-entropy (one plain forward pass, no
+    perturbed rows, bit-identical to plain training). With beta > 0 the clean
+    and perturbed rows share one forward pass over [x; x_bar]. Returns
+    (loss, parts) where parts carries float values of both terms, the batch
+    mean k for logging, and the number of perturbed passes run (0 or 1).
     """
-    clean_probs = _model_forward(model, x, graph)
-    usual = cross_entropy(clean_probs, labels, graph)
     if params.beta == 0:
+        usual = cross_entropy(_model_forward(model, x, graph), labels, graph)
         parts = {"usual": usual.item(), "lipschitz": 0.0, "mean_k": float("nan"),
                  "perturbed_passes": 0}
         return usual, parts
-    k = estimate_k(model, x, params.sigma_train, rng, graph,
-                   l_n=params.l_n, clean_probs=clean_probs)
+    x_bar = perturb(x, params.sigma_train, rng)
+    f_x, f_x_bar = _paired_forward(model, x, x_bar, graph)
+    usual = cross_entropy(f_x, labels, graph)
+    k = _k_statistics(quotient(f_x, f_x_bar, x.data, x_bar.data, graph), params.l_n)
     lip = lipschitz_loss(k, params, graph)
     total = add(usual, lip, graph)
     parts = {"usual": usual.item(), "lipschitz": lip.item(), "mean_k": k.mean,
@@ -311,19 +315,14 @@ def audit_empirical_k(model: Model, dataset, sigma: float, n: int, rng,
                       batch_size: int = 200) -> KStatistics:
     """Bulk, non-differentiable k over n samples drawn from the dataset.
 
-    One fresh noise draw per sample; forward passes run eagerly (no graph),
-    so each chunk equals estimate_k(..., graph=None) on its rows.
-    Reproducible bit-exactly for a given rng state.
+    One fresh noise draw per sample; each chunk of rows is one eager
+    estimate_k call. Reproducible bit-exactly for a given rng state.
     """
     if sigma <= 0:
         raise ValueError(f"audit_empirical_k: sigma must be > 0, got {sigma}")
     n = min(n, dataset.n)
     idx = np.sort(rng.permutation(dataset.n)[:n])
     images = dataset.images[idx]
-    ks = []
-    for start in range(0, n, batch_size):
-        x = Tensor(images[start:start + batch_size])
-        x_bar = perturb(x, sigma, rng)
-        ks.append(quotient(_model_forward(model, x), _model_forward(model, x_bar),
-                           x.data, x_bar.data).data)
+    ks = [estimate_k(model, Tensor(images[start:start + batch_size]), sigma, rng).values()
+          for start in range(0, n, batch_size)]
     return _k_statistics(Tensor(np.concatenate(ks)), l_n)

@@ -5,12 +5,21 @@ Graph is passed, the operation appends a node (operands, output, backward
 rule) to it; ``backward`` then replays the tape in reverse. With
 ``graph=None`` the operation is evaluated eagerly with no recording, which
 is what evaluation-only code paths use.
+
+Stored gradients are never written in place. ``accumulate_grad`` keeps the
+first contribution by reference (it may be an upstream node's gradient, a
+view of it, or an array another operand also holds) and adds later ones out
+of place, so one array can safely back several ``grad`` slots.
+
+``conv2d`` unrolls its input channel-major: ``cols`` has shape
+``(C*kh*kw, N*Ho*Wo)``, filled by kh*kw strided slice copies, so the forward
+pass is one GEMM ``kernel(F, C*kh*kw) @ cols``; the backward pass mirrors it
+in the kernel-gradient GEMM and in col2im.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 NORM_EPS = 1e-12  # below this, l2_norm_rows gradients are defined as zero
 
@@ -18,8 +27,8 @@ NORM_EPS = 1e-12  # below this, l2_norm_rows gradients are defined as zero
 class Tensor:
     """An n-dimensional float64 array plus an optional gradient slot.
 
-    ``data`` is always C-contiguous float64. ``grad`` starts as None and is
-    allocated lazily by the first accumulation during a backward pass.
+    ``data`` is always C-contiguous float64. ``grad`` starts as None; the
+    first accumulation during a backward pass stores its array by reference.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_on_tape")
@@ -53,9 +62,8 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # out of place: g may be shared with other tensors' grad slots
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -205,6 +213,21 @@ def reshape(a: Tensor, shape, graph: Graph | None = None) -> Tensor:
     return _record(graph, "reshape", (a,), out, rule)
 
 
+def rows(a: Tensor, start: int, stop: int, graph: Graph | None = None) -> Tensor:
+    """Rows [start, stop) of a; backward scatters g into those rows of a zero gradient."""
+    if not 0 <= start < stop <= a.shape[0]:
+        raise ValueError(f"rows: [{start}, {stop}) is not a nonempty range of {a.shape[0]} rows")
+    out = Tensor(a.data[start:stop])
+
+    def rule(g):
+        if _wants_grad(a):
+            ga = np.zeros_like(a.data)
+            ga[start:stop] = g
+            a.accumulate_grad(ga)
+
+    return _record(graph, "rows", (a,), out, rule)
+
+
 def reduce_sum(a: Tensor, graph: Graph | None = None) -> Tensor:
     out = Tensor(a.data.sum())
 
@@ -281,7 +304,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     """Batched 2-D cross-correlation (no kernel flip), NCHW layout.
 
     Output height is floor((H + 2*padding - kh) / stride) + 1, and likewise
-    for width. Implemented as im2col + one matrix product.
+    for width. Implemented as a channel-major im2col + one matrix product.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ValueError(f"conv2d: expects NCHW input and FCkhkw kernel, got {x.shape} and {kernel.shape}")
@@ -302,29 +325,32 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
 
+    # channel-major padded input (C, N, Hp, Wp)
+    xt = x.data.transpose(1, 0, 2, 3)
     if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((c, n, hp, wp))
+        xp[:, :, padding:padding + h, padding:padding + w] = xt
     else:
-        xp = x.data
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (N, C, Ho, Wo, kh, kw) -> (N*Ho*Wo, C*kh*kw)
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
+        xp = xt
+    # one strided copy per tap: (C, kh, kw, N, Ho, Wo) -> (C*kh*kw, N*Ho*Wo)
+    cols = np.empty((c, kh, kw, n, ho, wo))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride]
+    cols = cols.reshape(c * kh * kw, n * ho * wo)
     w2 = kernel.data.reshape(f, -1)
-    out_data = (cols @ w2.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
-    out = Tensor(np.ascontiguousarray(out_data))
+    out = Tensor(np.ascontiguousarray((w2 @ cols).reshape(f, n, ho, wo).transpose(1, 0, 2, 3)))
 
     def rule(g):
-        gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
-        _acc(kernel, (gm.T @ cols).reshape(f, c, kh, kw))
+        g2 = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
+        _acc(kernel, (g2 @ cols.T).reshape(f, c, kh, kw))
         if _wants_grad(x):
-            dcols = (gm @ w2).reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-            dxp = np.zeros((n, c, hp, wp))
+            dcols = (w2.T @ g2).reshape(c, kh, kw, n, ho, wo)
+            dxp = np.zeros((c, n, hp, wp))
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += dcols[..., i, j]
-            if padding:
-                dxp = dxp[:, :, padding:padding + h, padding:padding + w]
-            x.accumulate_grad(dxp)
+                    dxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += dcols[:, i, j]
+            x.accumulate_grad(dxp[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3))
 
     return _record(graph, "conv2d", (x, kernel), out, rule)
 

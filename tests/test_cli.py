@@ -231,6 +231,24 @@ def test_grid_rejects_non_positive_workers(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,overrides,message", [
+    ("grid", {"grid_sigma_train": [0.0], "grid_beta": [10.0]}, "sigma_train"),
+    ("grid", {"grid_l_n": [-1.0]}, "l_n"),
+    ("grid", {"lr": -1.0}, "lr"),  # read by every cell, checked once up front
+    ("guarantee", {"l_n": -1.0}, "l_n"),
+    ("sensitivity", {"sigma_train": 0.5, "beta": 10.0, "l_n": 0.01,
+                     "sensitivity_deltas": {"l_n": -0.02}}, "l_n"),
+])
+def test_invalid_run_params_are_usage_errors_before_any_output(
+        tmp_path, capsys, command, overrides, message):
+    cfg = write_cfg(tmp_path, **overrides)
+    out = tmp_path / "x"
+    assert run(command, "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert message in err and "ValueError" not in err
+    assert not out.exists()
+
+
 def test_guarantee_requires_explicit_l_n(tmp_path, capsys):
     cfg = write_cfg(tmp_path)  # no l_n key
     assert run("guarantee", "--config", cfg, "--out", tmp_path / "x") == 2

@@ -14,8 +14,9 @@ from lipnet import (Graph, GuaranteeReport, LipschitzParams, RampClassifier,
                     gradcheck, guarantee, lipschitz_loss, one_hot_labels,
                     perturb, sample_in_ball, synthetic_blobs, synthetic_digits,
                     verify_theorem1_synthetic)
+from lipnet.regularizer import _k_statistics, quotient
 from lipnet.seeding import derive_rng
-from lipnet.tensor import cross_entropy, mul_elementwise
+from lipnet.tensor import add, cross_entropy, mul_elementwise
 
 
 def linear_map(matrix):
@@ -120,7 +121,6 @@ def test_estimate_k_counts_perturbed_passes(perturb_calls):
 
 
 def make_k_stats(values, l_n=0.01):
-    from lipnet.regularizer import _k_statistics
     return _k_statistics(Tensor(np.asarray(values, dtype=np.float64)), l_n)
 
 
@@ -200,6 +200,49 @@ def test_aggregated_loss_gradcheck_active_hinge():
 
     report = gradcheck(model, loss_fn, Tensor(ds.images))
     assert report.passed, report.per_param
+
+
+def test_aggregated_loss_fused_pass_equals_two_forward_passes():
+    # reference: the clean and perturbed rows forwarded separately, same x_bar
+    model = build_mnist_model(seed=3)
+    ds = synthetic_digits(6, seed=4)
+    x = Tensor(ds.images)
+    params = LipschitzParams(sigma_train=0.5, beta=10.0, l_n=1e-4)
+
+    def grads(loss, graph):
+        model.zero_grad()
+        backward(loss, graph)
+        return {name: p.grad.copy() for name, p in model.params.items()}
+
+    graph = Graph()
+    loss, parts = aggregated_loss(model, x, ds.labels, params,
+                                  np.random.default_rng(8), graph)
+    assert parts["lipschitz"] > 0.0
+    fused = grads(loss, graph)
+
+    x_bar = perturb(x, params.sigma_train, np.random.default_rng(8))
+    graph = Graph()
+    f_x, f_x_bar = forward(model, x, graph), forward(model, x_bar, graph)
+    k = _k_statistics(quotient(f_x, f_x_bar, x.data, x_bar.data, graph), params.l_n)
+    ref_loss = add(cross_entropy(f_x, ds.labels, graph),
+                   lipschitz_loss(k, params, graph), graph)
+    ref = grads(ref_loss, graph)
+
+    np.testing.assert_allclose(loss.item(), ref_loss.item(), rtol=1e-12, atol=0)
+    for name in ref:
+        np.testing.assert_allclose(fused[name], ref[name], rtol=1e-12, atol=1e-12,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("beta,nodes", [(0.0, 11), (10.0, 21)])
+def test_aggregated_loss_tape_length_mnist_cnn(beta, nodes):
+    # 10 forward ops; beta > 0 adds 2 rows, the quotient (3), hinge (4) and add
+    ds = synthetic_digits(4, seed=1)
+    params = LipschitzParams(sigma_train=0.5 if beta else 0.0, beta=beta, l_n=0.005)
+    graph = Graph()
+    aggregated_loss(build_mnist_model(seed=0), Tensor(ds.images), ds.labels, params,
+                    np.random.default_rng(0), graph)
+    assert len(graph) == nodes
 
 
 def test_compute_rho_one_hot_ten():

@@ -80,6 +80,17 @@ def test_reshape_backward():
     check_op(lambda a, graph=None: T.reshape(a, (2, 6), graph), [(3, 4)])
 
 
+def test_rows_backward():
+    check_op(lambda a, graph=None: T.rows(a, 1, 3, graph), [(4, 3)])
+
+
+def test_rows_rejects_empty_or_out_of_range():
+    a = Tensor(np.ones((4, 2)))
+    for start, stop in ((2, 2), (-1, 2), (3, 5)):
+        with pytest.raises(ValueError, match="rows"):
+            T.rows(a, start, stop)
+
+
 def test_reduce_sum_backward():
     check_op(T.reduce_sum, [(3, 2)])
 
@@ -233,6 +244,31 @@ def test_grad_accumulates_across_shared_operand():
     graph = Graph()
     backward(T.reduce_sum(T.add(a, a, graph), graph), graph)
     np.testing.assert_array_equal(a.grad, np.full(2, 2.0))
+
+
+# Gradients are stored by reference, so one array can back several grad
+# slots. These graphs share an upstream gradient between tensors that later
+# receive a second contribution; an in-place accumulation would leak that
+# contribution into every tensor sharing the array.
+
+def test_grad_by_reference_add_same_operand():
+    # add(t, t) stores t's first contribution as the array z also holds
+    def op(t, c, graph=None):
+        z = T.scale(c, 1.5, graph)
+        return T.add(T.add(t, t, graph), z, graph)
+
+    check_op(op, [(3, 4), (3, 4)])
+
+
+def test_grad_by_reference_shared_upstream_then_second_contribution():
+    # add_rowvec and add hand one array to p and q; both get more afterwards
+    def op(a, b, v, graph=None):
+        p = T.scale(a, 2.0, graph)
+        q = T.scale(b, -3.0, graph)
+        side = T.add(T.mul_elementwise(p, p, graph), T.mul_elementwise(q, q, graph), graph)
+        return T.add(T.add_rowvec(T.add(p, q, graph), v, graph), side, graph)
+
+    check_op(op, [(3, 4), (3, 4), (4,)])
 
 
 def test_l2_norm_rows_zero_guard_mixed_rows():

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lipnet import (HyperParams, LipschitzParams, TrainingDivergedError,
-                    audit_empirical_k, build_blobs_mlp, checkpoint_bytes,
-                    evaluate, ratio_study, sensitivity, sweep, synthetic_blobs,
-                    train)
+from lipnet import (SGD, HyperParams, LipschitzParams, Tensor,
+                    TrainingDivergedError, audit_empirical_k, build_blobs_mlp,
+                    checkpoint_bytes, evaluate, ratio_study, sensitivity,
+                    sweep, synthetic_blobs, train)
 from lipnet.seeding import derive_int
 
 
@@ -35,6 +35,19 @@ def test_hyperparams_validation():
                 dict(momentum=-0.1)):
         with pytest.raises(ValueError):
             HyperParams(**bad)
+
+
+def test_sgd_momentum_leaves_grad_unchanged():
+    # stored gradients may be shared arrays, so the optimizer must not write them
+    grad = np.array([1.0, -2.0, 3.0])
+    p = Tensor(np.zeros(3), requires_grad=True)
+    opt = SGD(momentum=0.9)
+    for _ in range(3):
+        p.grad = grad
+        opt.step({"w": p}, lr=0.1)
+        assert p.grad is grad
+        np.testing.assert_array_equal(grad, [1.0, -2.0, 3.0])
+    np.testing.assert_allclose(p.data, -0.1 * (1 + 1.9 + 2.71) * grad)
 
 
 def test_hyperparams_lr_drops_rules():
