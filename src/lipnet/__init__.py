@@ -17,9 +17,9 @@ from .layers import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, LayerSpec, Model,
                      load_checkpoint, read_checkpoint, save_checkpoint)
 from .regularizer import (GuaranteeReport, KStatistics, LipschitzParams,
                           RampClassifier, aggregated_loss, audit_empirical_k,
-                          compute_rho, counterexample_outside_radius,
-                          estimate_k, guarantee, lipschitz_loss, one_hot_labels,
-                          perturb, sample_in_ball, verify_theorem1_synthetic)
+                          compute_rho, counterexample_outside_radius, guarantee,
+                          lipschitz_loss, one_hot_labels, perturb, sample_in_ball,
+                          verify_theorem1_synthetic)
 from .reports import (EvalReport, EvalRow, SensitivityEntry, SensitivityReport,
                       StepRecord, TrainRecord, svg_line_chart,
                       write_eval_report, write_json, write_ratio_table,
@@ -43,7 +43,7 @@ __all__ = [
     "build_blobs_mlp", "build_mnist_model", "build_model", "build_registered",
     "checkpoint_bytes", "compute_rho", "corrupt",
     "counterexample_outside_radius", "derive_int", "derive_key", "derive_rng",
-    "estimate_k", "evaluate", "forward", "gradcheck", "guarantee",
+    "evaluate", "forward", "gradcheck", "guarantee",
     "lipschitz_loss", "load_checkpoint", "load_idx", "one_hot_labels",
     "perturb", "ratio_study", "read_checkpoint", "sample_in_ball",
     "save_checkpoint", "save_idx", "sensitivity", "subsample",

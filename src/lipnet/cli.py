@@ -17,19 +17,20 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 from .data import (LabeledDataset, load_idx, synthetic_blobs, synthetic_digits)
 from .ioutil import atomic_write_text
 from .layers import build_registered, load_checkpoint, save_checkpoint
 from .regularizer import (LipschitzParams, RampClassifier, audit_empirical_k,
-                          compute_rho, counterexample_outside_radius, guarantee,
-                          one_hot_labels, verify_theorem1_synthetic)
+                          counterexample_outside_radius, guarantee, one_hot_labels,
+                          verify_theorem1_synthetic)
 from .reports import (EvalReport, write_eval_report, write_json,
                       write_ratio_table, write_sensitivity_report,
                       write_train_record)
 from .seeding import derive_int, derive_rng
-from .training import HyperParams, ratio_study, sensitivity, sweep, train
+from .training import (HyperParams, _check_ratios, _check_sigmas,
+                       _sensitivity_runs, ratio_study, sensitivity, sweep, train)
 from .version import VERSION
 
 DATA_DIR_ENV = "LIPNET_DATA_DIR"
@@ -124,6 +125,14 @@ def load_config(path, seed_override=None) -> dict:
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
     return cfg
+
+
+def _checked(key: str, rule, *args):
+    """rule(*args), whose ValueError is a mistake in config key `key` (exit 2)."""
+    try:
+        return rule(*args)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{e} (config key {key!r})") from None
 
 
 def _lip_params(sigma_train, beta, l_n) -> LipschitzParams:
@@ -229,15 +238,13 @@ def cmd_train(cfg, out: Path) -> int:
 
 
 def cmd_sweep(cfg, out: Path, checkpoint=None) -> int:
+    _checked("sweep_sigmas", _check_sigmas, cfg["sweep_sigmas"])
     if checkpoint is None:
         raise ConfigError("sweep needs --checkpoint")
-    sigmas = cfg["sweep_sigmas"]
-    if not sigmas:
-        raise ConfigError("sweep_sigmas must be a nonempty list")
     test_ds = _load_split(cfg, "test")
     model = build_registered(cfg["model"], _arch_seed(cfg))
     model = load_checkpoint(model, checkpoint)
-    report = sweep(model, test_ds, sigmas, int(cfg["corruption_seed"]),
+    report = sweep(model, test_ds, cfg["sweep_sigmas"], int(cfg["corruption_seed"]),
                    hyperparams=_hp_from_cfg(cfg).as_dict())
     out.mkdir(parents=True, exist_ok=True)
     write_eval_report(report, out)
@@ -291,9 +298,7 @@ def cmd_grid(cfg, out: Path) -> int:
     resumes; per-cell failures are recorded and the other cells continue."""
     cells = _grid_cells(cfg)
     _hp_from_cfg(cfg)  # each cell's run is built from it: fail the grid, not every cell
-    sigmas = sorted(float(s) for s in cfg["sweep_sigmas"])
-    if not sigmas:
-        raise ConfigError("sweep_sigmas must be a nonempty list")
+    sigmas = sorted(_checked("sweep_sigmas", _check_sigmas, cfg["sweep_sigmas"]))
     workers = int(cfg["workers"])
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -346,12 +351,8 @@ def cmd_grid(cfg, out: Path) -> int:
 def cmd_sensitivity(cfg, out: Path) -> int:
     baseline = _hp_from_cfg(cfg)
     deltas = cfg["sensitivity_deltas"]
-    if not isinstance(deltas, dict) or not deltas:
-        raise ConfigError("sensitivity_deltas must be a nonempty object")
-    for name in set(deltas) & {"sigma_train", "beta", "l_n"}:  # before the baseline trains
-        shifted = asdict(baseline.lip)
-        shifted[name] += float(deltas[name])
-        _lip_params(**shifted)
+    _checked("sensitivity_deltas", _sensitivity_runs, baseline, deltas)
+    _checked("sigma_eval", _check_sigmas, [cfg["sigma_eval"]])
     train_ds, test_ds = load_datasets(cfg)
     report = sensitivity(baseline, deltas, train_ds, test_ds,
                          float(cfg["sigma_eval"]),
@@ -372,11 +373,13 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
     lip = _lip_params(0.0, 0.0, cfg["l_n"])
     labels = one_hot_labels(int(cfg["n_classes"]))
     report = guarantee(lip, labels)
-    payload = {"guarantee": report.as_dict(), "rho": compute_rho(labels)}
+    payload = {"guarantee": report.as_dict(), "rho": report.rho}
 
     if checkpoint is not None:
         if float(cfg["audit_sigma"]) <= 0:
             raise ConfigError(f"audit_sigma must be > 0, got {cfg['audit_sigma']}")
+        if int(cfg["audit_n"]) < 1:
+            raise ConfigError(f"audit_n must be >= 1, got {cfg['audit_n']}")
         test_ds = _load_split(cfg, "test")
         model = build_registered(cfg["model"], _arch_seed(cfg))
         model = load_checkpoint(model, checkpoint)
@@ -412,12 +415,11 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
 
 
 def cmd_ratio_study(cfg, out: Path) -> int:
-    ratios = cfg["ratios"]
-    if not ratios:
-        raise ConfigError("ratios must be a nonempty list")
+    hp = _hp_from_cfg(cfg)
+    ratios = _checked("ratios", _check_ratios, cfg["ratios"])
+    _checked("sweep_sigmas", _check_sigmas, cfg["sweep_sigmas"])
     train_ds, test_ds = load_datasets(cfg)
-    rows = ratio_study(_arch_seed(cfg), train_ds, test_ds, ratios,
-                       _hp_from_cfg(cfg), cfg["sweep_sigmas"],
+    rows = ratio_study(_arch_seed(cfg), train_ds, test_ds, ratios, hp, cfg["sweep_sigmas"],
                        model_builder=lambda seed: build_registered(cfg["model"], seed),
                        corruption_seed=int(cfg["corruption_seed"]))
     out.mkdir(parents=True, exist_ok=True)

@@ -145,6 +145,15 @@ def forward(model: Model, x: Tensor, graph: Graph | None = None) -> Tensor:
     return out
 
 
+_EAGER_ROWS = 500  # rows per forward call; bounds the im2col buffer
+
+
+def _eager_probs(model: Model, images: np.ndarray) -> np.ndarray:
+    """Tape-free probability rows: the eager forward of evaluate, sweep and the audit."""
+    return np.concatenate([forward(model, Tensor(images[s:s + _EAGER_ROWS])).data
+                           for s in range(0, images.shape[0], _EAGER_ROWS)])
+
+
 def build_mnist_model(seed: int) -> Model:
     """The 28x28 grayscale reference net: conv 8@5x5/s2/p2, dense 128, dense 10."""
     specs = [

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Model, forward
+from .layers import Model, _eager_probs, forward
 from .tensor import (NORM_EPS, Graph, Tensor, add, cross_entropy,
                      l2_norm_rows, mul_elementwise, reduce_sum, relu, rows,
                      scale, sub)
@@ -49,8 +49,8 @@ class LipschitzParams:
 class KStatistics:
     """Per-sample quotient estimates plus summary stats.
 
-    per_sample_k is on the graph when estimate_k was given one (training
-    path). fraction_exceeding_l_n is NaN when no l_n was supplied.
+    per_sample_k is on the graph during training and eager in the audit.
+    fraction_exceeding_l_n is NaN when no l_n was supplied.
     """
     per_sample_k: Tensor
     mean: float
@@ -70,21 +70,6 @@ def _k_statistics(k: Tensor, l_n: float | None) -> KStatistics:
     v = k.data
     frac = float(np.mean(v > l_n)) if l_n is not None else float("nan")
     return KStatistics(k, float(v.mean()), float(v.max()), frac)
-
-
-def _model_forward(model, x: Tensor, graph: Graph | None = None) -> Tensor:
-    # Ops below take either a real Model or any fn(x, graph) -> Tensor, so
-    # analytic toy maps can stand in for a network.
-    if isinstance(model, Model):
-        return forward(model, x, graph)
-    return model(x, graph)
-
-
-def _paired_forward(model, x: Tensor, x_bar: Tensor, graph: Graph | None = None):
-    """(f(x), f(x_bar)) from one forward pass over the stacked [x; x_bar]."""
-    b = x.shape[0]
-    both = _model_forward(model, Tensor(np.concatenate([x.data, x_bar.data])), graph)
-    return rows(both, 0, b, graph), rows(both, b, 2 * b, graph)
 
 
 def perturb(x: Tensor, sigma: float, rng) -> Tensor:
@@ -114,20 +99,6 @@ def quotient(f_x: Tensor, f_x_bar: Tensor, x: np.ndarray, x_bar: np.ndarray,
     return mul_elementwise(l2_norm_rows(diff, graph), Tensor(inv), graph)
 
 
-def estimate_k(model: Model, x: Tensor, sigma: float, rng,
-               graph: Graph | None = None, l_n: float | None = None) -> KStatistics:
-    """Per-sample quotient k over one fresh noise draw per row.
-
-    The clean and perturbed rows share one forward pass, recorded on the
-    graph when one is given, so the result is differentiable.
-    """
-    if sigma <= 0:
-        raise ValueError(f"estimate_k: sigma must be > 0, got {sigma}")
-    x_bar = perturb(x, sigma, rng)
-    f_x, f_x_bar = _paired_forward(model, x, x_bar, graph)
-    return _k_statistics(quotient(f_x, f_x_bar, x.data, x_bar.data, graph), l_n)
-
-
 def lipschitz_loss(k: KStatistics, params: LipschitzParams,
                    graph: Graph | None = None) -> Tensor:
     """Hinge penalty: mean over the batch of beta * max(0, k_i - l_n).
@@ -153,12 +124,14 @@ def aggregated_loss(model: Model, x: Tensor, labels, params: LipschitzParams,
     mean k for logging, and the number of perturbed passes run (0 or 1).
     """
     if params.beta == 0:
-        usual = cross_entropy(_model_forward(model, x, graph), labels, graph)
+        usual = cross_entropy(forward(model, x, graph), labels, graph)
         parts = {"usual": usual.item(), "lipschitz": 0.0, "mean_k": float("nan"),
                  "perturbed_passes": 0}
         return usual, parts
     x_bar = perturb(x, params.sigma_train, rng)
-    f_x, f_x_bar = _paired_forward(model, x, x_bar, graph)
+    b = x.shape[0]
+    both = forward(model, Tensor(np.concatenate([x.data, x_bar.data])), graph)
+    f_x, f_x_bar = rows(both, 0, b, graph), rows(both, b, 2 * b, graph)
     usual = cross_entropy(f_x, labels, graph)
     k = _k_statistics(quotient(f_x, f_x_bar, x.data, x_bar.data, graph), params.l_n)
     lip = lipschitz_loss(k, params, graph)
@@ -311,18 +284,18 @@ def counterexample_outside_radius(oracle, l: float, labels,
 
 
 def audit_empirical_k(model: Model, dataset, sigma: float, n: int, rng,
-                      l_n: float | None = None,
-                      batch_size: int = 200) -> KStatistics:
+                      l_n: float | None = None) -> KStatistics:
     """Bulk, non-differentiable k over n samples drawn from the dataset.
 
-    One fresh noise draw per sample; each chunk of rows is one eager
-    estimate_k call. Reproducible bit-exactly for a given rng state.
+    One fresh noise draw per sample; clean and perturbed rows go through
+    sweep's eager forward. Reproducible bit-exactly for a given rng state.
     """
     if sigma <= 0:
         raise ValueError(f"audit_empirical_k: sigma must be > 0, got {sigma}")
-    n = min(n, dataset.n)
+    if n < 1:
+        raise ValueError(f"audit_empirical_k: n must be >= 1, got {n}")
     idx = np.sort(rng.permutation(dataset.n)[:n])
-    images = dataset.images[idx]
-    ks = [estimate_k(model, Tensor(images[start:start + batch_size]), sigma, rng).values()
-          for start in range(0, n, batch_size)]
-    return _k_statistics(Tensor(np.concatenate(ks)), l_n)
+    x = dataset.images[idx]
+    x_bar = perturb(Tensor(x), sigma, rng).data
+    k = quotient(Tensor(_eager_probs(model, x)), Tensor(_eager_probs(model, x_bar)), x, x_bar)
+    return _k_statistics(k, l_n)

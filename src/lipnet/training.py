@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .data import LabeledDataset, batches, corrupt, subsample
-from .layers import Model, checkpoint_bytes, forward
+from .layers import Model, _eager_probs, checkpoint_bytes
 from .regularizer import LipschitzParams, aggregated_loss, quotient
 from .reports import (EpochRecord, EvalReport, EvalRow, SensitivityEntry,
                       SensitivityReport, StepRecord, TrainRecord)
@@ -141,12 +141,6 @@ def train(model: Model, ds: LabeledDataset, hp: HyperParams):
     return model, TrainRecord(steps, epochs, meta)
 
 
-def _batched_probs(model: Model, images: np.ndarray, batch_size: int = 500) -> np.ndarray:
-    chunks = [forward(model, Tensor(images[s:s + batch_size])).data
-              for s in range(0, images.shape[0], batch_size)]
-    return np.concatenate(chunks, axis=0)
-
-
 def _acc_conf(probs: np.ndarray, labels: np.ndarray):
     predicted = probs.argmax(axis=1)
     correct = predicted == labels
@@ -161,8 +155,16 @@ def _acc_conf(probs: np.ndarray, labels: np.ndarray):
 def evaluate(model: Model, ds: LabeledDataset) -> dict:
     """Accuracy (argmax, ties to the lowest class) and mean confidence over
     the correctly classified samples. Pure: no RNG, no model mutation."""
-    accuracy, conf = _acc_conf(_batched_probs(model, ds.images), ds.labels)
+    accuracy, conf = _acc_conf(_eager_probs(model, ds.images), ds.labels)
     return {"accuracy": accuracy, "mean_confidence_on_correct": conf}
+
+
+def _check_sigmas(sigmas) -> list[float]:
+    """sweep's rule for test-noise levels."""
+    sigmas = [float(s) for s in sigmas]
+    if not sigmas or any(s < 0 for s in sigmas):
+        raise ValueError(f"sweep: sigmas must be a nonempty list of values >= 0, got {sigmas}")
+    return sigmas
 
 
 def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed,
@@ -173,12 +175,8 @@ def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed,
     swept with the same seed sees identical corrupted inputs. mean_k is the
     empirical quotient between corrupted and clean outputs (NaN at sigma 0).
     """
-    sigmas = [float(s) for s in sigmas]
-    if not sigmas:
-        raise ValueError("sweep: sigmas must be nonempty")
-    if any(s < 0 for s in sigmas):
-        raise ValueError(f"sweep: sigmas must be >= 0, got {sigmas}")
-    clean_probs = _batched_probs(model, clean_test.images)
+    sigmas = _check_sigmas(sigmas)
+    clean_probs = _eager_probs(model, clean_test.images)
     rows = []
     for sigma in sorted(sigmas):
         if sigma == 0.0:
@@ -186,7 +184,7 @@ def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed,
         else:
             noisy = corrupt(clean_test, sigma,
                             derive_key(corruption_seed, "sigma", repr(sigma)))
-            probs = _batched_probs(model, noisy.images)
+            probs = _eager_probs(model, noisy.images)
             k = quotient(Tensor(clean_probs), Tensor(probs),
                          clean_test.images, noisy.images)
             mean_k = float(k.data.mean())
@@ -202,6 +200,14 @@ def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed,
     return EvalReport(rows, metadata)
 
 
+def _check_ratios(ratios) -> list[float]:
+    """ratio_study's rule for training fractions."""
+    ratios = [float(r) for r in ratios]
+    if not ratios or any(not 0.0 < r <= 1.0 for r in ratios):
+        raise ValueError(f"ratio_study: ratios must be a nonempty list in (0, 1], got {ratios}")
+    return ratios
+
+
 def ratio_study(arch_seed: int, ds_train: LabeledDataset, ds_test: LabeledDataset,
                 ratios, hp: HyperParams, sigmas, model_builder,
                 corruption_seed=None):
@@ -211,9 +217,7 @@ def ratio_study(arch_seed: int, ds_train: LabeledDataset, ds_test: LabeledDatase
     Run seeds are derived from (hp.seed, ratio index); the model builder is
     reseeded with arch_seed every time so only the data amount varies.
     """
-    ratios = [float(r) for r in ratios]
-    if any(not 0.0 < r <= 1.0 for r in ratios):
-        raise ValueError(f"ratio_study: ratios must lie in (0, 1], got {ratios}")
+    ratios = _check_ratios(ratios)
     if corruption_seed is None:
         corruption_seed = derive_int(hp.seed, "ratio-corruption")
     rows = []
@@ -228,6 +232,26 @@ def ratio_study(arch_seed: int, ds_train: LabeledDataset, ds_test: LabeledDatase
 SENSITIVITY_PARAMS = ("sigma_train", "beta", "l_n", "control")
 
 
+def _sensitivity_runs(baseline: HyperParams, deltas: dict) -> list:
+    """sensitivity's rule for its deltas: (name, delta, run hyperparams) per
+    delta in name order, or a ValueError before anything trains."""
+    if not deltas:
+        raise ValueError("sensitivity: deltas must be nonempty")
+    unknown = set(deltas) - set(SENSITIVITY_PARAMS)
+    if unknown:
+        raise ValueError(f"sensitivity: unknown parameters {sorted(unknown)}, "
+                         f"allowed: {list(SENSITIVITY_PARAMS)}")
+    runs = []
+    for name in sorted(deltas):
+        delta = float(deltas[name])
+        if delta == 0.0:
+            raise ValueError("sensitivity: every delta must be nonzero")
+        lip = baseline.lip if name == "control" else replace(
+            baseline.lip, **{name: getattr(baseline.lip, name) + delta})
+        runs.append((name, delta, replace(baseline, lip=lip)))
+    return runs
+
+
 def sensitivity(baseline: HyperParams, deltas: dict, train_ds: LabeledDataset,
                 test_ds: LabeledDataset, sigma_eval: float, model_builder,
                 corruption_seed=None) -> SensitivityReport:
@@ -238,12 +262,8 @@ def sensitivity(baseline: HyperParams, deltas: dict, train_ds: LabeledDataset,
     changed hyperparameter is the only difference. The "control" key retrains
     with nothing changed; determinism makes its sensitivity exactly 0.
     """
-    unknown = set(deltas) - set(SENSITIVITY_PARAMS)
-    if unknown:
-        raise ValueError(f"sensitivity: unknown parameters {sorted(unknown)}, "
-                         f"allowed: {list(SENSITIVITY_PARAMS)}")
-    if any(float(d) == 0.0 for d in deltas.values()):
-        raise ValueError("sensitivity: every delta must be nonzero")
+    runs = _sensitivity_runs(baseline, deltas)
+    _check_sigmas([sigma_eval])
     if corruption_seed is None:
         corruption_seed = derive_int(baseline.seed, "sensitivity-corruption")
 
@@ -254,13 +274,8 @@ def sensitivity(baseline: HyperParams, deltas: dict, train_ds: LabeledDataset,
 
     acc_before = run(baseline)
     entries = []
-    for name in sorted(deltas):
-        delta = float(deltas[name])
-        if name == "control":
-            acc_after = run(baseline)
-        else:
-            lip = replace(baseline.lip, **{name: getattr(baseline.lip, name) + delta})
-            acc_after = run(replace(baseline, lip=lip))
+    for name, delta, hp in runs:
+        acc_after = run(hp)
         entries.append(SensitivityEntry(name, delta, acc_before, acc_after,
                                         (acc_after - acc_before) / delta))
     metadata = {"sigma_eval": float(sigma_eval), "units": "percentage points",

@@ -37,9 +37,9 @@ def rng():
 def perturb_calls(monkeypatch):
     """One entry per regularizer.perturb call made during the test.
 
-    aggregated_loss and estimate_k (which the audit loops over) look perturb
-    up in their module, so every perturbed pass of training and of the audit
-    goes through here.
+    aggregated_loss and audit_empirical_k look perturb up in their module, so
+    every perturbed pass of training and every audit's noise draw goes
+    through here.
     """
     calls = []
     original = regularizer.perturb

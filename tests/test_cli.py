@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from lipnet import EvalReport, build_mnist_model, save_checkpoint, save_idx
+from lipnet import (EvalReport, build_blobs_mlp, build_mnist_model, save_checkpoint,
+                    save_idx)
 from lipnet.cli import IDX_STANDARD_NAMES, main
 
 BASE_CFG = {
@@ -238,6 +239,14 @@ def test_grid_rejects_non_positive_workers(tmp_path, capsys):
     ("guarantee", {"l_n": -1.0}, "l_n"),
     ("sensitivity", {"sigma_train": 0.5, "beta": 10.0, "l_n": 0.01,
                      "sensitivity_deltas": {"l_n": -0.02}}, "l_n"),
+    ("sensitivity", {"sensitivity_deltas": {"beta": "abc"}}, "sensitivity_deltas"),
+    ("sensitivity", {"sensitivity_deltas": {"control": 0}}, "nonzero"),
+    ("sensitivity", {"sensitivity_deltas": {"foo": 1.0}}, "unknown"),
+    ("sensitivity", {"sigma_train": 0.5, "beta": 10.0, "sigma_eval": -1}, "sigma_eval"),
+    ("grid", {"sweep_sigmas": [0.0, -0.5]}, "sweep_sigmas"),
+    ("sweep", {"sweep_sigmas": [0.0, -0.5]}, "sweep_sigmas"),
+    ("ratio-study", {"sweep_sigmas": [0.0, -0.5]}, "sweep_sigmas"),
+    ("ratio-study", {"ratios": [0]}, "ratios"),
 ])
 def test_invalid_run_params_are_usage_errors_before_any_output(
         tmp_path, capsys, command, overrides, message):
@@ -297,6 +306,16 @@ def test_guarantee_rejects_non_positive_audit_sigma(tmp_path, capsys):
     assert run("guarantee", "--config", cfg, "--out", out,
                "--checkpoint", trained / "model.ckpt") == 2
     assert "audit_sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_guarantee_rejects_audit_n_below_one(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, l_n=0.01, audit_n=0)
+    save_checkpoint(build_blobs_mlp(seed=0), tmp_path / "model.ckpt")
+    out = tmp_path / "g"
+    assert run("guarantee", "--config", cfg, "--out", out,
+               "--checkpoint", tmp_path / "model.ckpt") == 2
+    assert "audit_n" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,4 @@
-"""The quotient estimator, hinge penalty, aggregated loss, and the
+"""The quotient, hinge penalty, aggregated loss, k audit and the
 distortion-radius machinery, each against an independent oracle."""
 
 import numpy as np
@@ -10,24 +10,19 @@ from scipy.spatial.distance import pdist
 from lipnet import (Graph, GuaranteeReport, LipschitzParams, RampClassifier,
                     Tensor, aggregated_loss, audit_empirical_k, backward,
                     build_blobs_mlp, build_mnist_model, compute_rho,
-                    counterexample_outside_radius, estimate_k, forward,
+                    counterexample_outside_radius, forward,
                     gradcheck, guarantee, lipschitz_loss, one_hot_labels,
                     perturb, sample_in_ball, synthetic_blobs, synthetic_digits,
                     verify_theorem1_synthetic)
 from lipnet.regularizer import _k_statistics, quotient
 from lipnet.seeding import derive_rng
-from lipnet.tensor import add, cross_entropy, mul_elementwise
+from lipnet.tensor import add, cross_entropy
 
 
-def linear_map(matrix):
-    """f(x) = x @ A.T as an analytic stand-in for a model."""
-    a = Tensor(np.asarray(matrix, dtype=np.float64).T)
-
-    def f(x, graph=None):
-        from lipnet.tensor import matmul
-        return matmul(x, a, graph)
-
-    return f
+def drawn_k(f, x, sigma, rng):
+    """Per-row k of the analytic map f (array -> array) over one perturb draw."""
+    x_bar = perturb(Tensor(x), sigma, rng).data
+    return quotient(Tensor(f(x)), Tensor(f(x_bar)), x, x_bar).data
 
 
 def test_params_validation():
@@ -69,55 +64,37 @@ def test_perturb_rejects_negative_sigma():
         perturb(Tensor(np.zeros(3)), -1e-9, np.random.default_rng(0))
 
 
-def test_estimate_k_linear_map_is_exact():
+def test_quotient_linear_map_is_exact():
     # f(x) = 2x gives k = 2 for every sample and sigma
-    f = linear_map(2.0 * np.eye(3))
-    x = Tensor(np.random.default_rng(0).random((8, 3)))
+    x = np.random.default_rng(0).random((8, 3))
     for sigma in (0.1, 1.0, 3.0):
-        k = estimate_k(f, x, sigma, np.random.default_rng(1))
-        np.testing.assert_allclose(k.values(), 2.0, atol=1e-10)
+        k = drawn_k(lambda z: z @ (2.0 * np.eye(3)).T, x, sigma, np.random.default_rng(1))
+        np.testing.assert_allclose(k, 2.0, atol=1e-10)
 
 
-def test_estimate_k_matches_drawn_noise_quotient():
+def test_quotient_matches_drawn_noise_quotient():
     # for f(x) = Ax, k_i == ||A n_i|| / ||n_i|| with the actually drawn noise
     a = np.random.default_rng(3).normal(size=(4, 4))
-    x = Tensor(np.random.default_rng(4).random((6, 4)))
-    k = estimate_k(linear_map(a), x, 0.7, np.random.default_rng(55))
-    noise = perturb(x, 0.7, np.random.default_rng(55)).data - x.data
+    x = np.random.default_rng(4).random((6, 4))
+    k = drawn_k(lambda z: z @ a.T, x, 0.7, np.random.default_rng(55))
+    noise = np.random.default_rng(55).normal(0.0, 0.7, size=x.shape)
     want = np.linalg.norm(noise @ a.T, axis=1) / np.linalg.norm(noise, axis=1)
-    np.testing.assert_allclose(k.values(), want, atol=1e-10)
+    np.testing.assert_allclose(k, want, atol=1e-10)
 
 
-def test_estimate_k_constant_model_is_zero():
-    def const(x, graph=None):
-        return mul_elementwise(x, Tensor(np.zeros(x.shape)), graph)
-
-    k = estimate_k(const, Tensor(np.ones((5, 2))), 0.5, np.random.default_rng(0))
+def test_quotient_constant_map_is_zero():
+    k = _k_statistics(Tensor(drawn_k(np.zeros_like, np.ones((5, 2)), 0.5,
+                                     np.random.default_rng(0))), None)
     np.testing.assert_array_equal(k.values(), 0.0)
     assert k.mean == 0.0 and k.max == 0.0
 
 
-def test_estimate_k_square_map_near_derivative():
+def test_quotient_square_map_near_derivative():
     # f(x) = x^2 at x=1 with tiny sigma: k -> |f'(1)| = 2
-    def square(x, graph=None):
-        return mul_elementwise(x, x, graph)
-
-    x = Tensor(np.ones((1, 1)))
+    x = np.ones((1, 1))
     for i in range(100):
-        k = estimate_k(square, x, 1e-4, np.random.default_rng(i))
-        assert 2.0 - 0.01 <= float(k.values()[0]) <= 2.0 + 0.01
-
-
-def test_estimate_k_requires_positive_sigma():
-    with pytest.raises(ValueError):
-        estimate_k(linear_map(np.eye(2)), Tensor(np.ones((2, 2))), 0.0,
-                   np.random.default_rng(0))
-
-
-def test_estimate_k_counts_perturbed_passes(perturb_calls):
-    estimate_k(linear_map(np.eye(2)), Tensor(np.ones((2, 2))), 0.5,
-               np.random.default_rng(0))
-    assert len(perturb_calls) == 1
+        k = drawn_k(np.square, x, 1e-4, np.random.default_rng(i))
+        assert 2.0 - 0.01 <= float(k[0]) <= 2.0 + 0.01
 
 
 def make_k_stats(values, l_n=0.01):
@@ -342,11 +319,12 @@ def test_counterexample_outside_radius_flips():
 
 
 def test_audit_constant_model_all_zero():
-    def const(x, graph=None):
-        return mul_elementwise(x, Tensor(np.zeros(x.shape)), graph)
-
+    # zero weights: every input maps to the uniform row, so f is constant
+    model = build_blobs_mlp(seed=1)
+    for p in model.params.values():
+        p.data[...] = 0.0
     ds = synthetic_blobs(40, seed=1)
-    stats = audit_empirical_k(const, ds, 0.5, 30, np.random.default_rng(0), l_n=0.01)
+    stats = audit_empirical_k(model, ds, 0.5, 30, np.random.default_rng(0), l_n=0.01)
     np.testing.assert_array_equal(stats.values(), 0.0)
     assert stats.fraction_exceeding_l_n == 0.0
 
@@ -377,12 +355,23 @@ def test_audit_rejects_non_positive_sigma():
             audit_empirical_k(model, ds, sigma, 10, np.random.default_rng(0))
 
 
-def test_audit_equals_eager_estimate_k_bitwise():
-    # same rows, same rng stream: the audit is eager estimate_k, bit for bit
+def test_audit_rejects_n_below_one():
+    model = build_blobs_mlp(seed=1)
+    ds = synthetic_blobs(20, seed=2)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            audit_empirical_k(model, ds, 0.5, n, np.random.default_rng(0))
+
+
+def test_audit_equals_unchunked_reference(perturb_calls):
+    # same rows, same rng draws, one unchunked forward per side: 700 rows span
+    # two of the audit's forward chunks; all noise comes from one perturb call
     model = build_mnist_model(seed=4)
-    ds = synthetic_digits(300, seed=5)
-    audit = audit_empirical_k(model, ds, 0.5, 200, np.random.default_rng(6))
+    ds = synthetic_digits(800, seed=5)
+    audit = audit_empirical_k(model, ds, 0.5, 700, np.random.default_rng(6))
+    assert len(perturb_calls) == 1
     rng = np.random.default_rng(6)
-    idx = np.sort(rng.permutation(ds.n)[:200])
-    eager = estimate_k(model, Tensor(ds.images[idx]), 0.5, rng, graph=None)
-    assert audit.values().tobytes() == eager.values().tobytes()
+    x = ds.images[np.sort(rng.permutation(ds.n)[:700])]
+    x_bar = x + rng.normal(0.0, 0.5, size=x.shape)
+    want = quotient(forward(model, Tensor(x)), forward(model, Tensor(x_bar)), x, x_bar)
+    np.testing.assert_allclose(audit.values(), want.data, rtol=1e-12, atol=0)
