@@ -21,9 +21,9 @@ from .regularizer import (GuaranteeReport, KStatistics, LipschitzParams,
                           lipschitz_loss, one_hot_labels, perturb, sample_in_ball,
                           verify_theorem1_synthetic)
 from .reports import (EvalReport, EvalRow, SensitivityEntry, SensitivityReport,
-                      StepRecord, TrainRecord, svg_line_chart,
-                      write_eval_report, write_json, write_ratio_table,
-                      write_sensitivity_report, write_train_record)
+                      StepRecord, TrainRecord, write_eval_report, write_json,
+                      write_ratio_table, write_sensitivity_report,
+                      write_train_record)
 from .seeding import derive_int, derive_key, derive_rng
 from .tensor import Graph, Tensor, backward, gradcheck
 from .training import (SGD, HyperParams, TrainingDivergedError, evaluate,
@@ -47,7 +47,7 @@ __all__ = [
     "lipschitz_loss", "load_checkpoint", "load_idx", "one_hot_labels",
     "perturb", "ratio_study", "read_checkpoint", "sample_in_ball",
     "save_checkpoint", "save_idx", "sensitivity", "subsample",
-    "svg_line_chart", "sweep", "synthetic_blobs", "synthetic_digits",
+    "sweep", "synthetic_blobs", "synthetic_digits",
     "train", "verify_theorem1_synthetic",
     "write_eval_report", "write_json", "write_ratio_table",
     "write_sensitivity_report", "write_train_record", "__version__",

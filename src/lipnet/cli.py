@@ -103,6 +103,21 @@ class ConfigError(ValueError):
     pass
 
 
+def _int_or_none(v):
+    return None if v is None else int(v)
+
+
+# Numbers the commands read directly, converted once when the config loads, so
+# a value such as "many" is a usage error before any data loads or --out exists.
+_NUMERIC_KEYS = {
+    "train_limit": _int_or_none, "arch_seed": _int_or_none, "seed": int,
+    "synthetic_train_n": int, "synthetic_test_n": int, "synthetic_seed": int,
+    "corruption_seed": int, "workers": int, "n_classes": int, "audit_n": int,
+    "audit_sigma": float, "synthetic_l": float, "synthetic_dim": int,
+    "synthetic_seeds": int, "synthetic_trials": int,
+}
+
+
 def load_config(path, seed_override=None) -> dict:
     cfg = dict(CONFIG_DEFAULTS)
     if path is not None:
@@ -124,6 +139,8 @@ def load_config(path, seed_override=None) -> dict:
         cfg["_explicit_keys"] = []
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
+    for key, kind in _NUMERIC_KEYS.items():
+        cfg[key] = _checked(key, kind, cfg[key])
     return cfg
 
 
@@ -131,7 +148,7 @@ def _checked(key: str, rule, *args):
     """rule(*args), whose ValueError is a mistake in config key `key` (exit 2)."""
     try:
         return rule(*args)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{e} (config key {key!r})") from None
 
 
@@ -151,7 +168,7 @@ def _hp_from_cfg(cfg) -> HyperParams:
         return HyperParams(lip=lip, lr=float(cfg["lr"]), epochs=int(cfg["epochs"]),
                            batch_size=int(cfg["batch_size"]),
                            lr_drops=tuple((int(e), float(f)) for e, f in cfg["lr_drops"]),
-                           train_ratio=float(cfg["train_ratio"]), seed=int(cfg["seed"]),
+                           train_ratio=float(cfg["train_ratio"]), seed=cfg["seed"],
                            momentum=float(cfg["momentum"]))
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e))
@@ -176,9 +193,8 @@ def _resolve_idx_path(cfg, key):
 
 
 def _limit(ds: LabeledDataset, n) -> LabeledDataset:
-    if n is None or int(n) >= ds.n:
+    if n is None or n >= ds.n:
         return ds
-    n = int(n)
     if n < 1:
         raise ConfigError(f"train_limit must be >= 1, got {n}")
     return LabeledDataset(ds.images[:n], ds.labels[:n], ds.provenance)
@@ -194,8 +210,7 @@ def _load_split(cfg, split: str) -> LabeledDataset:
                       _resolve_idx_path(cfg, f"{split}_labels"))
     elif kind in ("synthetic_digits", "synthetic_blobs"):
         maker = synthetic_digits if kind == "synthetic_digits" else synthetic_blobs
-        ds = maker(int(cfg[f"synthetic_{split}_n"]),
-                   derive_int(int(cfg["synthetic_seed"]), split))
+        ds = maker(cfg[f"synthetic_{split}_n"], derive_int(cfg["synthetic_seed"], split))
     else:
         raise ConfigError(f"unknown dataset kind: {kind!r}")
     return _limit(ds, cfg["train_limit"]) if split == "train" else ds
@@ -207,7 +222,7 @@ def load_datasets(cfg):
 
 
 def _arch_seed(cfg) -> int:
-    return int(cfg["seed"]) if cfg["arch_seed"] is None else int(cfg["arch_seed"])
+    return cfg["seed"] if cfg["arch_seed"] is None else cfg["arch_seed"]
 
 
 def _method(cfg) -> str:
@@ -244,7 +259,7 @@ def cmd_sweep(cfg, out: Path, checkpoint=None) -> int:
     test_ds = _load_split(cfg, "test")
     model = build_registered(cfg["model"], _arch_seed(cfg))
     model = load_checkpoint(model, checkpoint)
-    report = sweep(model, test_ds, cfg["sweep_sigmas"], int(cfg["corruption_seed"]),
+    report = sweep(model, test_ds, cfg["sweep_sigmas"], cfg["corruption_seed"],
                    hyperparams=_hp_from_cfg(cfg).as_dict())
     out.mkdir(parents=True, exist_ok=True)
     write_eval_report(report, out)
@@ -282,7 +297,7 @@ def _run_cell(cfg, cell_dir: Path, lip: LipschitzParams, train_ds, test_ds):
     hp = replace(_hp_from_cfg(cfg), lip=lip)
     model = build_registered(cfg["model"], _arch_seed(cfg))
     model, record = train(model, train_ds, hp)
-    report = sweep(model, test_ds, cfg["sweep_sigmas"], int(cfg["corruption_seed"]),
+    report = sweep(model, test_ds, cfg["sweep_sigmas"], cfg["corruption_seed"],
                    hyperparams=hp.as_dict())
     cell_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, cell_dir / "model.ckpt")
@@ -299,7 +314,7 @@ def cmd_grid(cfg, out: Path) -> int:
     cells = _grid_cells(cfg)
     _hp_from_cfg(cfg)  # each cell's run is built from it: fail the grid, not every cell
     sigmas = sorted(_checked("sweep_sigmas", _check_sigmas, cfg["sweep_sigmas"]))
-    workers = int(cfg["workers"])
+    workers = cfg["workers"]
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     train_ds, test_ds = load_datasets(cfg)
@@ -357,7 +372,7 @@ def cmd_sensitivity(cfg, out: Path) -> int:
     report = sensitivity(baseline, deltas, train_ds, test_ds,
                          float(cfg["sigma_eval"]),
                          model_builder=lambda seed: build_registered(cfg["model"], seed),
-                         corruption_seed=int(cfg["corruption_seed"]))
+                         corruption_seed=cfg["corruption_seed"])
     report.metadata["reference_cifar10"] = dict(REFERENCE_SENSITIVITIES_CIFAR10)
     out.mkdir(parents=True, exist_ok=True)
     write_sensitivity_report(report, out)
@@ -371,37 +386,36 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
                           "(plus optional: n_classes, audit_sigma, audit_n, "
                           "synthetic_trials, synthetic_seeds, synthetic_l, synthetic_dim)")
     lip = _lip_params(0.0, 0.0, cfg["l_n"])
-    labels = one_hot_labels(int(cfg["n_classes"]))
+    labels = one_hot_labels(cfg["n_classes"])
     report = guarantee(lip, labels)
     payload = {"guarantee": report.as_dict(), "rho": report.rho}
 
     if checkpoint is not None:
-        if float(cfg["audit_sigma"]) <= 0:
+        if cfg["audit_sigma"] <= 0:
             raise ConfigError(f"audit_sigma must be > 0, got {cfg['audit_sigma']}")
-        if int(cfg["audit_n"]) < 1:
+        if cfg["audit_n"] < 1:
             raise ConfigError(f"audit_n must be >= 1, got {cfg['audit_n']}")
         test_ds = _load_split(cfg, "test")
         model = build_registered(cfg["model"], _arch_seed(cfg))
         model = load_checkpoint(model, checkpoint)
-        stats = audit_empirical_k(model, test_ds, float(cfg["audit_sigma"]),
-                                  int(cfg["audit_n"]),
-                                  derive_rng(int(cfg["seed"]), "audit"), l_n=lip.l_n)
-        payload["audit"] = dict(stats.as_dict(), sigma=float(cfg["audit_sigma"]),
+        stats = audit_empirical_k(model, test_ds, cfg["audit_sigma"], cfg["audit_n"],
+                                  derive_rng(cfg["seed"], "audit"), l_n=lip.l_n)
+        payload["audit"] = dict(stats.as_dict(), sigma=cfg["audit_sigma"],
                                 fraction_within=1.0 - stats.fraction_exceeding_l_n)
 
     if synthetic:
-        l = float(cfg["synthetic_l"])
-        dim = int(cfg["synthetic_dim"])
+        l = cfg["synthetic_l"]
+        dim = cfg["synthetic_dim"]
         oracle = RampClassifier(l, labels, dim=dim)
         per_seed = []
-        for i in range(int(cfg["synthetic_seeds"])):
-            rng = derive_rng(int(cfg["seed"]), "thm1", i)
+        for i in range(cfg["synthetic_seeds"]):
+            rng = derive_rng(cfg["seed"], "thm1", i)
             per_seed.append(verify_theorem1_synthetic(
-                oracle, l, labels, int(cfg["synthetic_trials"]), rng))
+                oracle, l, labels, cfg["synthetic_trials"], rng))
         x, d, before, after = counterexample_outside_radius(oracle, l, labels)
         payload["synthetic"] = {
             "lipschitz_l": l, "dim": dim,
-            "trials_per_seed": int(cfg["synthetic_trials"]),
+            "trials_per_seed": cfg["synthetic_trials"],
             "violations_per_seed": per_seed,
             "total_violations": int(sum(per_seed)),
             "counterexample": {"distortion_norm_over_radius": 1.5,
@@ -421,7 +435,7 @@ def cmd_ratio_study(cfg, out: Path) -> int:
     train_ds, test_ds = load_datasets(cfg)
     rows = ratio_study(_arch_seed(cfg), train_ds, test_ds, ratios, hp, cfg["sweep_sigmas"],
                        model_builder=lambda seed: build_registered(cfg["model"], seed),
-                       corruption_seed=int(cfg["corruption_seed"]))
+                       corruption_seed=cfg["corruption_seed"])
     out.mkdir(parents=True, exist_ok=True)
     write_ratio_table(rows, out)
     _write_resolved_config(cfg, out, "ratio-study")

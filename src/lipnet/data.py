@@ -5,7 +5,9 @@ downloaded files (2-D blobs and procedural 28x28 digits)."""
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,9 +76,12 @@ class LabeledDataset:
 def _read_maybe_gzip(path) -> bytes:
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:2] == b"\x1f\x8b":
+    if blob[:2] != b"\x1f\x8b":
+        return blob
+    try:
         return gzip.decompress(blob)
-    return blob
+    except (EOFError, OSError, zlib.error) as e:  # gzip.BadGzipFile is an OSError
+        raise IdxError(f"{path}: corrupt gzip stream: {e}") from None
 
 
 def _parse_idx(blob: bytes, expect_magic: int, path) -> np.ndarray:
@@ -90,7 +95,7 @@ def _parse_idx(blob: bytes, expect_magic: int, path) -> np.ndarray:
     if len(blob) < header_len:
         raise IdxTruncatedError(f"{path}: header cut short")
     dims = struct.unpack_from(f">{ndim}I", blob, 4)
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: np.prod wraps at 2**64
     payload = blob[header_len:]
     if len(payload) < count:
         raise IdxTruncatedError(f"{path}: payload has {len(payload)} bytes, expected {count}")

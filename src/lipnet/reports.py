@@ -100,19 +100,11 @@ class EvalReport:
 
 
 def write_eval_report(report: EvalReport, out_dir) -> None:
-    """eval_report.csv + eval_report.json + an accuracy-vs-sigma series file
-    (plot-ready pairs) and a rendered SVG of the same series."""
+    """eval_report.csv (one row per sigma) + eval_report.json (rows and
+    metadata)."""
     out_dir = _as_dir(out_dir)
     atomic_write_text(out_dir / "eval_report.csv", report.to_csv_text())
     write_json(out_dir / "eval_report.json", report.as_dict())
-    pairs = [(r.sigma_test, r.accuracy) for r in report.rows]
-    atomic_write_text(out_dir / "accuracy_series.csv",
-                      _csv_text(("sigma_test", "accuracy"), pairs))
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
-    atomic_write_text(out_dir / "accuracy_vs_sigma.svg",
-                      svg_line_chart([("accuracy", xs, ys)], title="accuracy vs sigma_test",
-                                     xlabel="sigma_test", ylabel="accuracy"))
 
 
 @dataclass(frozen=True)
@@ -181,88 +173,8 @@ def write_sensitivity_report(report: SensitivityReport, out_dir) -> None:
 
 
 def write_ratio_table(rows, out_dir) -> None:
-    """ratio_study.csv of (ratio, sigma_test, accuracy) plus an SVG with one
-    accuracy-vs-ratio line per sigma."""
-    out_dir = _as_dir(out_dir)
-    atomic_write_text(out_dir / "ratio_study.csv", _csv_text(RATIO_CSV_COLUMNS, rows))
-    by_sigma: dict[float, list] = {}
-    for ratio, sigma, acc in rows:
-        by_sigma.setdefault(float(sigma), []).append((float(ratio), float(acc)))
-    series = []
-    for sigma in sorted(by_sigma):
-        pts = sorted(by_sigma[sigma])
-        series.append((f"sigma_test={sigma:g}", [p[0] for p in pts], [p[1] for p in pts]))
-    atomic_write_text(out_dir / "accuracy_vs_ratio.svg",
-                      svg_line_chart(series, title="accuracy vs training-data ratio",
-                                     xlabel="ratio", ylabel="accuracy"))
-
-
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-def svg_line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
-                   width: int = 640, height: int = 400) -> str:
-    """A dependency-free SVG line chart. series: [(label, xs, ys), ...].
-    NaN points are dropped from their line."""
-    left, right, top, bottom = 62.0, 16.0, 34.0, 46.0
-    pw, ph = width - left - right, height - top - bottom
-    clean = []
-    for label, xs, ys in series:
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys)
-               if math.isfinite(x) and math.isfinite(y)]
-        clean.append((label, pts))
-    allx = [p[0] for _, pts in clean for p in pts]
-    ally = [p[1] for _, pts in clean for p in pts]
-    x0, x1 = (min(allx), max(allx)) if allx else (0.0, 1.0)
-    y0, y1 = (min(ally), max(ally)) if ally else (0.0, 1.0)
-    if x0 == x1:
-        x0, x1 = x0 - 0.5, x1 + 0.5
-    if y0 == y1:
-        y0, y1 = y0 - 0.5, y1 + 0.5
-
-    def px(x):
-        return left + (x - x0) / (x1 - x0) * pw
-
-    def py(y):
-        return top + ph - (y - y0) / (y1 - y0) * ph
-
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-             f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="12">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<text x="{width / 2:.1f}" y="18" text-anchor="middle">{title}</text>']
-    for i in range(5):
-        xt = x0 + (x1 - x0) * i / 4
-        yt = y0 + (y1 - y0) * i / 4
-        gx, gy = px(xt), py(yt)
-        parts.append(f'<line x1="{gx:.2f}" y1="{top:.1f}" x2="{gx:.2f}" '
-                     f'y2="{top + ph:.1f}" stroke="#dddddd"/>')
-        parts.append(f'<line x1="{left:.1f}" y1="{gy:.2f}" x2="{left + pw:.1f}" '
-                     f'y2="{gy:.2f}" stroke="#dddddd"/>')
-        parts.append(f'<text x="{gx:.2f}" y="{top + ph + 16:.1f}" '
-                     f'text-anchor="middle">{xt:g}</text>')
-        parts.append(f'<text x="{left - 6:.1f}" y="{gy + 4:.2f}" '
-                     f'text-anchor="end">{yt:g}</text>')
-    parts.append(f'<rect x="{left:.1f}" y="{top:.1f}" width="{pw:.1f}" height="{ph:.1f}" '
-                 'fill="none" stroke="black"/>')
-    parts.append(f'<text x="{left + pw / 2:.1f}" y="{height - 8}" '
-                 f'text-anchor="middle">{xlabel}</text>')
-    parts.append(f'<text x="14" y="{top + ph / 2:.1f}" text-anchor="middle" '
-                 f'transform="rotate(-90 14 {top + ph / 2:.1f})">{ylabel}</text>')
-    for i, (label, pts) in enumerate(clean):
-        color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                     'stroke-width="1.5"/>')
-        for x, y in pts:
-            parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" '
-                         f'fill="{color}"/>')
-        ly = top + 14 + 16 * i
-        parts.append(f'<line x1="{left + pw - 130:.1f}" y1="{ly}" '
-                     f'x2="{left + pw - 110:.1f}" y2="{ly}" stroke="{color}" '
-                     'stroke-width="1.5"/>')
-        parts.append(f'<text x="{left + pw - 104:.1f}" y="{ly + 4}">{label}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    """ratio_study.csv of (ratio, sigma_test, accuracy) rows."""
+    atomic_write_text(_as_dir(out_dir) / "ratio_study.csv", _csv_text(RATIO_CSV_COLUMNS, rows))
 
 
 def _as_dir(out_dir) -> Path:

@@ -289,7 +289,7 @@ def test_criterion_09_reruns_are_byte_identical(tmp_path):
                          "--out", str(out / "sweep"),
                          "--checkpoint", str(out / "model.ckpt")]) == 0
     compared = ["model.ckpt", "train_record.csv", "train_epochs.csv",
-                "sweep/eval_report.csv", "sweep/accuracy_series.csv"]
+                "sweep/eval_report.csv"]
     mismatched = [name for name in compared
                   if (tmp_path / "one" / name).read_bytes()
                   != (tmp_path / "two" / name).read_bytes()]

@@ -73,7 +73,8 @@ def test_sweep_reads_checkpoint_and_reports(tmp_path):
     report = EvalReport.from_csv_text((swept / "eval_report.csv").read_text())
     assert [r.sigma_test for r in report.rows] == [0.0, 0.5]
     assert all(0.0 <= r.accuracy <= 1.0 for r in report.rows)
-    assert (swept / "accuracy_vs_sigma.svg").exists()
+    assert {p.name for p in swept.iterdir()} == {
+        "eval_report.csv", "eval_report.json", "resolved_config.json"}
 
 
 def test_sweep_without_checkpoint_is_usage_error(tmp_path, capsys):
@@ -247,6 +248,20 @@ def test_grid_rejects_non_positive_workers(tmp_path, capsys):
     ("sweep", {"sweep_sigmas": [0.0, -0.5]}, "sweep_sigmas"),
     ("ratio-study", {"sweep_sigmas": [0.0, -0.5]}, "sweep_sigmas"),
     ("ratio-study", {"ratios": [0]}, "ratios"),
+    ("train", {"synthetic_train_n": "many"}, "synthetic_train_n"),
+    ("train", {"train_limit": "x"}, "train_limit"),
+    ("train", {"arch_seed": "x"}, "arch_seed"),
+    ("grid", {"corruption_seed": "x"}, "corruption_seed"),
+    ("grid", {"workers": "two"}, "workers"),
+    ("sweep", {"synthetic_test_n": [100]}, "synthetic_test_n"),
+    ("sensitivity", {"synthetic_seed": "x"}, "synthetic_seed"),
+    ("guarantee", {"l_n": 0.01, "n_classes": "ten"}, "n_classes"),
+    ("guarantee", {"l_n": 0.01, "audit_sigma": "x"}, "audit_sigma"),
+    ("guarantee", {"l_n": 0.01, "audit_n": "many"}, "audit_n"),
+    ("guarantee", {"l_n": 0.01, "synthetic_l": "one"}, "synthetic_l"),
+    ("guarantee", {"l_n": 0.01, "synthetic_dim": None}, "synthetic_dim"),
+    ("guarantee", {"l_n": 0.01, "synthetic_seeds": "five"}, "synthetic_seeds"),
+    ("guarantee", {"l_n": 0.01, "synthetic_trials": 1e999}, "synthetic_trials"),
 ])
 def test_invalid_run_params_are_usage_errors_before_any_output(
         tmp_path, capsys, command, overrides, message):
@@ -326,7 +341,7 @@ def test_ratio_study_command(tmp_path):
     lines = (out / "ratio_study.csv").read_text().strip().split("\n")
     assert lines[0] == "ratio,sigma_test,accuracy"
     assert len(lines) == 3
-    assert (out / "accuracy_vs_ratio.svg").exists()
+    assert {p.name for p in out.iterdir()} == {"ratio_study.csv", "resolved_config.json"}
 
 
 def test_sensitivity_command(tmp_path):

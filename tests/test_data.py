@@ -1,6 +1,8 @@
 """IDX parsing, corruption, subsampling, batching, synthetic datasets."""
 
 import gzip
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from lipnet import (IdxCountMismatchError, IdxError, IdxMagicError,
                     IdxTruncatedError, LabeledDataset, Provenance, batches,
                     corrupt, load_idx, save_idx, subsample, synthetic_blobs,
                     synthetic_digits)
+from lipnet.data import IDX_IMAGE_MAGIC
 from lipnet.seeding import derive_key
 
 
@@ -66,6 +69,30 @@ def test_idx_trailing_bytes_error(tmp_path):
     images, labels, ip, lp = write_pair(tmp_path)
     ip.write_bytes(ip.read_bytes() + b"\x00")
     with pytest.raises(IdxError, match="trailing"):
+        load_idx(ip, lp)
+
+
+@pytest.mark.parametrize("damage", ["cut", "flip", "append"])
+def test_idx_corrupt_gzip_is_idx_error_naming_path(tmp_path, damage):
+    images, labels, ip, lp = write_pair(tmp_path, gz=True)
+    blob = bytearray(ip.read_bytes())
+    if damage == "cut":
+        del blob[len(blob) // 2:]
+    elif damage == "flip":
+        blob[len(blob) // 2] ^= 0xFF
+    else:
+        blob += b"abc"
+    ip.write_bytes(bytes(blob))
+    with pytest.raises(IdxError, match=re.escape(str(ip))):
+        load_idx(ip, lp)
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x00" * 5], ids=["empty", "5_bytes"])
+def test_idx_extent_product_does_not_wrap(tmp_path, payload):
+    # 2**31 * 2**31 * 4 == 2**64, which a uint64 product wraps to 0
+    images, labels, ip, lp = write_pair(tmp_path)
+    ip.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 2**31, 2**31, 4) + payload)
+    with pytest.raises(IdxTruncatedError, match=re.escape(str(ip))):
         load_idx(ip, lp)
 
 

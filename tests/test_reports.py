@@ -1,4 +1,4 @@
-"""CSV/JSON/SVG emission: exact round-trips, byte determinism, strict JSON."""
+"""CSV/JSON emission: exact round-trips, byte determinism, strict JSON."""
 
 import json
 import math
@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lipnet import (EvalReport, EvalRow, SensitivityEntry, SensitivityReport,
-                    StepRecord, TrainRecord, svg_line_chart, write_eval_report,
+                    StepRecord, TrainRecord, write_eval_report,
                     write_ratio_table, write_sensitivity_report,
                     write_train_record)
 from lipnet.reports import EpochRecord, _json_safe, fmt_float, write_json
@@ -75,14 +75,11 @@ def test_write_eval_report_artifacts(tmp_path):
                         metadata={"corruption_seed": 7})
     write_eval_report(report, tmp_path)
     names = {p.name for p in tmp_path.iterdir()}
-    assert names == {"eval_report.csv", "eval_report.json",
-                     "accuracy_series.csv", "accuracy_vs_sigma.svg"}
+    assert names == {"eval_report.csv", "eval_report.json"}
+    assert (tmp_path / "eval_report.csv").read_text() == report.to_csv_text()
     parsed = json.loads((tmp_path / "eval_report.json").read_text())
     assert parsed["metadata"]["corruption_seed"] == 7
     assert parsed["rows"][0]["mean_k"] is None
-    series = (tmp_path / "accuracy_series.csv").read_text().split("\n")
-    assert series[0] == "sigma_test,accuracy"
-    assert series[1] == "0.0,1.0"
 
 
 def test_write_train_record_excludes_wall_time(tmp_path):
@@ -119,25 +116,7 @@ def test_write_ratio_table(tmp_path):
     text = (tmp_path / "ratio_study.csv").read_text()
     assert text.split("\n")[0] == "ratio,sigma_test,accuracy"
     assert text.count("\n") == 5
-    svg = (tmp_path / "accuracy_vs_ratio.svg").read_text()
-    assert svg.count("<polyline") == 2  # one line per sigma
-
-
-def test_svg_chart_shape_and_nan_filtering():
-    svg = svg_line_chart([("acc", [0.0, 0.5, 1.0], [1.0, float("nan"), 0.7])],
-                         title="t", xlabel="x", ylabel="y")
-    assert svg.startswith("<svg ")
-    assert svg.rstrip().endswith("</svg>")
-    assert "nan" not in svg
-    line = next(p for p in svg.split("\n") if p.startswith("<polyline"))
-    coords = line.split('points="')[1].split('"')[0].split()
-    assert len(coords) == 2  # the NaN point was dropped
-
-
-def test_svg_chart_degenerate_ranges():
-    # single point and empty series must not divide by zero
-    svg = svg_line_chart([("a", [1.0], [2.0]), ("b", [], [])])
-    assert "<svg" in svg and "</svg>" in svg
+    assert {p.name for p in tmp_path.iterdir()} == {"ratio_study.csv"}
 
 
 def test_csv_rejects_booleans():
