@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from .data import (LabeledDataset, load_idx, synthetic_blobs, synthetic_digits)
 from .ioutil import atomic_write_text
-from .layers import build_registered, load_checkpoint, save_checkpoint
+from .layers import _registered, build_registered, load_checkpoint, save_checkpoint
 from .regularizer import (LipschitzParams, RampClassifier, audit_empirical_k,
                           counterexample_outside_radius, guarantee, one_hot_labels,
                           verify_theorem1_synthetic)
@@ -66,7 +66,7 @@ CONFIG_DEFAULTS = {
     "seed": 0,
     "momentum": 0.0,
     # regularizer
-    "sigma_train": 0.0,
+    "sigma_train": 0.75,         # unused while beta is 0
     "beta": 0.0,
     "l_n": 0.01,
     # evaluation
@@ -114,7 +114,9 @@ _NUMERIC_KEYS = {
     "synthetic_train_n": int, "synthetic_test_n": int, "synthetic_seed": int,
     "corruption_seed": int, "workers": int, "n_classes": int, "audit_n": int,
     "audit_sigma": float, "synthetic_l": float, "synthetic_dim": int,
-    "synthetic_seeds": int, "synthetic_trials": int,
+    "synthetic_seeds": int, "synthetic_trials": int, "sigma_train": float,
+    "beta": float, "l_n": float, "lr": float, "momentum": float,
+    "train_ratio": float, "epochs": int, "batch_size": int,
 }
 
 
@@ -141,6 +143,9 @@ def load_config(path, seed_override=None) -> dict:
         cfg["seed"] = int(seed_override)
     for key, kind in _NUMERIC_KEYS.items():
         cfg[key] = _checked(key, kind, cfg[key])
+    if cfg["train_limit"] is not None and cfg["train_limit"] < 1:
+        raise ConfigError(f"train_limit must be >= 1, got {cfg['train_limit']}")
+    _checked("model", _registered, cfg["model"])
     return cfg
 
 
@@ -165,11 +170,10 @@ def _hp_from_cfg(cfg) -> HyperParams:
     # Bad values are config mistakes, so they exit with the usage code.
     lip = _lip_params(cfg["sigma_train"], cfg["beta"], cfg["l_n"])
     try:
-        return HyperParams(lip=lip, lr=float(cfg["lr"]), epochs=int(cfg["epochs"]),
-                           batch_size=int(cfg["batch_size"]),
-                           lr_drops=tuple((int(e), float(f)) for e, f in cfg["lr_drops"]),
-                           train_ratio=float(cfg["train_ratio"]), seed=cfg["seed"],
-                           momentum=float(cfg["momentum"]))
+        return HyperParams(lip=lip, lr=cfg["lr"], epochs=cfg["epochs"],
+                           batch_size=cfg["batch_size"], lr_drops=cfg["lr_drops"],
+                           train_ratio=cfg["train_ratio"], seed=cfg["seed"],
+                           momentum=cfg["momentum"])
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e))
 
@@ -192,14 +196,6 @@ def _resolve_idx_path(cfg, key):
                       f"(looked for {base.name}[.gz])")
 
 
-def _limit(ds: LabeledDataset, n) -> LabeledDataset:
-    if n is None or n >= ds.n:
-        return ds
-    if n < 1:
-        raise ConfigError(f"train_limit must be >= 1, got {n}")
-    return LabeledDataset(ds.images[:n], ds.labels[:n], ds.provenance)
-
-
 def _load_split(cfg, split: str) -> LabeledDataset:
     """The "train" or "test" split per the config. Raises ConfigError before
     anything has been written, so failed runs leave no partial outputs. The
@@ -213,7 +209,10 @@ def _load_split(cfg, split: str) -> LabeledDataset:
         ds = maker(cfg[f"synthetic_{split}_n"], derive_int(cfg["synthetic_seed"], split))
     else:
         raise ConfigError(f"unknown dataset kind: {kind!r}")
-    return _limit(ds, cfg["train_limit"]) if split == "train" else ds
+    n = cfg["train_limit"]
+    if split == "train" and n is not None and n < ds.n:
+        ds = LabeledDataset(ds.images[:n], ds.labels[:n], ds.provenance)
+    return ds
 
 
 def load_datasets(cfg):
@@ -225,14 +224,14 @@ def _arch_seed(cfg) -> int:
     return cfg["seed"] if cfg["arch_seed"] is None else cfg["arch_seed"]
 
 
-def _method(cfg) -> str:
-    return "standard" if float(cfg["beta"]) == 0.0 else "proposed"
+def _method(beta: float) -> str:
+    return "standard" if beta == 0 else "proposed"
 
 
 def _write_resolved_config(cfg, out: Path, command: str, extra: dict | None = None) -> None:
     doc = {k: v for k, v in cfg.items() if not k.startswith("_")}
     doc["command"] = command
-    doc["method"] = _method(cfg)
+    doc["method"] = _method(cfg["beta"])
     doc["code_version"] = VERSION
     doc["sigma_units"] = "pixel units on [0,1]-scaled inputs"
     if extra:
@@ -241,8 +240,8 @@ def _write_resolved_config(cfg, out: Path, command: str, extra: dict | None = No
 
 
 def cmd_train(cfg, out: Path) -> int:
-    train_ds = _load_split(cfg, "train")
     hp = _hp_from_cfg(cfg)
+    train_ds = _load_split(cfg, "train")
     model = build_registered(cfg["model"], _arch_seed(cfg))
     model, record = train(model, train_ds, hp)
     out.mkdir(parents=True, exist_ok=True)
@@ -351,8 +350,7 @@ def cmd_grid(cfg, out: Path) -> int:
         report = EvalReport.from_csv_text(
             (cell_dir / "eval_report.csv").read_text(encoding="utf-8"))
         acc = {row.sigma_test: row.accuracy for row in report.rows}
-        method = "standard" if lip.beta == 0 else "proposed"
-        cells_txt = [method, repr(lip.sigma_train), repr(lip.beta), repr(lip.l_n)]
+        cells_txt = [_method(lip.beta), repr(lip.sigma_train), repr(lip.beta), repr(lip.l_n)]
         cells_txt += [repr(acc[s]) for s in sigmas]
         lines.append(",".join(cells_txt))
     atomic_write_text(out / "grid_summary.csv", "\n".join(lines) + "\n")

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ioutil import atomic_write_bytes
-from .tensor import (Graph, Tensor, add_channelvec, add_rowvec, conv2d,
-                     matmul, relu, reshape, softmax)
+from .tensor import Graph, Tensor, affine, conv2d, relu, reshape, softmax
 
 CHECKPOINT_MAGIC = b"LIPN"
 CHECKPOINT_VERSION = 1
@@ -131,11 +130,11 @@ def forward(model: Model, x: Tensor, graph: Graph | None = None) -> Tensor:
     out = x
     for i, spec in enumerate(model.layers):
         if spec.kind == "conv2d":
-            out = conv2d(out, model.params[f"{i}.conv2d.weight"], spec.stride, spec.padding, graph)
-            out = add_channelvec(out, model.params[f"{i}.conv2d.bias"], graph)
+            out = conv2d(out, model.params[f"{i}.conv2d.weight"], model.params[f"{i}.conv2d.bias"],
+                         spec.stride, spec.padding, graph)
         elif spec.kind == "dense":
-            out = matmul(out, model.params[f"{i}.dense.weight"], graph)
-            out = add_rowvec(out, model.params[f"{i}.dense.bias"], graph)
+            out = affine(out, model.params[f"{i}.dense.weight"],
+                         model.params[f"{i}.dense.bias"], graph)
         elif spec.kind == "relu":
             out = relu(out, graph)
         elif spec.kind == "flatten":
@@ -182,13 +181,17 @@ def build_blobs_mlp(seed: int) -> Model:
 MODEL_REGISTRY = {"mnist_cnn": build_mnist_model, "blobs_mlp": build_blobs_mlp}
 
 
-def build_registered(name: str, seed: int) -> Model:
+def _registered(name: str):
+    """The builder registered as name; a ValueError lists the known names."""
     try:
-        builder = MODEL_REGISTRY[name]
+        return MODEL_REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(MODEL_REGISTRY))
         raise ValueError(f"unknown model {name!r}; registered: {known}") from None
-    return builder(seed)
+
+
+def build_registered(name: str, seed: int) -> Model:
+    return _registered(name)(seed)
 
 
 def checkpoint_bytes(model: Model) -> bytes:

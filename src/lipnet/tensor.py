@@ -11,9 +11,11 @@ first contribution by reference (it may be an upstream node's gradient, a
 view of it, or an array another operand also holds) and adds later ones out
 of place, so one array can safely back several ``grad`` slots.
 
-``conv2d`` unrolls its input channel-major: ``cols`` has shape
+Every layer is one tape node: ``conv2d`` and ``affine`` each add their bias
+themselves. ``conv2d`` unrolls its input channel-major: ``cols`` has shape
 ``(C*kh*kw, N*Ho*Wo)``, filled by kh*kw strided slice copies, so the forward
-pass is one GEMM ``kernel(F, C*kh*kw) @ cols``; the backward pass mirrors it
+pass is one GEMM ``kernel(F, C*kh*kw) @ cols``, to whose fresh output the bias
+is added in place before the transpose to NCHW; the backward pass mirrors it
 in the kernel-gradient GEMM and in col2im.
 """
 
@@ -164,44 +166,20 @@ def scale(a: Tensor, c: float, graph: Graph | None = None) -> Tensor:
     return _record(graph, "scale", (a,), out, rule)
 
 
-def matmul(a: Tensor, b: Tensor, graph: Graph | None = None) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul: expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dimensions disagree, {a.shape} vs {b.shape}")
-    out = Tensor(a.data @ b.data)
+def affine(x: Tensor, w: Tensor, b: Tensor, graph: Graph | None = None) -> Tensor:
+    """x[m,k] @ w[k,n] + b[n] broadcast over rows (a dense layer)."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ValueError(f"affine: needs x[m,k], w[k,n] and b[n], got {x.shape}, {w.shape}, {b.shape}")
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor(y)
 
     def rule(g):
-        _acc(a, g @ b.data.T)
-        _acc(b, a.data.T @ g)
-
-    return _record(graph, "matmul", (a, b), out, rule)
-
-
-def add_rowvec(a: Tensor, b: Tensor, graph: Graph | None = None) -> Tensor:
-    """a[m,n] + b[n] broadcast over rows; backward sums b's grad over rows."""
-    if a.data.ndim != 2 or b.data.ndim != 1 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"add_rowvec: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data + b.data[None, :])
-
-    def rule(g):
-        _acc(a, g)
+        _acc(x, g @ w.data.T)
+        _acc(w, x.data.T @ g)
         _acc(b, g.sum(axis=0))
 
-    return _record(graph, "add_rowvec", (a, b), out, rule)
-
-
-def add_channelvec(a: Tensor, b: Tensor, graph: Graph | None = None) -> Tensor:
-    """a[N,F,H,W] + b[F] broadcast per channel (convolution bias)."""
-    if a.data.ndim != 4 or b.data.ndim != 1 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"add_channelvec: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data + b.data[None, :, None, None])
-
-    def rule(g):
-        _acc(a, g)
-        _acc(b, g.sum(axis=(0, 2, 3)))
-
-    return _record(graph, "add_channelvec", (a, b), out, rule)
+    return _record(graph, "affine", (x, w, b), out, rule)
 
 
 def reshape(a: Tensor, shape, graph: Graph | None = None) -> Tensor:
@@ -299,9 +277,9 @@ def l2_norm_rows(a: Tensor, graph: Graph | None = None) -> Tensor:
     return _record(graph, "l2_norm_rows", (a,), out, rule)
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,
            graph: Graph | None = None) -> Tensor:
-    """Batched 2-D cross-correlation (no kernel flip), NCHW layout.
+    """Batched 2-D cross-correlation (no kernel flip) plus a per-channel bias, NCHW layout.
 
     Output height is floor((H + 2*padding - kh) / stride) + 1, and likewise
     for width. Implemented as a channel-major im2col + one matrix product.
@@ -312,6 +290,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     f, ck, kh, kw = kernel.shape
     if ck != c:
         raise ValueError(f"conv2d: input has {c} channels but kernel expects {ck}")
+    if bias.shape != (f,):
+        raise ValueError(f"conv2d: bias shape {bias.shape}, kernel has {f} filters")
     stride = int(stride)
     padding = int(padding)
     if stride < 1:
@@ -339,11 +319,14 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
             cols[:, i, j] = xp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride]
     cols = cols.reshape(c * kh * kw, n * ho * wo)
     w2 = kernel.data.reshape(f, -1)
-    out = Tensor(np.ascontiguousarray((w2 @ cols).reshape(f, n, ho, wo).transpose(1, 0, 2, 3)))
+    y = w2 @ cols
+    y += bias.data[:, None]
+    out = Tensor(np.ascontiguousarray(y.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)))
 
     def rule(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
         _acc(kernel, (g2 @ cols.T).reshape(f, c, kh, kw))
+        _acc(bias, g.sum(axis=(0, 2, 3)))
         if _wants_grad(x):
             dcols = (w2.T @ g2).reshape(c, kh, kw, n, ho, wo)
             dxp = np.zeros((c, n, hp, wp))
@@ -352,6 +335,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
                     dxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += dcols[:, i, j]
             x.accumulate_grad(dxp[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3))
 
+    # bias stays in the rule's closure, like cols: benchmarks/tracing.py unpacks a
+    # conv2d node's inputs as exactly (x, kernel), and nothing in lipnet reads them
     return _record(graph, "conv2d", (x, kernel), out, rule)
 
 

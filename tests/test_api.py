@@ -1,4 +1,5 @@
-"""The package's export list and the names the demos import from it."""
+"""The package's export list, the names the demos import from it, and the
+callers of every tensor op."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import pytest
 import lipnet
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+PACKAGE = Path(lipnet.__file__).resolve().parent
 
 
 def test_all_names_resolve_and_are_unique():
@@ -32,3 +34,17 @@ def test_demo_imports_from_lipnet_resolve(demo):
                 if a.name.split(".")[0] == "lipnet":
                     importlib.import_module(a.name)
     assert missing == []
+
+
+def test_every_tensor_op_has_a_caller():
+    # a public op that no other module calls and lipnet does not export is dead code
+    tree = ast.parse((PACKAGE / "tensor.py").read_text(encoding="utf-8"))
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "tensor.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):  # f(...) or module.f(...)
+                    called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
+    assert sorted(public - called - set(lipnet.__all__)) == []

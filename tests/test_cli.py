@@ -7,6 +7,7 @@ import pytest
 
 from lipnet import (EvalReport, build_blobs_mlp, build_mnist_model, save_checkpoint,
                     save_idx)
+from lipnet import cli
 from lipnet.cli import IDX_STANDARD_NAMES, main
 
 BASE_CFG = {
@@ -102,6 +103,16 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
 def test_invalid_hyperparam_is_usage_error(tmp_path):
     cfg = write_cfg(tmp_path, lr=-1.0)
     assert run("train", "--config", cfg, "--out", tmp_path / "x") == 2
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("overrides", [{"lr": -1.0}, {"train_limit": 0}, {"model": "foo"}])
+def test_train_rejects_bad_config_before_loading_data(tmp_path, monkeypatch, overrides):
+    calls = []
+    monkeypatch.setattr(cli, "synthetic_blobs", lambda *a: calls.append(a))
+    cfg = write_cfg(tmp_path, **overrides)
+    assert run("train", "--config", cfg, "--out", tmp_path / "x") == 2
+    assert calls == []
     assert not (tmp_path / "x").exists()
 
 
@@ -243,7 +254,7 @@ def test_grid_rejects_non_positive_workers(tmp_path, capsys):
     ("sensitivity", {"sensitivity_deltas": {"beta": "abc"}}, "sensitivity_deltas"),
     ("sensitivity", {"sensitivity_deltas": {"control": 0}}, "nonzero"),
     ("sensitivity", {"sensitivity_deltas": {"foo": 1.0}}, "unknown"),
-    ("sensitivity", {"sigma_train": 0.5, "beta": 10.0, "sigma_eval": -1}, "sigma_eval"),
+    ("sensitivity", {"sigma_eval": -1}, "sigma_eval"),
     ("grid", {"sweep_sigmas": [0.0, -0.5]}, "sweep_sigmas"),
     ("sweep", {"sweep_sigmas": [0.0, -0.5]}, "sweep_sigmas"),
     ("ratio-study", {"sweep_sigmas": [0.0, -0.5]}, "sweep_sigmas"),
@@ -262,6 +273,7 @@ def test_grid_rejects_non_positive_workers(tmp_path, capsys):
     ("guarantee", {"l_n": 0.01, "synthetic_dim": None}, "synthetic_dim"),
     ("guarantee", {"l_n": 0.01, "synthetic_seeds": "five"}, "synthetic_seeds"),
     ("guarantee", {"l_n": 0.01, "synthetic_trials": 1e999}, "synthetic_trials"),
+    ("guarantee", {"l_n": 0.01, "beta": "x"}, "beta"),
 ])
 def test_invalid_run_params_are_usage_errors_before_any_output(
         tmp_path, capsys, command, overrides, message):
@@ -356,6 +368,14 @@ def test_sensitivity_command(tmp_path):
     ref = payload["metadata"]["reference_cifar10"]
     assert (ref["sigma_train"], ref["beta"], ref["l_n"]) == (87.20, 2.55, -28.89)
     assert payload["baseline"]["lr"] == 0.1
+
+
+def test_sensitivity_runs_on_the_default_regularizer(tmp_path):
+    # BASE_CFG sets no regularizer key, so the default deltas shift the defaults
+    out = tmp_path / "s"
+    assert run("sensitivity", "--config", write_cfg(tmp_path), "--out", out) == 0
+    payload = json.loads((out / "sensitivity_report.json").read_text())
+    assert {e["param"] for e in payload["entries"]} == {"sigma_train", "beta", "l_n"}
 
 
 def test_missing_out_flag_is_argparse_error(capsys):

@@ -64,16 +64,8 @@ def test_scale_backward():
     check_op(lambda a, graph=None: T.scale(a, -2.5, graph), [(4, 2)])
 
 
-def test_matmul_backward():
-    check_op(T.matmul, [(3, 4), (4, 5)])
-
-
-def test_add_rowvec_backward():
-    check_op(T.add_rowvec, [(4, 3), (3,)])
-
-
-def test_add_channelvec_backward():
-    check_op(T.add_channelvec, [(2, 3, 4, 4), (3,)])
+def test_affine_backward():
+    check_op(T.affine, [(3, 4), (4, 5), (5,)])
 
 
 def test_reshape_backward():
@@ -116,8 +108,8 @@ def test_l2_norm_rows_backward():
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 2), (1, 1), (3, 0)])
 def test_conv2d_backward(stride, padding):
-    check_op(lambda x, k, graph=None: T.conv2d(x, k, stride, padding, graph),
-             [(2, 2, 7, 7), (3, 2, 3, 3)])
+    check_op(lambda x, k, b, graph=None: T.conv2d(x, k, b, stride, padding, graph),
+             [(2, 2, 7, 7), (3, 2, 3, 3), (3,)])
 
 
 def test_cross_entropy_backward():
@@ -135,20 +127,20 @@ def test_cross_entropy_backward():
     np.testing.assert_allclose(t.grad, numeric, atol=1e-7, rtol=1e-5)
 
 
-def conv2d_reference(x, k, stride, padding):
-    """Independent brute-force cross-correlation oracle."""
+def conv2d_reference(x, k, b, stride, padding):
+    """Independent brute-force cross-correlation oracle plus per-channel bias."""
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = k.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     out = np.zeros((n, c_out, oh, ow))
-    for b in range(n):
+    for r in range(n):
         for o in range(c_out):
             for i in range(oh):
                 for j in range(ow):
-                    patch = xp[b, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
-                    out[b, o, i, j] = (patch * k[o]).sum()
+                    patch = xp[r, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+                    out[r, o, i, j] = (patch * k[o]).sum() + b[o]
     return out
 
 
@@ -157,19 +149,23 @@ def test_conv2d_forward_oracle(stride, padding):
     rng = np.random.default_rng(7)
     x = rng.normal(size=(2, 3, 8, 8))
     k = rng.normal(size=(4, 3, 5, 5))
-    got = T.conv2d(Tensor(x), Tensor(k), stride, padding).data
-    np.testing.assert_allclose(got, conv2d_reference(x, k, stride, padding),
+    b = rng.normal(size=4)
+    got = T.conv2d(Tensor(x), Tensor(k), Tensor(b), stride, padding).data
+    np.testing.assert_allclose(got, conv2d_reference(x, k, b, stride, padding),
                                atol=1e-12, rtol=1e-12)
 
 
 def test_conv2d_rejects_bad_geometry():
     x = Tensor(np.zeros((1, 2, 4, 4)))
+    b = Tensor(np.zeros(3))
     with pytest.raises(ValueError):
-        T.conv2d(x, Tensor(np.zeros((3, 99, 3, 3))))  # channel mismatch
+        T.conv2d(x, Tensor(np.zeros((3, 99, 3, 3))), b)  # channel mismatch
     with pytest.raises(ValueError):
-        T.conv2d(x, Tensor(np.zeros((3, 2, 3, 3))), stride=0)
+        T.conv2d(x, Tensor(np.zeros((3, 2, 3, 3))), b, stride=0)
     with pytest.raises(ValueError):
-        T.conv2d(x, Tensor(np.zeros((3, 2, 9, 9))))  # kernel larger than input
+        T.conv2d(x, Tensor(np.zeros((3, 2, 9, 9))), b)  # kernel larger than input
+    with pytest.raises(ValueError, match="bias"):
+        T.conv2d(x, Tensor(np.zeros((3, 2, 3, 3))), Tensor(np.zeros(2)))
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8), st.floats(-10, 10))
@@ -193,9 +189,15 @@ def test_mul_elementwise_shape_error_names_shapes():
         T.mul_elementwise(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
-def test_matmul_requires_2d():
-    with pytest.raises(ValueError):
-        T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 2))))
+@pytest.mark.parametrize("x,w,b", [
+    ((2, 3, 4), (4, 2), (2,)),
+    ((2, 3), (3, 2), (1, 2)),
+    ((2, 3), (4, 2), (2,)),
+    ((2, 3), (3, 2), (3,)),
+], ids=["3d_x", "2d_bias", "inner_dims", "bias_length"])
+def test_affine_rejects_bad_shapes(x, w, b):
+    with pytest.raises(ValueError, match="affine"):
+        T.affine(Tensor(np.zeros(x)), Tensor(np.zeros(w)), Tensor(np.zeros(b)))
 
 
 def test_cross_entropy_label_validation():
@@ -261,14 +263,14 @@ def test_grad_by_reference_add_same_operand():
 
 
 def test_grad_by_reference_shared_upstream_then_second_contribution():
-    # add_rowvec and add hand one array to p and q; both get more afterwards
+    # the two adds hand one array to p and q; both get more afterwards
     def op(a, b, v, graph=None):
         p = T.scale(a, 2.0, graph)
         q = T.scale(b, -3.0, graph)
         side = T.add(T.mul_elementwise(p, p, graph), T.mul_elementwise(q, q, graph), graph)
-        return T.add(T.add_rowvec(T.add(p, q, graph), v, graph), side, graph)
+        return T.add(T.add(T.add(p, q, graph), v, graph), side, graph)
 
-    check_op(op, [(3, 4), (3, 4), (4,)])
+    check_op(op, [(3, 4), (3, 4), (3, 4)])
 
 
 def test_l2_norm_rows_zero_guard_mixed_rows():
