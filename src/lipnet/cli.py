@@ -116,7 +116,7 @@ _NUMERIC_KEYS = {
     "audit_sigma": float, "synthetic_l": float, "synthetic_dim": int,
     "synthetic_seeds": int, "synthetic_trials": int, "sigma_train": float,
     "beta": float, "l_n": float, "lr": float, "momentum": float,
-    "train_ratio": float, "epochs": int, "batch_size": int,
+    "train_ratio": float, "epochs": int, "batch_size": int, "sigma_eval": float,
 }
 
 
@@ -252,6 +252,7 @@ def cmd_train(cfg, out: Path) -> int:
 
 
 def cmd_sweep(cfg, out: Path, checkpoint=None) -> int:
+    hp = _hp_from_cfg(cfg)
     _checked("sweep_sigmas", _check_sigmas, cfg["sweep_sigmas"])
     if checkpoint is None:
         raise ConfigError("sweep needs --checkpoint")
@@ -259,7 +260,7 @@ def cmd_sweep(cfg, out: Path, checkpoint=None) -> int:
     model = build_registered(cfg["model"], _arch_seed(cfg))
     model = load_checkpoint(model, checkpoint)
     report = sweep(model, test_ds, cfg["sweep_sigmas"], cfg["corruption_seed"],
-                   hyperparams=_hp_from_cfg(cfg).as_dict())
+                   hyperparams=hp.as_dict())
     out.mkdir(parents=True, exist_ok=True)
     write_eval_report(report, out)
     _write_resolved_config(cfg, out, "sweep")
@@ -367,8 +368,7 @@ def cmd_sensitivity(cfg, out: Path) -> int:
     _checked("sensitivity_deltas", _sensitivity_runs, baseline, deltas)
     _checked("sigma_eval", _check_sigmas, [cfg["sigma_eval"]])
     train_ds, test_ds = load_datasets(cfg)
-    report = sensitivity(baseline, deltas, train_ds, test_ds,
-                         float(cfg["sigma_eval"]),
+    report = sensitivity(baseline, deltas, train_ds, test_ds, cfg["sigma_eval"],
                          model_builder=lambda seed: build_registered(cfg["model"], seed),
                          corruption_seed=cfg["corruption_seed"])
     report.metadata["reference_cifar10"] = dict(REFERENCE_SENSITIVITIES_CIFAR10)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Model, _eager_probs, forward
-from .tensor import (NORM_EPS, Graph, Tensor, add, cross_entropy,
-                     l2_norm_rows, mul_elementwise, reduce_sum, relu, rows,
-                     scale, sub)
+from .tensor import Graph, Tensor, _acc, _record, add, cross_entropy, rows
+
+NORM_EPS = 1e-12  # input norms are clamped to it; output rows with a smaller norm get no gradient
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,24 @@ def quotient(f_x: Tensor, f_x_bar: Tensor, x: np.ndarray, x_bar: np.ndarray,
              graph: Graph | None = None) -> Tensor:
     """Per-row k_i = ||f(x_bar_i) - f(x_i)|| / max(||x_bar_i - x_i||, NORM_EPS).
 
-    The input difference is a constant. The output difference is recorded on
-    the graph when one is given, so gradients flow through f(x_bar) and f(x);
-    with graph=None everything runs eagerly.
+    One tape node when a graph is given: gradients flow to f(x_bar) and f(x),
+    the input difference is a constant, and a row whose output difference has
+    norm below NORM_EPS gets a zero gradient. graph=None runs eagerly.
     """
     dx = (x_bar - x).reshape(x.shape[0], -1)
     inv = 1.0 / np.maximum(np.sqrt((dx * dx).sum(axis=1)), NORM_EPS)
-    diff = sub(f_x_bar, f_x, graph)
-    return mul_elementwise(l2_norm_rows(diff, graph), Tensor(inv), graph)
+    df = f_x_bar.data - f_x.data
+    n = np.sqrt((df * df).sum(axis=1))
+    out = Tensor(n * inv)
+
+    def rule(g):
+        gn = g * inv
+        safe = np.where(n >= NORM_EPS, n, 1.0)
+        gdf = np.where(n >= NORM_EPS, gn / safe, 0.0)[:, None] * df
+        _acc(f_x_bar, gdf)
+        _acc(f_x, -gdf)
+
+    return _record(graph, "quotient", (f_x, f_x_bar), out, rule)
 
 
 def lipschitz_loss(k: KStatistics, params: LipschitzParams,
@@ -107,9 +117,14 @@ def lipschitz_loss(k: KStatistics, params: LipschitzParams,
     contributes with slope beta / batch. Exactly zero when all k_i <= l_n.
     """
     kt = k.per_sample_k
-    batch = kt.shape[0]
-    excess = relu(sub(kt, Tensor(np.full(batch, params.l_n)), graph), graph)
-    return scale(reduce_sum(excess, graph), params.beta / batch, graph)
+    c = params.beta / kt.shape[0]
+    excess = kt.data - params.l_n
+    out = Tensor(np.maximum(excess, 0.0).sum() * c)
+
+    def rule(g):
+        _acc(kt, g * c * (excess > 0.0))
+
+    return _record(graph, "lipschitz_loss", (kt,), out, rule)
 
 
 def aggregated_loss(model: Model, x: Tensor, labels, params: LipschitzParams,

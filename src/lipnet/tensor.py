@@ -11,6 +11,11 @@ first contribution by reference (it may be an upstream node's gradient, a
 view of it, or an array another operand also holds) and adds later ones out
 of place, so one array can safely back several ``grad`` slots.
 
+The ops here are the network's layers, its task loss and the tape plumbing
+(``add``, ``reshape``, ``rows``). The Lipschitz term has no ops here:
+``regularizer.quotient`` and ``regularizer.lipschitz_loss`` each record one
+node with a hand-written rule through ``_record`` and ``_acc``.
+
 Every layer is one tape node: ``conv2d`` and ``affine`` each add their bias
 themselves. ``conv2d`` unrolls its input channel-major: ``cols`` has shape
 ``(C*kh*kw, N*Ho*Wo)``, filled by kh*kw strided slice copies, so the forward
@@ -22,8 +27,6 @@ in the kernel-gradient GEMM and in col2im.
 from __future__ import annotations
 
 import numpy as np
-
-NORM_EPS = 1e-12  # below this, l2_norm_rows gradients are defined as zero
 
 
 class Tensor:
@@ -132,40 +135,6 @@ def add(a: Tensor, b: Tensor, graph: Graph | None = None) -> Tensor:
     return _record(graph, "add", (a, b), out, rule)
 
 
-def sub(a: Tensor, b: Tensor, graph: Graph | None = None) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"sub: shape mismatch {a.shape} vs {b.shape}")
-    out = Tensor(a.data - b.data)
-
-    def rule(g):
-        _acc(a, g)
-        _acc(b, -g)
-
-    return _record(graph, "sub", (a, b), out, rule)
-
-
-def mul_elementwise(a: Tensor, b: Tensor, graph: Graph | None = None) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"mul_elementwise: shape mismatch {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data)
-
-    def rule(g):
-        _acc(a, g * b.data)
-        _acc(b, g * a.data)
-
-    return _record(graph, "mul_elementwise", (a, b), out, rule)
-
-
-def scale(a: Tensor, c: float, graph: Graph | None = None) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c)
-
-    def rule(g):
-        _acc(a, g * c)
-
-    return _record(graph, "scale", (a,), out, rule)
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor, graph: Graph | None = None) -> Tensor:
     """x[m,k] @ w[k,n] + b[n] broadcast over rows (a dense layer)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
@@ -204,15 +173,6 @@ def rows(a: Tensor, start: int, stop: int, graph: Graph | None = None) -> Tensor
             a.accumulate_grad(ga)
 
     return _record(graph, "rows", (a,), out, rule)
-
-
-def reduce_sum(a: Tensor, graph: Graph | None = None) -> Tensor:
-    out = Tensor(a.data.sum())
-
-    def rule(g):
-        _acc(a, np.broadcast_to(g, a.shape))
-
-    return _record(graph, "reduce_sum", (a,), out, rule)
 
 
 def relu(a: Tensor, graph: Graph | None = None) -> Tensor:
@@ -259,22 +219,6 @@ def cross_entropy(p: Tensor, labels, graph: Graph | None = None) -> Tensor:
         _acc(p, dp)
 
     return _record(graph, "cross_entropy", (p,), out, rule)
-
-
-def l2_norm_rows(a: Tensor, graph: Graph | None = None) -> Tensor:
-    """Per-row Euclidean norm of a [rows, m] tensor; the gradient of a row
-    whose norm is below NORM_EPS is zero."""
-    if a.data.ndim != 2:
-        raise ValueError(f"l2_norm_rows: expects 2-D input, got {a.shape}")
-    n = np.sqrt((a.data * a.data).sum(axis=1))
-    out = Tensor(n)
-
-    def rule(g):
-        safe = np.where(n >= NORM_EPS, n, 1.0)
-        coeff = np.where(n >= NORM_EPS, g / safe, 0.0)
-        _acc(a, coeff[:, None] * a.data)
-
-    return _record(graph, "l2_norm_rows", (a,), out, rule)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,

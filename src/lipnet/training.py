@@ -162,8 +162,9 @@ def evaluate(model: Model, ds: LabeledDataset) -> dict:
 def _check_sigmas(sigmas) -> list[float]:
     """sweep's rule for test-noise levels."""
     sigmas = [float(s) for s in sigmas]
-    if not sigmas or any(s < 0 for s in sigmas):
-        raise ValueError(f"sweep: sigmas must be a nonempty list of values >= 0, got {sigmas}")
+    if not sigmas or any(s < 0 for s in sigmas) or len(set(sigmas)) < len(sigmas):
+        raise ValueError(f"sweep: sigmas must be a nonempty list of distinct values >= 0, "
+                         f"got {sigmas}")
     return sigmas
 
 

@@ -116,6 +116,17 @@ def test_train_rejects_bad_config_before_loading_data(tmp_path, monkeypatch, ove
     assert not (tmp_path / "x").exists()
 
 
+def test_sweep_rejects_bad_config_before_loading_data(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "synthetic_blobs", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *a: calls.append(a))
+    cfg = write_cfg(tmp_path, lr=-1.0)
+    assert run("sweep", "--config", cfg, "--out", tmp_path / "x",
+               "--checkpoint", tmp_path / "model.ckpt") == 2
+    assert calls == []
+    assert not (tmp_path / "x").exists()
+
+
 def write_idx_split(data_dir, split, n=20):
     """Write only the given split ("train" or "test") of 28x28 IDX digits."""
     data_dir.mkdir(exist_ok=True)
@@ -274,6 +285,9 @@ def test_grid_rejects_non_positive_workers(tmp_path, capsys):
     ("guarantee", {"l_n": 0.01, "synthetic_seeds": "five"}, "synthetic_seeds"),
     ("guarantee", {"l_n": 0.01, "synthetic_trials": 1e999}, "synthetic_trials"),
     ("guarantee", {"l_n": 0.01, "beta": "x"}, "beta"),
+    ("sweep", {"sweep_sigmas": [0.5, 0.0, 0.5]}, "distinct"),
+    ("grid", {"sweep_sigmas": [0.5, 0.0, 0.5]}, "distinct"),
+    ("ratio-study", {"sweep_sigmas": [0.5, 0.0, 0.5]}, "distinct"),
 ])
 def test_invalid_run_params_are_usage_errors_before_any_output(
         tmp_path, capsys, command, overrides, message):

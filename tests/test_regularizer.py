@@ -1,6 +1,8 @@
 """The quotient, hinge penalty, aggregated loss, k audit and the
 distortion-radius machinery, each against an independent oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,7 +18,7 @@ from lipnet import (Graph, GuaranteeReport, LipschitzParams, RampClassifier,
                     verify_theorem1_synthetic)
 from lipnet.regularizer import _k_statistics, quotient
 from lipnet.seeding import derive_rng
-from lipnet.tensor import add, cross_entropy
+from lipnet.tensor import add, affine, cross_entropy, reshape
 
 
 def drawn_k(f, x, sigma, rng):
@@ -97,6 +99,43 @@ def test_quotient_square_map_near_derivative():
         assert 2.0 - 0.01 <= float(k[0]) <= 2.0 + 0.01
 
 
+def weighted_sum(t, w, graph):
+    """sum(t * w) over a 1-D tensor, as a 1x1 loss that backward accepts."""
+    column = Tensor(np.broadcast_to(w, t.shape).reshape(-1, 1))
+    return affine(reshape(t, (1, -1), graph), column, Tensor(np.zeros(1)), graph)
+
+
+def test_quotient_gradcheck_both_outputs():
+    rng = np.random.default_rng(11)
+    x = rng.random((5, 6))
+    x_bar = x + rng.normal(0.0, 0.3, size=x.shape)
+    leaves = SimpleNamespace(params={
+        "f_x": Tensor(rng.normal(size=(5, 3)), requires_grad=True),
+        "f_x_bar": Tensor(rng.normal(size=(5, 3)), requires_grad=True)})
+    w = rng.normal(size=5)
+
+    def loss_fn(m, _, graph):
+        k = quotient(m.params["f_x"], m.params["f_x_bar"], x, x_bar, graph)
+        return weighted_sum(k, w, graph)
+
+    report = gradcheck(leaves, loss_fn, None, tol=1e-6)
+    assert report.passed, report.per_param
+
+
+def test_quotient_zero_output_difference_has_zero_gradient():
+    # row 0 has f(x_bar) == f(x); row 1 has ||df|| = 5 over ||dx|| = 1
+    f_x = Tensor(np.array([[1.0, 2.0], [0.0, 0.0]]), requires_grad=True)
+    f_x_bar = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+    graph = Graph()
+    k = quotient(f_x, f_x_bar, np.zeros((2, 1)), np.ones((2, 1)), graph)
+    np.testing.assert_array_equal(k.data, [0.0, 5.0])
+    backward(weighted_sum(k, 1.0, graph), graph)
+    for t, sign in ((f_x_bar, 1.0), (f_x, -1.0)):
+        assert np.isfinite(t.grad).all()
+        np.testing.assert_array_equal(t.grad[0], [0.0, 0.0])
+        np.testing.assert_allclose(t.grad[1], [sign * 0.6, sign * 0.8])
+
+
 def make_k_stats(values, l_n=0.01):
     return _k_statistics(Tensor(np.asarray(values, dtype=np.float64)), l_n)
 
@@ -121,6 +160,18 @@ def test_hinge_zero_iff_all_within(ks):
         assert loss == 0.0
     else:
         assert loss > 0.0
+
+
+def test_hinge_gradcheck_away_from_kink():
+    params = LipschitzParams(0.5, 4.0, 0.01)
+    leaves = SimpleNamespace(params={
+        "k": Tensor(np.array([0.5, 0.001, 0.02, 0.3, 0.009]), requires_grad=True)})
+
+    def loss_fn(m, _, graph):
+        return lipschitz_loss(_k_statistics(m.params["k"], params.l_n), params, graph)
+
+    report = gradcheck(leaves, loss_fn, None, tol=1e-6)
+    assert report.passed, report.per_param
 
 
 def test_hinge_slope_is_beta_over_batch():
@@ -211,10 +262,10 @@ def test_aggregated_loss_fused_pass_equals_two_forward_passes():
                                    err_msg=name)
 
 
-@pytest.mark.parametrize("beta,nodes", [(0.0, 8), (10.0, 18)])
+@pytest.mark.parametrize("beta,nodes", [(0.0, 8), (10.0, 13)])
 def test_aggregated_loss_tape_length_mnist_cnn(beta, nodes):
     # 7 layers, one node each, plus cross-entropy; beta > 0 adds 2 rows, the
-    # quotient (3), hinge (4) and add
+    # quotient, the hinge and add
     ds = synthetic_digits(4, seed=1)
     params = LipschitzParams(sigma_train=0.5 if beta else 0.0, beta=beta, l_n=0.005)
     graph = Graph()

@@ -29,6 +29,12 @@ def finite_diff(f, arrays, step=1e-6):
     return grads
 
 
+def weighted_sum(out, w, graph):
+    """sum(out * w) as a 1x1 tape loss: the flattened out times a weight column."""
+    column = Tensor(np.broadcast_to(w, out.shape).reshape(-1, 1))
+    return T.affine(T.reshape(out, (1, -1), graph), column, Tensor(np.zeros(1)), graph)
+
+
 def check_op(op, shapes, seed=0, atol=1e-7, rtol=1e-5):
     """Backward rule of op(*tensors) vs finite differences of a weighted sum."""
     rng = np.random.default_rng(seed)
@@ -40,8 +46,7 @@ def check_op(op, shapes, seed=0, atol=1e-7, rtol=1e-5):
 
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     graph = Graph()
-    out = op(*tensors, graph=graph)
-    loss = T.reduce_sum(T.mul_elementwise(out, Tensor(w * np.ones_like(out.data)), graph), graph)
+    loss = weighted_sum(op(*tensors, graph=graph), w, graph)
     backward(loss, graph)
     numeric = finite_diff(scalar, [a.copy() for a in arrays])
     for t, num in zip(tensors, numeric):
@@ -50,18 +55,6 @@ def check_op(op, shapes, seed=0, atol=1e-7, rtol=1e-5):
 
 def test_add_backward():
     check_op(T.add, [(3, 4), (3, 4)])
-
-
-def test_sub_backward():
-    check_op(T.sub, [(5,), (5,)])
-
-
-def test_mul_elementwise_backward():
-    check_op(T.mul_elementwise, [(2, 3), (2, 3)])
-
-
-def test_scale_backward():
-    check_op(lambda a, graph=None: T.scale(a, -2.5, graph), [(4, 2)])
 
 
 def test_affine_backward():
@@ -83,10 +76,6 @@ def test_rows_rejects_empty_or_out_of_range():
             T.rows(a, start, stop)
 
 
-def test_reduce_sum_backward():
-    check_op(T.reduce_sum, [(3, 2)])
-
-
 def test_relu_backward():
     # values away from 0 so the kink cannot corrupt the finite difference
     rng = np.random.default_rng(3)
@@ -94,16 +83,12 @@ def test_relu_backward():
     a[np.abs(a) < 0.1] = 0.5
     t = Tensor(a, requires_grad=True)
     graph = Graph()
-    backward(T.reduce_sum(T.relu(t, graph), graph), graph)
+    backward(weighted_sum(T.relu(t, graph), 1.0, graph), graph)
     np.testing.assert_array_equal(t.grad, (a > 0).astype(float))
 
 
 def test_softmax_backward():
     check_op(T.softmax, [(3, 5)])
-
-
-def test_l2_norm_rows_backward():
-    check_op(T.l2_norm_rows, [(4, 6)])
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 2), (1, 1), (3, 0)])
@@ -184,9 +169,9 @@ def test_softmax_extreme_logits_stay_finite():
     assert abs(p.sum() - 1.0) < 1e-12
 
 
-def test_mul_elementwise_shape_error_names_shapes():
+def test_add_shape_error_names_shapes():
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 2\)"):
-        T.mul_elementwise(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+        T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
 @pytest.mark.parametrize("x,w,b", [
@@ -211,7 +196,7 @@ def test_cross_entropy_label_validation():
 def test_graph_is_single_use():
     t = Tensor(np.ones(3), requires_grad=True)
     graph = Graph()
-    loss = T.reduce_sum(t, graph)
+    loss = weighted_sum(t, 1.0, graph)
     backward(loss, graph)
     with pytest.raises(RuntimeError):
         backward(loss, graph)
@@ -235,16 +220,18 @@ def test_eager_mode_records_nothing():
 def test_constant_leaves_get_no_grad():
     a = Tensor(np.ones(3), requires_grad=True)
     c = Tensor(np.full(3, 2.0))  # constant
+    w = Tensor(np.full((3, 1), 2.0))  # constant weight column
+    b = Tensor(np.zeros(1))  # constant bias
     graph = Graph()
-    backward(T.reduce_sum(T.mul_elementwise(a, c, graph), graph), graph)
-    np.testing.assert_array_equal(a.grad, c.data)
-    assert c.grad is None
+    backward(T.affine(T.reshape(T.add(a, c, graph), (1, 3), graph), w, b, graph), graph)
+    np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
+    assert c.grad is None and w.grad is None and b.grad is None
 
 
 def test_grad_accumulates_across_shared_operand():
     a = Tensor(np.ones(2), requires_grad=True)
     graph = Graph()
-    backward(T.reduce_sum(T.add(a, a, graph), graph), graph)
+    backward(weighted_sum(T.add(a, a, graph), 1.0, graph), graph)
     np.testing.assert_array_equal(a.grad, np.full(2, 2.0))
 
 
@@ -256,33 +243,21 @@ def test_grad_accumulates_across_shared_operand():
 def test_grad_by_reference_add_same_operand():
     # add(t, t) stores t's first contribution as the array z also holds
     def op(t, c, graph=None):
-        z = T.scale(c, 1.5, graph)
+        z = T.rows(c, 0, 3, graph)
         return T.add(T.add(t, t, graph), z, graph)
 
     check_op(op, [(3, 4), (3, 4)])
 
 
 def test_grad_by_reference_shared_upstream_then_second_contribution():
-    # the two adds hand one array to p and q; both get more afterwards
-    def op(a, b, v, graph=None):
-        p = T.scale(a, 2.0, graph)
-        q = T.scale(b, -3.0, graph)
-        side = T.add(T.mul_elementwise(p, p, graph), T.mul_elementwise(q, q, graph), graph)
+    # the adds hand one array to p and q; both get more afterwards
+    def op(a, b, v, w, graph=None):
+        p, q = T.rows(a, 1, 3, graph), T.rows(b, 0, 2, graph)
+        zero = Tensor(np.zeros(4))
+        side = T.add(T.affine(p, w, zero, graph), T.affine(q, w, zero, graph), graph)
         return T.add(T.add(T.add(p, q, graph), v, graph), side, graph)
 
-    check_op(op, [(3, 4), (3, 4), (3, 4)])
-
-
-def test_l2_norm_rows_zero_guard_mixed_rows():
-    data = np.array([[0.0, 0.0], [3.0, 4.0]])
-    a = Tensor(data, requires_grad=True)
-    graph = Graph()
-    out = T.l2_norm_rows(a, graph)
-    np.testing.assert_allclose(out.data, [0.0, 5.0])
-    backward(T.reduce_sum(out, graph), graph)
-    assert np.isfinite(a.grad).all()
-    np.testing.assert_allclose(a.grad[0], [0.0, 0.0])
-    np.testing.assert_allclose(a.grad[1], [0.6, 0.8])
+    check_op(op, [(3, 4), (3, 4), (2, 4), (4, 4)])
 
 
 def test_tensor_is_float64_contiguous():
