@@ -29,15 +29,15 @@ for l_n in (0.005, 0.01, 0.1):
 
 # an exactly 1-Lipschitz classifier: two one-hot plateaus joined by a ramp
 oracle = RampClassifier(1.0, labels, dim=2)
-print(f"\nramp width = {oracle.ramp_width:.4f} (= 2*rho at L = 1)")
+print(f"\nramp width = {oracle.ramp_width:.4f} (= 2*rho at L = 1), "
+      f"radius rho/L = {oracle.rho / oracle.l:.4f}")
 
 trials = 10_000
 for seed in range(5):
-    v = verify_theorem1_synthetic(oracle, 1.0, labels, trials,
-                                  derive_rng(seed, "thm1"))
+    v = verify_theorem1_synthetic(oracle, trials, derive_rng(seed, "thm1"))
     print(f"seed {seed}: {trials} in-ball distortions, {v} label flips")
 
 # just outside the radius the bound no longer protects anything
-x, d, before, after = counterexample_outside_radius(oracle, 1.0, labels)
+x, d, before, after = counterexample_outside_radius(oracle)
 print(f"\ndistortion of norm {np.linalg.norm(d):.4f} "
-      f"(radius is {rho:.4f}): label {before} -> {after}")
+      f"(radius is {oracle.rho / oracle.l:.4f}): label {before} -> {after}")

@@ -24,8 +24,8 @@ recipes = {
                             lr=0.05, epochs=5, batch_size=100, seed=0),
 }
 
-tables = {name: ratio_study(0, train_ds, test_ds, RATIOS, hp, SIGMAS,
-                            build_mnist_model, corruption_seed=9000)
+tables = {name: ratio_study(train_ds, test_ds, RATIOS, hp, SIGMAS,
+                            lambda: build_mnist_model(seed=0), corruption_seed=9000)
           for name, hp in recipes.items()}
 
 print(f"{'ratio':>6s} {'sigma':>6s}  {'standard':>9s}  {'proposed':>9s}")

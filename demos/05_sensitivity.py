@@ -21,7 +21,7 @@ baseline = HyperParams(lip=LipschitzParams(sigma_train=0.75, beta=10.0,
 deltas = {"sigma_train": 0.25, "beta": 1.0, "l_n": 0.005, "control": 1.0}
 
 report = sensitivity(baseline, deltas, train_ds, test_ds, sigma_eval=0.5,
-                     model_builder=build_mnist_model, corruption_seed=9000)
+                     new_model=lambda: build_mnist_model(seed=0), corruption_seed=9000)
 
 print("accuracy at sigma_test=0.5, in percentage points\n")
 print(f"{'param':>12s} {'delta':>7s} {'before':>8s} {'after':>8s} {'sens':>9s}")

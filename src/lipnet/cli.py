@@ -22,9 +22,9 @@ from dataclasses import replace
 from .data import (LabeledDataset, load_idx, synthetic_blobs, synthetic_digits)
 from .ioutil import atomic_write_text
 from .layers import _registered, build_registered, load_checkpoint, save_checkpoint
-from .regularizer import (LipschitzParams, RampClassifier, audit_empirical_k,
-                          counterexample_outside_radius, guarantee, one_hot_labels,
-                          verify_theorem1_synthetic)
+from .regularizer import (COUNTEREXAMPLE_SCALE, LipschitzParams, RampClassifier,
+                          audit_empirical_k, counterexample_outside_radius, guarantee,
+                          one_hot_labels, verify_theorem1_synthetic)
 from .reports import (EvalReport, write_eval_report, write_json,
                       write_ratio_table, write_sensitivity_report,
                       write_train_record)
@@ -369,7 +369,7 @@ def cmd_sensitivity(cfg, out: Path) -> int:
     _checked("sigma_eval", _check_sigmas, [cfg["sigma_eval"]])
     train_ds, test_ds = load_datasets(cfg)
     report = sensitivity(baseline, deltas, train_ds, test_ds, cfg["sigma_eval"],
-                         model_builder=lambda seed: build_registered(cfg["model"], seed),
+                         lambda: build_registered(cfg["model"], _arch_seed(cfg)),
                          corruption_seed=cfg["corruption_seed"])
     report.metadata["reference_cifar10"] = dict(REFERENCE_SENSITIVITIES_CIFAR10)
     out.mkdir(parents=True, exist_ok=True)
@@ -384,12 +384,14 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
                           "(plus optional: n_classes, audit_sigma, audit_n, "
                           "synthetic_trials, synthetic_seeds, synthetic_l, synthetic_dim)")
     lip = _lip_params(0.0, 0.0, cfg["l_n"])
-    labels = one_hot_labels(cfg["n_classes"])
-    report = guarantee(lip, labels)
-    payload = {"guarantee": report.as_dict(), "rho": report.rho}
+    labels = _checked("n_classes", one_hot_labels, cfg["n_classes"])
+    payload = {"guarantee": _checked("n_classes", guarantee, lip, labels).as_dict()}
+    if synthetic:
+        oracle = _checked("synthetic_l/synthetic_dim", RampClassifier,
+                          cfg["synthetic_l"], labels, cfg["synthetic_dim"])
 
     if checkpoint is not None:
-        if cfg["audit_sigma"] <= 0:
+        if not cfg["audit_sigma"] > 0:
             raise ConfigError(f"audit_sigma must be > 0, got {cfg['audit_sigma']}")
         if cfg["audit_n"] < 1:
             raise ConfigError(f"audit_n must be >= 1, got {cfg['audit_n']}")
@@ -398,25 +400,18 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
         model = load_checkpoint(model, checkpoint)
         stats = audit_empirical_k(model, test_ds, cfg["audit_sigma"], cfg["audit_n"],
                                   derive_rng(cfg["seed"], "audit"), l_n=lip.l_n)
-        payload["audit"] = dict(stats.as_dict(), sigma=cfg["audit_sigma"],
-                                fraction_within=1.0 - stats.fraction_exceeding_l_n)
+        payload["audit"] = dict(stats.as_dict(), sigma=cfg["audit_sigma"])
 
     if synthetic:
-        l = cfg["synthetic_l"]
-        dim = cfg["synthetic_dim"]
-        oracle = RampClassifier(l, labels, dim=dim)
-        per_seed = []
-        for i in range(cfg["synthetic_seeds"]):
-            rng = derive_rng(cfg["seed"], "thm1", i)
-            per_seed.append(verify_theorem1_synthetic(
-                oracle, l, labels, cfg["synthetic_trials"], rng))
-        x, d, before, after = counterexample_outside_radius(oracle, l, labels)
+        per_seed = [verify_theorem1_synthetic(oracle, cfg["synthetic_trials"],
+                                              derive_rng(cfg["seed"], "thm1", i))
+                    for i in range(cfg["synthetic_seeds"])]
+        _, _, before, after = counterexample_outside_radius(oracle)
         payload["synthetic"] = {
-            "lipschitz_l": l, "dim": dim,
+            "lipschitz_l": oracle.l, "dim": oracle.dim,
             "trials_per_seed": cfg["synthetic_trials"],
             "violations_per_seed": per_seed,
-            "total_violations": int(sum(per_seed)),
-            "counterexample": {"distortion_norm_over_radius": 1.5,
+            "counterexample": {"distortion_norm_over_radius": COUNTEREXAMPLE_SCALE,
                                "label_before": before, "label_after": after},
         }
 
@@ -431,8 +426,8 @@ def cmd_ratio_study(cfg, out: Path) -> int:
     ratios = _checked("ratios", _check_ratios, cfg["ratios"])
     _checked("sweep_sigmas", _check_sigmas, cfg["sweep_sigmas"])
     train_ds, test_ds = load_datasets(cfg)
-    rows = ratio_study(_arch_seed(cfg), train_ds, test_ds, ratios, hp, cfg["sweep_sigmas"],
-                       model_builder=lambda seed: build_registered(cfg["model"], seed),
+    rows = ratio_study(train_ds, test_ds, ratios, hp, cfg["sweep_sigmas"],
+                       lambda: build_registered(cfg["model"], _arch_seed(cfg)),
                        corruption_seed=cfg["corruption_seed"])
     out.mkdir(parents=True, exist_ok=True)
     write_ratio_table(rows, out)

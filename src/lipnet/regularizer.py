@@ -19,6 +19,7 @@ from .layers import Model, _eager_probs, forward
 from .tensor import Graph, Tensor, _acc, _record, add, cross_entropy, rows
 
 NORM_EPS = 1e-12  # input norms are clamped to it; output rows with a smaller norm get no gradient
+COUNTEREXAMPLE_SCALE = 1.5  # counterexample_outside_radius's distortion norm over rho / L
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,11 @@ class LipschitzParams:
     l_n: float = 0.01
 
     def __post_init__(self):
-        if self.sigma_train < 0:
+        if not self.sigma_train >= 0:  # written so that NaN fails too
             raise ValueError(f"sigma_train must be >= 0, got {self.sigma_train}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.l_n <= 0:
+        if not self.l_n > 0:
             raise ValueError(f"l_n must be > 0, got {self.l_n}")
         if self.beta > 0 and self.sigma_train <= 0:
             raise ValueError("beta > 0 needs sigma_train > 0 to draw perturbations")
@@ -210,28 +211,26 @@ def guarantee(params: LipschitzParams, labels) -> GuaranteeReport:
 class RampClassifier:
     """An exactly L-Lipschitz map from R^dim to the label simplex.
 
-    Output is one-hot class_a on one half-space, one-hot class_b on the
-    other, joined by a linear ramp along axis 0 of width ||y_b - y_a|| / L.
-    The slope along axis 0 inside the ramp is exactly L and every other
-    direction is flat, so L is the true Lipschitz constant, not a bound.
+    Output is label 0 on one half-space, label 1 on the other, joined by a
+    linear ramp along axis 0 of width ||y_1 - y_0|| / L. The slope along axis
+    0 inside the ramp is exactly L and every other direction is flat, so L is
+    the true Lipschitz constant, not a bound, and rho / L is the exact radius.
     """
 
-    def __init__(self, l: float, labels, dim: int = 2,
-                 class_a: int = 0, class_b: int = 1, plateau_span: float = 100.0):
-        if l <= 0:
+    def __init__(self, l: float, labels, dim: int = 2):
+        if not l > 0:
             raise ValueError(f"RampClassifier: L must be > 0, got {l}")
+        if dim < 1:
+            raise ValueError(f"RampClassifier: dim must be >= 1, got {dim}")
         self.l = float(l)
         self.labels = np.asarray(labels, dtype=np.float64)
         self.dim = int(dim)
-        self.class_a = class_a
-        self.class_b = class_b
-        self.y_a = self.labels[class_a]
-        self.y_b = self.labels[class_b]
+        self.rho = compute_rho(self.labels)
+        self.y_a, self.y_b = self.labels[0], self.labels[1]
         gap = float(np.linalg.norm(self.y_b - self.y_a))
         if gap == 0:
-            raise ValueError("RampClassifier: class_a and class_b share a label vector")
+            raise ValueError("RampClassifier: labels 0 and 1 share a label vector")
         self.ramp_width = gap / self.l
-        self.plateau_span = float(plateau_span) * self.ramp_width
 
     def outputs(self, points: np.ndarray) -> np.ndarray:
         """Label-space outputs, shape (n, label_dim)."""
@@ -246,21 +245,13 @@ class RampClassifier:
         return np.argmin(d2, axis=1)
 
     def sample_base(self, n: int, rng) -> np.ndarray:
-        """Base points on the two plateaus, edge-adjacent points included."""
+        """Base points on the two plateaus, each 100 ramp widths deep, edge-adjacent
+        points included."""
         points = rng.uniform(-1.0, 1.0, size=(n, self.dim))
-        offset = rng.uniform(0.0, self.plateau_span, size=n)
+        offset = rng.uniform(0.0, 100.0 * self.ramp_width, size=n)
         side = rng.integers(0, 2, size=n)
         points[:, 0] = np.where(side == 0, -offset, self.ramp_width + offset)
         return points
-
-    def counterexample(self, distance: float):
-        """A base point on the class_a plateau edge and a distortion of the
-        given norm aimed along the ramp. Flips the label whenever distance
-        exceeds half the ramp width."""
-        x = np.zeros(self.dim)
-        d = np.zeros(self.dim)
-        d[0] = distance
-        return x, d
 
 
 def sample_in_ball(n: int, dim: int, radius: float, rng) -> np.ndarray:
@@ -271,27 +262,22 @@ def sample_in_ball(n: int, dim: int, radius: float, rng) -> np.ndarray:
     return z * (r / norms)[:, None]
 
 
-def verify_theorem1_synthetic(oracle, l: float, labels, n_trials: int, rng,
-                              radius_scale: float = 1.0) -> int:
-    """Count label changes under distortions ||d|| < radius_scale * rho / L.
-
-    The oracle must expose classify(points) and sample_base(n, rng). With
-    radius_scale <= 1 and an exactly L-Lipschitz oracle the count must be 0;
-    larger scales probe outside the guaranteed region.
-    """
-    rho = compute_rho(labels)
+def verify_theorem1_synthetic(oracle: RampClassifier, n_trials: int, rng) -> int:
+    """Count label changes under distortions ||d|| < rho / L of the oracle's
+    plateau points. The oracle is exactly L-Lipschitz, so the count must be 0."""
     base = oracle.sample_base(n_trials, rng)
-    d = sample_in_ball(n_trials, base.shape[1], radius_scale * rho / l, rng)
+    d = sample_in_ball(n_trials, oracle.dim, oracle.rho / oracle.l, rng)
     return int(np.sum(oracle.classify(base) != oracle.classify(base + d)))
 
 
-def counterexample_outside_radius(oracle, l: float, labels,
-                                  scale: float = 1.5):
-    """A distortion of norm scale * rho / L that DOES change the label,
-    showing the radius cannot be much enlarged. Returns (x, d, before,
-    after); raises if the constructed pair fails to flip."""
-    rho = compute_rho(labels)
-    x, d = oracle.counterexample(scale * rho / l)
+def counterexample_outside_radius(oracle: RampClassifier):
+    """A distortion of norm COUNTEREXAMPLE_SCALE * rho / L from the label-0
+    plateau edge along the ramp that DOES change the label, showing the radius
+    cannot be much enlarged. Returns (x, d, before, after); raises if the pair
+    fails to flip."""
+    x = np.zeros(oracle.dim)
+    d = np.zeros(oracle.dim)
+    d[0] = COUNTEREXAMPLE_SCALE * oracle.rho / oracle.l
     before, after = oracle.classify(np.stack([x, x + d]))
     if before == after:
         raise AssertionError("constructed counterexample did not flip the label")
@@ -305,7 +291,7 @@ def audit_empirical_k(model: Model, dataset, sigma: float, n: int, rng,
     One fresh noise draw per sample; clean and perturbed rows go through
     sweep's eager forward. Reproducible bit-exactly for a given rng state.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"audit_empirical_k: sigma must be > 0, got {sigma}")
     if n < 1:
         raise ValueError(f"audit_empirical_k: n must be >= 1, got {n}")

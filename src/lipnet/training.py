@@ -47,7 +47,7 @@ class HyperParams:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not self.lr > 0:  # written so that NaN fails too
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
@@ -65,7 +65,7 @@ class HyperParams:
                 raise ValueError(f"lr drop at epoch {e} outside [1, {self.epochs}]")
             if e <= last:
                 raise ValueError("lr drop epochs must be strictly increasing")
-            if f <= 0:
+            if not f > 0:
                 raise ValueError(f"lr drop factor must be > 0, got {f}")
             last = e
 
@@ -162,7 +162,7 @@ def evaluate(model: Model, ds: LabeledDataset) -> dict:
 def _check_sigmas(sigmas) -> list[float]:
     """sweep's rule for test-noise levels."""
     sigmas = [float(s) for s in sigmas]
-    if not sigmas or any(s < 0 for s in sigmas) or len(set(sigmas)) < len(sigmas):
+    if not sigmas or any(not s >= 0 for s in sigmas) or len(set(sigmas)) < len(sigmas):
         raise ValueError(f"sweep: sigmas must be a nonempty list of distinct values >= 0, "
                          f"got {sigmas}")
     return sigmas
@@ -209,14 +209,13 @@ def _check_ratios(ratios) -> list[float]:
     return ratios
 
 
-def ratio_study(arch_seed: int, ds_train: LabeledDataset, ds_test: LabeledDataset,
-                ratios, hp: HyperParams, sigmas, model_builder,
-                corruption_seed=None):
+def ratio_study(ds_train: LabeledDataset, ds_test: LabeledDataset, ratios,
+                hp: HyperParams, sigmas, new_model, corruption_seed=None):
     """Fresh model + subsampled training set per ratio, swept on the shared
     corrupted test sets. Returns rows of (ratio, sigma_test, accuracy).
 
-    Run seeds are derived from (hp.seed, ratio index); the model builder is
-    reseeded with arch_seed every time so only the data amount varies.
+    Run seeds are derived from (hp.seed, ratio index); new_model() must build
+    the same initial model on every call so only the data amount varies.
     """
     ratios = _check_ratios(ratios)
     if corruption_seed is None:
@@ -224,7 +223,7 @@ def ratio_study(arch_seed: int, ds_train: LabeledDataset, ds_test: LabeledDatase
     rows = []
     for i, ratio in enumerate(ratios):
         run_hp = replace(hp, train_ratio=ratio, seed=derive_int(hp.seed, "ratio", i))
-        model, _ = train(model_builder(arch_seed), ds_train, run_hp)
+        model, _ = train(new_model(), ds_train, run_hp)
         report = sweep(model, ds_test, sigmas, corruption_seed)
         rows.extend((ratio, row.sigma_test, row.accuracy) for row in report.rows)
     return rows
@@ -254,12 +253,13 @@ def _sensitivity_runs(baseline: HyperParams, deltas: dict) -> list:
 
 
 def sensitivity(baseline: HyperParams, deltas: dict, train_ds: LabeledDataset,
-                test_ds: LabeledDataset, sigma_eval: float, model_builder,
+                test_ds: LabeledDataset, sigma_eval: float, new_model,
                 corruption_seed=None) -> SensitivityReport:
     """Finite-difference sensitivity of test accuracy (percentage points) to
     each regularizer hyperparameter at the given test-noise level.
 
-    Every run reuses the baseline's init and data-order seeds, so the lone
+    Every run starts from new_model(), which must build the same initial model
+    on every call, and reuses the baseline's data-order seed, so the lone
     changed hyperparameter is the only difference. The "control" key retrains
     with nothing changed; determinism makes its sensitivity exactly 0.
     """
@@ -269,7 +269,7 @@ def sensitivity(baseline: HyperParams, deltas: dict, train_ds: LabeledDataset,
         corruption_seed = derive_int(baseline.seed, "sensitivity-corruption")
 
     def run(hp: HyperParams) -> float:
-        model, _ = train(model_builder(baseline.seed), train_ds, hp)
+        model, _ = train(new_model(), train_ds, hp)
         report = sweep(model, test_ds, [sigma_eval], corruption_seed)
         return report.rows[0].accuracy * 100.0
 

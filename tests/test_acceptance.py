@@ -179,10 +179,9 @@ def test_criterion_04_synthetic_guarantee_exact():
     labels = one_hot_labels(10)
     oracle = RampClassifier(1.0, labels, dim=2)
     t0 = time.perf_counter()
-    violations = [verify_theorem1_synthetic(oracle, 1.0, labels, 10_000,
-                                            derive_rng(s, "thm1"))
+    violations = [verify_theorem1_synthetic(oracle, 10_000, derive_rng(s, "thm1"))
                   for s in range(5)]
-    x, d, before, after = counterexample_outside_radius(oracle, 1.0, labels)
+    x, d, before, after = counterexample_outside_radius(oracle)
     wall = time.perf_counter() - t0
     ok = sum(violations) == 0 and before != after and wall < 5.0
     report(4, ok, f"violations={violations} flip={before}->{after} wall={wall:.2f}s")

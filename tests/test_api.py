@@ -1,8 +1,9 @@
-"""The package's export list, the names the demos import from it, and the
-callers of every tensor op."""
+"""The package's export list, the names the demos import from it, the fast
+demos run end to end, and the callers of every tensor op."""
 
 import ast
 import importlib
+import runpy
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ def test_all_names_resolve_and_are_unique():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_imports_from_lipnet_resolve(demo):
-    # demos do not run in the test suite, so a deleted name would break one unseen
+    # the slow demos do not run in the test suite, so a deleted name would break one unseen
     missing = []
     for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and node.level == 0 and (
@@ -34,6 +35,13 @@ def test_demo_imports_from_lipnet_resolve(demo):
                 if a.name.split(".")[0] == "lipnet":
                     importlib.import_module(a.name)
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["01_autodiff_and_gradcheck.py",
+                                  "03_guarantee_and_synthetic_oracle.py"])
+def test_fast_demo_runs(name, capsys):
+    runpy.run_path(str(DEMOS[0].parent / name), run_name="__main__")
+    assert capsys.readouterr().out
 
 
 def test_every_tensor_op_has_a_caller():

@@ -10,6 +10,8 @@ from lipnet import (EvalReport, build_blobs_mlp, build_mnist_model, save_checkpo
 from lipnet import cli
 from lipnet.cli import IDX_STANDARD_NAMES, main
 
+NAN = float("nan")  # json.dumps writes it as NaN, which json.load accepts
+
 BASE_CFG = {
     "dataset": "synthetic_blobs",
     "model": "blobs_mlp",
@@ -288,6 +290,14 @@ def test_grid_rejects_non_positive_workers(tmp_path, capsys):
     ("sweep", {"sweep_sigmas": [0.5, 0.0, 0.5]}, "distinct"),
     ("grid", {"sweep_sigmas": [0.5, 0.0, 0.5]}, "distinct"),
     ("ratio-study", {"sweep_sigmas": [0.5, 0.0, 0.5]}, "distinct"),
+    # every comparison with NaN is false, so each range rule must still reject it
+    ("sweep", {"sweep_sigmas": [0.0, NAN]}, "sweep_sigmas"),
+    ("guarantee", {"l_n": NAN}, "l_n"),
+    ("train", {"lr": NAN}, "lr"),
+    ("train", {"sigma_train": 0.5, "beta": NAN}, "beta"),
+    ("train", {"sigma_train": NAN, "beta": 10.0}, "sigma_train"),
+    ("train", {"lr_drops": [[1, NAN]]}, "lr drop"),
+    ("sensitivity", {"sigma_eval": NAN}, "sigma_eval"),
 ])
 def test_invalid_run_params_are_usage_errors_before_any_output(
         tmp_path, capsys, command, overrides, message):
@@ -311,8 +321,9 @@ def test_guarantee_reports_radius(tmp_path):
     assert run("guarantee", "--config", cfg, "--out", out) == 0
     payload = json.loads((out / "guarantee_report.json").read_text())
     g = payload["guarantee"]
-    assert g["radius"] == pytest.approx(payload["rho"] / 0.01)
+    assert g["radius"] == pytest.approx(g["rho"] / 0.01)
     assert g["label_set_size"] == 10
+    assert set(payload) == {"guarantee"}  # rho is stated once, inside guarantee
 
 
 def test_guarantee_synthetic_oracle_clean(tmp_path):
@@ -321,7 +332,7 @@ def test_guarantee_synthetic_oracle_clean(tmp_path):
     assert run("guarantee", "--config", cfg, "--out", out, "--synthetic") == 0
     synth = json.loads((out / "guarantee_report.json").read_text())["synthetic"]
     assert synth["violations_per_seed"] == [0, 0]
-    assert synth["total_violations"] == 0
+    assert "total_violations" not in synth
     ce = synth["counterexample"]
     assert ce["label_before"] != ce["label_after"]
 
@@ -335,18 +346,40 @@ def test_guarantee_audit_with_checkpoint(tmp_path):
                "--checkpoint", trained / "model.ckpt") == 0
     audit = json.loads((out / "guarantee_report.json").read_text())["audit"]
     assert audit["sigma"] == 0.5
-    assert 0.0 <= audit["fraction_within"] <= 1.0
-    assert audit["fraction_within"] + audit["fraction_exceeding_l_n"] == 1.0
+    assert 0.0 <= audit["fraction_exceeding_l_n"] <= 1.0
+    assert "fraction_within" not in audit
 
 
 def test_guarantee_rejects_non_positive_audit_sigma(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, l_n=0.01, audit_sigma=0.0)
     trained = tmp_path / "trained"
-    assert run("train", "--config", cfg, "--out", trained) == 0
+    assert run("train", "--config", write_cfg(tmp_path), "--out", trained) == 0
+    for sigma in (0.0, NAN):
+        cfg = write_cfg(tmp_path, l_n=0.01, audit_sigma=sigma)
+        out = tmp_path / "g"
+        assert run("guarantee", "--config", cfg, "--out", out,
+                   "--checkpoint", trained / "model.ckpt") == 2
+        assert "audit_sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ({"n_classes": 1}, "n_classes"),
+    ({"n_classes": -1}, "n_classes"),
+    ({"synthetic_l": 0.0}, "synthetic_l"),
+    ({"synthetic_l": NAN}, "synthetic_l"),
+    ({"synthetic_dim": 0}, "synthetic_dim"),
+])
+def test_guarantee_rejects_bad_oracle_config_before_loading_data(
+        tmp_path, capsys, monkeypatch, overrides, key):
+    calls = []
+    monkeypatch.setattr(cli, "synthetic_blobs", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *a: calls.append(a))
+    cfg = write_cfg(tmp_path, l_n=0.01, **overrides)
     out = tmp_path / "g"
     assert run("guarantee", "--config", cfg, "--out", out,
-               "--checkpoint", trained / "model.ckpt") == 2
-    assert "audit_sigma" in capsys.readouterr().err
+               "--checkpoint", tmp_path / "model.ckpt", "--synthetic") == 2
+    assert key in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
 
 
@@ -382,6 +415,18 @@ def test_sensitivity_command(tmp_path):
     ref = payload["metadata"]["reference_cifar10"]
     assert (ref["sigma_train"], ref["beta"], ref["l_n"]) == (87.20, 2.55, -28.89)
     assert payload["baseline"]["lr"] == 0.1
+
+
+@pytest.mark.parametrize("command", ["sensitivity", "ratio-study"])
+def test_init_comes_from_arch_seed(tmp_path, monkeypatch, command):
+    seeds = []
+    real = cli.build_registered
+    monkeypatch.setattr(cli, "build_registered",
+                        lambda name, seed: seeds.append(seed) or real(name, seed))
+    cfg = write_cfg(tmp_path, arch_seed=5, seed=3, ratios=[1.0],
+                    sensitivity_deltas={"control": 1.0})
+    assert run(command, "--config", cfg, "--out", tmp_path / "o") == 0
+    assert seeds and set(seeds) == {5}
 
 
 def test_sensitivity_runs_on_the_default_regularizer(tmp_path):

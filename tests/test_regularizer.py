@@ -347,27 +347,35 @@ def test_sample_in_ball_strictly_inside():
 
 
 def test_verify_theorem1_zero_violations_five_seeds():
-    labels = one_hot_labels(10)
-    oracle = RampClassifier(1.0, labels, dim=2)
+    oracle = RampClassifier(1.0, one_hot_labels(10), dim=2)
     for seed in range(5):
-        v = verify_theorem1_synthetic(oracle, 1.0, labels, 2000,
-                                      derive_rng(seed, "thm1"))
-        assert v == 0
+        assert verify_theorem1_synthetic(oracle, 2000, derive_rng(seed, "thm1")) == 0
 
 
 def test_verify_theorem1_radius_halves_when_l_doubles():
     labels = one_hot_labels(10)
-    rho = compute_rho(labels)
-    assert abs((rho / 2.0) - 0.5 * (rho / 1.0)) < 1e-15
+    one, two = RampClassifier(1.0, labels), RampClassifier(2.0, labels)
+    for seed in range(5):
+        assert verify_theorem1_synthetic(two, 2000, derive_rng(seed, "thm1")) == 0
+    norm_one = np.linalg.norm(counterexample_outside_radius(one)[1])
+    norm_two = np.linalg.norm(counterexample_outside_radius(two)[1])
+    assert norm_two == 0.5 * norm_one
 
 
 def test_counterexample_outside_radius_flips():
     labels = one_hot_labels(10)
     oracle = RampClassifier(0.8, labels, dim=2)
-    x, d, before, after = counterexample_outside_radius(oracle, 0.8, labels)
+    x, d, before, after = counterexample_outside_radius(oracle)
     assert before != after
+    assert oracle.rho == compute_rho(labels)
     np.testing.assert_allclose(np.linalg.norm(d),
                                1.5 * compute_rho(labels) / 0.8, atol=1e-12)
+
+
+@pytest.mark.parametrize("l,dim", [(0.0, 2), (float("nan"), 2), (1.0, 0)])
+def test_ramp_classifier_rejects_bad_l_and_dim(l, dim):
+    with pytest.raises(ValueError, match="RampClassifier"):
+        RampClassifier(l, one_hot_labels(10), dim=dim)
 
 
 def test_audit_constant_model_all_zero():

@@ -182,8 +182,8 @@ def test_ratio_study_shape_and_reproduction(blobs_train, blobs_test):
     hp = HyperParams(lr=0.1, epochs=2, batch_size=10, seed=4)
     ratios = [0.5, 1.0]
     sigmas = [0.0, 0.5]
-    rows = ratio_study(0, blobs_train, blobs_test, ratios, hp, sigmas,
-                       build_blobs_mlp, corruption_seed=777)
+    rows = ratio_study(blobs_train, blobs_test, ratios, hp, sigmas,
+                       lambda: build_blobs_mlp(0), corruption_seed=777)
     assert len(rows) == len(ratios) * len(sigmas)
     assert [r[0] for r in rows] == [0.5, 0.5, 1.0, 1.0]
     # the ratio-1.0 rows must reproduce a direct train+sweep bit for bit
@@ -195,8 +195,8 @@ def test_ratio_study_shape_and_reproduction(blobs_train, blobs_test):
 
 def test_ratio_study_more_data_no_worse(blobs_train, blobs_test):
     hp = HyperParams(lr=0.1, epochs=3, batch_size=10, seed=4)
-    rows = ratio_study(0, blobs_train, blobs_test, [0.1, 1.0], hp, [0.0],
-                       build_blobs_mlp, corruption_seed=777)
+    rows = ratio_study(blobs_train, blobs_test, [0.1, 1.0], hp, [0.0],
+                       lambda: build_blobs_mlp(0), corruption_seed=777)
     acc = {r[0]: r[2] for r in rows}
     assert acc[1.0] >= acc[0.1] - 0.05
 
@@ -204,7 +204,7 @@ def test_ratio_study_more_data_no_worse(blobs_train, blobs_test):
 def test_ratio_study_rejects_bad_ratio(blobs_train, blobs_test):
     hp = HyperParams(lr=0.1, epochs=1, batch_size=10, seed=4)
     with pytest.raises(ValueError, match="ratios"):
-        ratio_study(0, blobs_train, blobs_test, [0.0], hp, [0.0], build_blobs_mlp)
+        ratio_study(blobs_train, blobs_test, [0.0], hp, [0.0], lambda: build_blobs_mlp(0))
 
 
 def quick_sensitivity(blobs_train, blobs_test, deltas):
@@ -212,7 +212,7 @@ def quick_sensitivity(blobs_train, blobs_test, deltas):
         lip=LipschitzParams(sigma_train=0.5, beta=10.0, l_n=0.01),
         lr=0.1, epochs=1, batch_size=20, seed=4)
     return sensitivity(baseline, deltas, blobs_train, blobs_test, 0.5,
-                       build_blobs_mlp, corruption_seed=99), baseline
+                       lambda: build_blobs_mlp(4), corruption_seed=99), baseline
 
 
 def test_sensitivity_control_is_exactly_zero(blobs_train, blobs_test):
