@@ -103,21 +103,27 @@ class ConfigError(ValueError):
     pass
 
 
-def _int_or_none(v):
-    return None if v is None else int(v)
+# None defaults that hold an int when set; every other None default is a path.
+_OPTIONAL_INTS = ("train_limit", "arch_seed")
+# Sizes and counts; each must be at least 1 (train_limit when set).
+_AT_LEAST_ONE = ("train_limit", "synthetic_train_n", "synthetic_test_n",
+                 "synthetic_trials", "synthetic_seeds", "workers", "audit_n")
 
 
-# Numbers the commands read directly, converted once when the config loads, so
-# a value such as "many" is a usage error before any data loads or --out exists.
-_NUMERIC_KEYS = {
-    "train_limit": _int_or_none, "arch_seed": _int_or_none, "seed": int,
-    "synthetic_train_n": int, "synthetic_test_n": int, "synthetic_seed": int,
-    "corruption_seed": int, "workers": int, "n_classes": int, "audit_n": int,
-    "audit_sigma": float, "synthetic_l": float, "synthetic_dim": int,
-    "synthetic_seeds": int, "synthetic_trials": int, "sigma_train": float,
-    "beta": float, "l_n": float, "lr": float, "momentum": float,
-    "train_ratio": float, "epochs": int, "batch_size": int, "sigma_eval": float,
-}
+def _typed(key: str, value):
+    """value as the type of key's default (a float key takes any number), so
+    "many", 2.9, true or "false" is a usage error before any data loads."""
+    default = CONFIG_DEFAULTS[key]
+    if value is None and default is None:
+        return None
+    kind = int if key in _OPTIONAL_INTS else str if default is None else type(default)
+    if kind is float and type(value) in (int, float):
+        return float(value)
+    if type(value) is not kind:
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    if key in _AT_LEAST_ONE and value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
 
 
 def load_config(path, seed_override=None) -> dict:
@@ -140,11 +146,9 @@ def load_config(path, seed_override=None) -> dict:
     else:
         cfg["_explicit_keys"] = []
     if seed_override is not None:
-        cfg["seed"] = int(seed_override)
-    for key, kind in _NUMERIC_KEYS.items():
-        cfg[key] = _checked(key, kind, cfg[key])
-    if cfg["train_limit"] is not None and cfg["train_limit"] < 1:
-        raise ConfigError(f"train_limit must be >= 1, got {cfg['train_limit']}")
+        cfg["seed"] = seed_override
+    for key in CONFIG_DEFAULTS:
+        cfg[key] = _checked(key, _typed, key, cfg[key])
     _checked("model", _registered, cfg["model"])
     return cfg
 
@@ -315,8 +319,6 @@ def cmd_grid(cfg, out: Path) -> int:
     _hp_from_cfg(cfg)  # each cell's run is built from it: fail the grid, not every cell
     sigmas = sorted(_checked("sweep_sigmas", _check_sigmas, cfg["sweep_sigmas"]))
     workers = cfg["workers"]
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     train_ds, test_ds = load_datasets(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -393,8 +395,6 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
     if checkpoint is not None:
         if not cfg["audit_sigma"] > 0:
             raise ConfigError(f"audit_sigma must be > 0, got {cfg['audit_sigma']}")
-        if cfg["audit_n"] < 1:
-            raise ConfigError(f"audit_n must be >= 1, got {cfg['audit_n']}")
         test_ds = _load_split(cfg, "test")
         model = build_registered(cfg["model"], _arch_seed(cfg))
         model = load_checkpoint(model, checkpoint)

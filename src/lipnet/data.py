@@ -8,12 +8,12 @@ import gzip
 import math
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .seeding import derive_rng, seed_repr
+from .seeding import derive_rng
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -37,14 +37,12 @@ class IdxCountMismatchError(IdxError):
 
 @dataclass(frozen=True)
 class Provenance:
+    """A dataset's file or generator and its seed; derived datasets keep it."""
     source: str
-    sigma_test: float = 0.0
-    subset_ratio: float = 1.0
-    seed: int | list[int] | None = None
+    seed: int | None = None
 
     def as_dict(self) -> dict:
-        return {"source": self.source, "sigma_test": self.sigma_test,
-                "subset_ratio": self.subset_ratio, "seed": self.seed}
+        return {"source": self.source, "seed": self.seed}
 
 
 @dataclass
@@ -138,34 +136,32 @@ def save_idx(images_u8: np.ndarray, labels: np.ndarray, images_path, labels_path
 def subsample(ds: LabeledDataset, ratio: float, seed) -> LabeledDataset:
     """Uniform sample without replacement of floor(ratio*N) items.
 
-    Selected indices keep their original relative order, so ratio=1.0 is the
-    identity (same arrays, same order).
+    Selected indices keep their original relative order; a ratio that keeps
+    every sample returns ds itself.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"subsample: ratio must be in (0, 1], got {ratio}")
     size = int(ratio * ds.n)
     if size < 1:
         raise ValueError(f"subsample: ratio {ratio} of {ds.n} samples selects nothing")
+    if size == ds.n:
+        return ds
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.permutation(ds.n)[:size])
-    prov = replace(ds.provenance, subset_ratio=ratio * ds.provenance.subset_ratio)
-    if size == ds.n:
-        return LabeledDataset(ds.images, ds.labels, prov)
-    return LabeledDataset(ds.images[idx], ds.labels[idx], prov)
+    return LabeledDataset(ds.images[idx], ds.labels[idx], ds.provenance)
 
 
 def corrupt(ds: LabeledDataset, sigma_test: float, seed) -> LabeledDataset:
     """Add per-pixel N(0, sigma_test) noise. No clipping: corrupted pixels
     may leave [0,1], which keeps the perturbation norm unbiased. sigma_test=0
-    returns a bit-identical copy. Labels are untouched."""
+    returns ds itself. Labels are untouched."""
     if sigma_test < 0:
         raise ValueError(f"corrupt: sigma_test must be >= 0, got {sigma_test}")
-    prov = replace(ds.provenance, sigma_test=float(sigma_test), seed=seed_repr(seed))
     if sigma_test == 0:
-        return LabeledDataset(ds.images, ds.labels, prov)
+        return ds
     rng = np.random.default_rng(seed)
     noisy = ds.images + rng.normal(0.0, sigma_test, size=ds.images.shape)
-    return LabeledDataset(noisy, ds.labels, prov)
+    return LabeledDataset(noisy, ds.labels, ds.provenance)
 
 
 def batches(ds: LabeledDataset, batch_size: int, shuffle_seed):

@@ -2,7 +2,8 @@
 
 Everything here is deterministic given (seed, hyperparams, data): noise,
 shuffling and subsampling all come from named streams derived from the run
-seed, so reruns produce byte-identical checkpoints and records.
+seed, and test corruption from an explicit corruption seed, so reruns produce
+byte-identical checkpoints and records.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .layers import Model, _eager_probs, checkpoint_bytes
 from .regularizer import LipschitzParams, aggregated_loss, quotient
 from .reports import (EpochRecord, EvalReport, EvalRow, SensitivityEntry,
                       SensitivityReport, StepRecord, TrainRecord)
-from .seeding import derive_int, derive_key, derive_rng, seed_repr
+from .seeding import derive_int, derive_key, derive_rng
 from .tensor import Graph, Tensor, backward
 from .version import VERSION
 
@@ -168,7 +169,7 @@ def _check_sigmas(sigmas) -> list[float]:
     return sigmas
 
 
-def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed,
+def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed: int,
           hyperparams: dict | None = None) -> EvalReport:
     """One evaluation row per test-noise level, rows sorted by sigma.
 
@@ -195,7 +196,7 @@ def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed,
         "hyperparams": hyperparams,
         "model_hash": hashlib.sha256(checkpoint_bytes(model)).hexdigest(),
         "dataset": clean_test.provenance.as_dict(),
-        "corruption_seed": seed_repr(corruption_seed),
+        "corruption_seed": int(corruption_seed),
         "code_version": VERSION,
     }
     return EvalReport(rows, metadata)
@@ -210,16 +211,14 @@ def _check_ratios(ratios) -> list[float]:
 
 
 def ratio_study(ds_train: LabeledDataset, ds_test: LabeledDataset, ratios,
-                hp: HyperParams, sigmas, new_model, corruption_seed=None):
-    """Fresh model + subsampled training set per ratio, swept on the shared
-    corrupted test sets. Returns rows of (ratio, sigma_test, accuracy).
+                hp: HyperParams, sigmas, new_model, corruption_seed: int):
+    """Fresh model + subsampled training set per ratio, each swept on the test
+    sets corrupted from corruption_seed. Returns (ratio, sigma_test, accuracy) rows.
 
     Run seeds are derived from (hp.seed, ratio index); new_model() must build
     the same initial model on every call so only the data amount varies.
     """
     ratios = _check_ratios(ratios)
-    if corruption_seed is None:
-        corruption_seed = derive_int(hp.seed, "ratio-corruption")
     rows = []
     for i, ratio in enumerate(ratios):
         run_hp = replace(hp, train_ratio=ratio, seed=derive_int(hp.seed, "ratio", i))
@@ -244,8 +243,8 @@ def _sensitivity_runs(baseline: HyperParams, deltas: dict) -> list:
     runs = []
     for name in sorted(deltas):
         delta = float(deltas[name])
-        if delta == 0.0:
-            raise ValueError("sensitivity: every delta must be nonzero")
+        if not (math.isfinite(delta) and delta != 0.0):
+            raise ValueError(f"sensitivity: delta {name}={delta} must be finite and nonzero")
         lip = baseline.lip if name == "control" else replace(
             baseline.lip, **{name: getattr(baseline.lip, name) + delta})
         runs.append((name, delta, replace(baseline, lip=lip)))
@@ -254,7 +253,7 @@ def _sensitivity_runs(baseline: HyperParams, deltas: dict) -> list:
 
 def sensitivity(baseline: HyperParams, deltas: dict, train_ds: LabeledDataset,
                 test_ds: LabeledDataset, sigma_eval: float, new_model,
-                corruption_seed=None) -> SensitivityReport:
+                corruption_seed: int) -> SensitivityReport:
     """Finite-difference sensitivity of test accuracy (percentage points) to
     each regularizer hyperparameter at the given test-noise level.
 
@@ -265,8 +264,6 @@ def sensitivity(baseline: HyperParams, deltas: dict, train_ds: LabeledDataset,
     """
     runs = _sensitivity_runs(baseline, deltas)
     _check_sigmas([sigma_eval])
-    if corruption_seed is None:
-        corruption_seed = derive_int(baseline.seed, "sensitivity-corruption")
 
     def run(hp: HyperParams) -> float:
         model, _ = train(new_model(), train_ds, hp)
@@ -280,7 +277,7 @@ def sensitivity(baseline: HyperParams, deltas: dict, train_ds: LabeledDataset,
         entries.append(SensitivityEntry(name, delta, acc_before, acc_after,
                                         (acc_after - acc_before) / delta))
     metadata = {"sigma_eval": float(sigma_eval), "units": "percentage points",
-                "corruption_seed": seed_repr(corruption_seed),
+                "corruption_seed": int(corruption_seed),
                 "code_version": VERSION}
     return SensitivityReport(baseline=baseline.as_dict(), entries=entries,
                              metadata=metadata)

@@ -1,17 +1,60 @@
-"""The package's export list, the names the demos import from it, the fast
-demos run end to end, and the callers of every tensor op."""
+"""The package's export list, the names the demos and the benchmark read
+from it, the fast demos run end to end, and the callers of every tensor op."""
 
 import ast
 import importlib
+import importlib.util
+import json
 import runpy
 from pathlib import Path
 
 import pytest
 
 import lipnet
+from lipnet import cli
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
 PACKAGE = Path(lipnet.__file__).resolve().parent
+# Deleted with the fusion into tensor.affine; the tracer's tables move to
+# affine in the next benchmark change (ROADMAP), and then this list empties.
+STALE_TRACE_NAMES = ["tensor.matmul"]
+
+
+def _unresolved_lipnet_reads(script: Path) -> list[str]:
+    """Names a script imports from lipnet, and attributes it reads from the
+    lipnet modules it imports, that do not resolve."""
+    tree = ast.parse(script.read_text(encoding="utf-8"))
+    modules, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.split(".")[0] == "lipnet"):
+            module = importlib.import_module(node.module)
+            for a in node.names:
+                try:
+                    modules[a.asname or a.name] = importlib.import_module(
+                        f"{node.module}.{a.name}")
+                except ModuleNotFoundError:
+                    if not hasattr(module, a.name):
+                        missing.append(f"{node.module}.{a.name}")
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "lipnet":
+                    importlib.import_module(a.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and not hasattr(modules[node.value.id], node.attr)):
+            missing.append(f"{modules[node.value.id].__name__}.{node.attr}")
+    return missing
+
+
+def _load_script(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_all_names_resolve_and_are_unique():
@@ -23,18 +66,39 @@ def test_all_names_resolve_and_are_unique():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_imports_from_lipnet_resolve(demo):
     # the slow demos do not run in the test suite, so a deleted name would break one unseen
+    assert _unresolved_lipnet_reads(demo) == []
+
+
+@pytest.mark.parametrize("script", BENCHMARKS, ids=lambda p: p.name)
+def test_benchmark_reads_from_lipnet_resolve(script):
+    # the benchmark changes apart from the program and runs only in its own
+    # pipeline, so a renamed name would break it unseen
+    assert _unresolved_lipnet_reads(script) == []
+
+
+def test_benchmark_trace_names_resolve():
+    # the tracer finds its targets by name; a stale one fails or drops its spans
+    tracing = _load_script(ROOT / "benchmarks" / "tracing.py")
+    names = set(tracing.CLOCK_NAMES) | set(tracing.PROBES)
+    names |= {".".join(t) for t in tracing.EXTRA_TARGETS + tracing.METHOD_TARGETS}
     missing = []
-    for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
-                node.module == "lipnet" or node.module.startswith("lipnet.")):
-            module = importlib.import_module(node.module)
-            missing += [f"{node.module}.{a.name}" for a in node.names
-                        if not hasattr(module, a.name)]
-        elif isinstance(node, ast.Import):
-            for a in node.names:
-                if a.name.split(".")[0] == "lipnet":
-                    importlib.import_module(a.name)
-    assert missing == []
+    for name in sorted(names):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"lipnet.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert missing == STALE_TRACE_NAMES
+
+
+def test_benchmark_grid_config_loads(tmp_path):
+    workloads = _load_script(ROOT / "benchmarks" / "workloads.py")
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(workloads.GridWorkload()._config(0, 1500, 500, 2)),
+                    encoding="utf-8")
+    cfg = cli.load_config(path)
+    assert (cfg["workers"], cfg["synthetic_train_n"], cfg["epochs"]) == (2, 1500, 2)
 
 
 @pytest.mark.parametrize("name", ["01_autodiff_and_gradcheck.py",

@@ -11,6 +11,7 @@ from lipnet import cli
 from lipnet.cli import IDX_STANDARD_NAMES, main
 
 NAN = float("nan")  # json.dumps writes it as NaN, which json.load accepts
+INF = float("inf")  # and this one as Infinity
 
 BASE_CFG = {
     "dataset": "synthetic_blobs",
@@ -298,6 +299,20 @@ def test_grid_rejects_non_positive_workers(tmp_path, capsys):
     ("train", {"sigma_train": NAN, "beta": 10.0}, "sigma_train"),
     ("train", {"lr_drops": [[1, NAN]]}, "lr drop"),
     ("sensitivity", {"sigma_eval": NAN}, "sigma_eval"),
+    ("sensitivity", {"sensitivity_deltas": {"control": NAN}}, "finite"),
+    ("sensitivity", {"sensitivity_deltas": {"beta": INF}}, "finite"),
+    ("sensitivity", {"sensitivity_deltas": {"beta": -INF}}, "finite"),
+    # sizes and counts are at least 1
+    ("train", {"synthetic_train_n": 0}, "synthetic_train_n"),
+    ("train", {"synthetic_train_n": -5}, "synthetic_train_n"),
+    ("sweep", {"synthetic_test_n": 0}, "synthetic_test_n"),
+    ("guarantee", {"l_n": 0.01, "synthetic_trials": -1}, "synthetic_trials"),
+    ("guarantee", {"l_n": 0.01, "synthetic_seeds": 0}, "synthetic_seeds"),
+    # a key's type is its default's: no truncated float, no bool as an int
+    ("train", {"epochs": 2.9}, "epochs"),
+    ("train", {"epochs": True}, "epochs"),
+    ("train", {"lr": "0.05"}, "lr"),
+    ("grid", {"grid_include_standard": "false"}, "grid_include_standard"),
 ])
 def test_invalid_run_params_are_usage_errors_before_any_output(
         tmp_path, capsys, command, overrides, message):
@@ -368,6 +383,8 @@ def test_guarantee_rejects_non_positive_audit_sigma(tmp_path, capsys):
     ({"synthetic_l": 0.0}, "synthetic_l"),
     ({"synthetic_l": NAN}, "synthetic_l"),
     ({"synthetic_dim": 0}, "synthetic_dim"),
+    ({"synthetic_trials": -1}, "synthetic_trials"),
+    ({"synthetic_seeds": 0}, "synthetic_seeds"),
 ])
 def test_guarantee_rejects_bad_oracle_config_before_loading_data(
         tmp_path, capsys, monkeypatch, overrides, key):

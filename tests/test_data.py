@@ -144,15 +144,14 @@ def test_corrupt_sigma_zero_bit_identical():
     ds = synthetic_digits(10, seed=1)
     out = corrupt(ds, 0.0, seed=4)
     assert out.images.tobytes() == ds.images.tobytes()
-    assert out.provenance.sigma_test == 0.0
+    assert out is ds
 
 
-def test_corrupt_records_seed_losslessly():
-    ds = synthetic_blobs(4, seed=0)
-    key = derive_key(3, "sigma", "0.5")
-    assert corrupt(ds, 0.5, key).provenance.seed == key
-    assert corrupt(ds, 0.5, np.int64(7)).provenance.seed == 7
-    assert corrupt(ds, 0.0, None).provenance.seed is None
+def test_derived_datasets_keep_the_generator_provenance():
+    ds = synthetic_blobs(40, seed=3)
+    assert ds.provenance.as_dict() == {"source": "synthetic_blobs", "seed": 3}
+    assert corrupt(ds, 0.5, derive_key(3, "sigma", "0.5")).provenance is ds.provenance
+    assert subsample(ds, 0.5, seed=9).provenance is ds.provenance
 
 
 def test_corrupt_is_seeded_and_unclipped():

@@ -204,7 +204,8 @@ def test_ratio_study_more_data_no_worse(blobs_train, blobs_test):
 def test_ratio_study_rejects_bad_ratio(blobs_train, blobs_test):
     hp = HyperParams(lr=0.1, epochs=1, batch_size=10, seed=4)
     with pytest.raises(ValueError, match="ratios"):
-        ratio_study(blobs_train, blobs_test, [0.0], hp, [0.0], lambda: build_blobs_mlp(0))
+        ratio_study(blobs_train, blobs_test, [0.0], hp, [0.0], lambda: build_blobs_mlp(0),
+                    corruption_seed=777)
 
 
 def quick_sensitivity(blobs_train, blobs_test, deltas):
