@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from .data import (LabeledDataset, load_idx, synthetic_blobs, synthetic_digits)
 from .ioutil import atomic_write_text
-from .layers import _registered, build_registered, load_checkpoint, save_checkpoint
+from .layers import build_registered, load_checkpoint, save_checkpoint
 from .regularizer import (COUNTEREXAMPLE_SCALE, LipschitzParams, RampClassifier,
                           audit_empirical_k, counterexample_outside_radius, guarantee,
                           one_hot_labels, verify_theorem1_synthetic)
@@ -105,24 +105,39 @@ class ConfigError(ValueError):
 
 # None defaults that hold an int when set; every other None default is a path.
 _OPTIONAL_INTS = ("train_limit", "arch_seed")
-# Sizes and counts; each must be at least 1 (train_limit when set).
-_AT_LEAST_ONE = ("train_limit", "synthetic_train_n", "synthetic_test_n",
-                 "synthetic_trials", "synthetic_seeds", "workers", "audit_n")
+# Sizes, counts and the audit noise level; each must be > 0 (train_limit when set).
+_POSITIVE = ("train_limit", "synthetic_train_n", "synthetic_test_n", "synthetic_trials",
+             "synthetic_seeds", "workers", "audit_n", "audit_sigma")
+
+
+def _as(kind: type, value):
+    """value as kind: a float is any finite JSON number, anything else must be
+    exactly kind, so "many", 2.9, true or "false" is a usage error."""
+    # the bound is False for NaN, ±Infinity and an int too large for a float
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind is float or type(value) is not kind:
+        wanted = "a finite number" if kind is float else kind.__name__
+        raise ValueError(f"expected {wanted}, got {value!r}")
+    return value
 
 
 def _typed(key: str, value):
-    """value as the type of key's default (a float key takes any number), so
-    "many", 2.9, true or "false" is a usage error before any data loads."""
+    """value as the type of key's default, elements included: every list but
+    lr_drops holds floats, lr_drops [int, float] pairs, the deltas floats."""
     default = CONFIG_DEFAULTS[key]
     if value is None and default is None:
         return None
-    kind = int if key in _OPTIONAL_INTS else str if default is None else type(default)
-    if kind is float and type(value) in (int, float):
-        return float(value)
-    if type(value) is not kind:
-        raise ValueError(f"expected {kind.__name__}, got {value!r}")
-    if key in _AT_LEAST_ONE and value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
+    value = _as(int if key in _OPTIONAL_INTS else str if default is None else type(default),
+                value)
+    if key == "lr_drops":
+        return [[_as(int, e), _as(float, f)] for e, f in (_as(list, d) for d in value)]
+    if type(value) is list:
+        return [_as(float, v) for v in value]
+    if type(value) is dict:
+        return {name: _as(float, v) for name, v in value.items()}
+    if key in _POSITIVE and not value > 0:
+        raise ValueError(f"must be > 0, got {value}")
     return value
 
 
@@ -149,7 +164,19 @@ def load_config(path, seed_override=None) -> dict:
         cfg["seed"] = seed_override
     for key in CONFIG_DEFAULTS:
         cfg[key] = _checked(key, _typed, key, cfg[key])
-    _checked("model", _registered, cfg["model"])
+    # Every key's library rule runs here, for every command, so a mistake in
+    # any key exits 2 before anything loads, trains or is written.
+    if cfg["dataset"] not in ("idx", "synthetic_digits", "synthetic_blobs"):
+        raise ConfigError(f"unknown dataset kind: {cfg['dataset']!r} (config key 'dataset')")
+    _checked("model/seed/arch_seed", build_registered, cfg["model"], _arch_seed(cfg))
+    _checked("lr/epochs/batch_size/lr_drops/train_ratio/momentum/sigma_train/beta/l_n",
+             _hp_from_cfg, cfg)
+    _checked("grid_sigma_train/grid_beta/grid_l_n", _grid_cells, cfg)
+    _checked("sweep_sigmas", _check_sigmas, cfg["sweep_sigmas"])
+    _checked("sigma_eval", _check_sigmas, [cfg["sigma_eval"]])
+    _checked("ratios", _check_ratios, cfg["ratios"])
+    _checked("n_classes/synthetic_l/synthetic_dim", lambda: RampClassifier(
+        cfg["synthetic_l"], one_hot_labels(cfg["n_classes"]), cfg["synthetic_dim"]))
     return cfg
 
 
@@ -157,29 +184,15 @@ def _checked(key: str, rule, *args):
     """rule(*args), whose ValueError is a mistake in config key `key` (exit 2)."""
     try:
         return rule(*args)
-    except (TypeError, ValueError, OverflowError) as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"{e} (config key {key!r})") from None
 
 
-def _lip_params(sigma_train, beta, l_n) -> LipschitzParams:
-    # Every LipschitzParams built from the config comes from here, so a bad
-    # value exits with the usage code before anything trains or is written.
-    try:
-        return LipschitzParams(float(sigma_train), float(beta), float(l_n))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from None
-
-
 def _hp_from_cfg(cfg) -> HyperParams:
-    # Bad values are config mistakes, so they exit with the usage code.
-    lip = _lip_params(cfg["sigma_train"], cfg["beta"], cfg["l_n"])
-    try:
-        return HyperParams(lip=lip, lr=cfg["lr"], epochs=cfg["epochs"],
-                           batch_size=cfg["batch_size"], lr_drops=cfg["lr_drops"],
-                           train_ratio=cfg["train_ratio"], seed=cfg["seed"],
-                           momentum=cfg["momentum"])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e))
+    return HyperParams(lip=LipschitzParams(cfg["sigma_train"], cfg["beta"], cfg["l_n"]),
+                       lr=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
+                       lr_drops=cfg["lr_drops"], train_ratio=cfg["train_ratio"],
+                       seed=cfg["seed"], momentum=cfg["momentum"])
 
 
 def _resolve_idx_path(cfg, key):
@@ -208,11 +221,9 @@ def _load_split(cfg, split: str) -> LabeledDataset:
     if kind == "idx":
         ds = load_idx(_resolve_idx_path(cfg, f"{split}_images"),
                       _resolve_idx_path(cfg, f"{split}_labels"))
-    elif kind in ("synthetic_digits", "synthetic_blobs"):
+    else:
         maker = synthetic_digits if kind == "synthetic_digits" else synthetic_blobs
         ds = maker(cfg[f"synthetic_{split}_n"], derive_int(cfg["synthetic_seed"], split))
-    else:
-        raise ConfigError(f"unknown dataset kind: {kind!r}")
     n = cfg["train_limit"]
     if split == "train" and n is not None and n < ds.n:
         ds = LabeledDataset(ds.images[:n], ds.labels[:n], ds.provenance)
@@ -256,15 +267,12 @@ def cmd_train(cfg, out: Path) -> int:
 
 
 def cmd_sweep(cfg, out: Path, checkpoint=None) -> int:
-    hp = _hp_from_cfg(cfg)
-    _checked("sweep_sigmas", _check_sigmas, cfg["sweep_sigmas"])
     if checkpoint is None:
         raise ConfigError("sweep needs --checkpoint")
     test_ds = _load_split(cfg, "test")
-    model = build_registered(cfg["model"], _arch_seed(cfg))
-    model = load_checkpoint(model, checkpoint)
+    model = load_checkpoint(build_registered(cfg["model"], _arch_seed(cfg)), checkpoint)
     report = sweep(model, test_ds, cfg["sweep_sigmas"], cfg["corruption_seed"],
-                   hyperparams=hp.as_dict())
+                   hyperparams=_hp_from_cfg(cfg).as_dict())
     out.mkdir(parents=True, exist_ok=True)
     write_eval_report(report, out)
     _write_resolved_config(cfg, out, "sweep")
@@ -281,19 +289,19 @@ def _cell_name(lip: LipschitzParams) -> str:
 def _grid_cells(cfg):
     cells = []
     if cfg["grid_include_standard"]:
-        cells.append(_lip_params(0.0, 0.0, cfg["l_n"]))
+        cells.append(LipschitzParams(0.0, 0.0, cfg["l_n"]))
     for s in cfg["grid_sigma_train"]:
         for b in cfg["grid_beta"]:
             for l in cfg["grid_l_n"]:
-                cells.append(_lip_params(s, b, l))
+                cells.append(LipschitzParams(s, b, l))
     if not cells:
-        raise ConfigError("grid is empty: no standard baseline and no cells")
+        raise ValueError("grid is empty: no standard baseline and no cells")
     names = [_cell_name(lip) for lip in cells]
     shared = sorted({n for n in names if names.count(n) > 1})
     if shared:
-        raise ConfigError(f"grid cells share a directory name: {shared}; axis values "
-                          f"must differ in their %g form, and every beta-0 cell "
-                          f"is named 'standard'")
+        raise ValueError(f"grid cells share a directory name: {shared}; axis values "
+                         f"must differ in their %g form, and every beta-0 cell "
+                         f"is named 'standard'")
     return cells
 
 
@@ -316,8 +324,7 @@ def cmd_grid(cfg, out: Path) -> int:
     baseline. Cells with a DONE marker are skipped, so an interrupted grid
     resumes; per-cell failures are recorded and the other cells continue."""
     cells = _grid_cells(cfg)
-    _hp_from_cfg(cfg)  # each cell's run is built from it: fail the grid, not every cell
-    sigmas = sorted(_checked("sweep_sigmas", _check_sigmas, cfg["sweep_sigmas"]))
+    sigmas = sorted(cfg["sweep_sigmas"])
     workers = cfg["workers"]
     train_ds, test_ds = load_datasets(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -367,8 +374,8 @@ def cmd_grid(cfg, out: Path) -> int:
 def cmd_sensitivity(cfg, out: Path) -> int:
     baseline = _hp_from_cfg(cfg)
     deltas = cfg["sensitivity_deltas"]
+    # the shifted runs depend on the baseline, so this rule cannot run at load
     _checked("sensitivity_deltas", _sensitivity_runs, baseline, deltas)
-    _checked("sigma_eval", _check_sigmas, [cfg["sigma_eval"]])
     train_ds, test_ds = load_datasets(cfg)
     report = sensitivity(baseline, deltas, train_ds, test_ds, cfg["sigma_eval"],
                          lambda: build_registered(cfg["model"], _arch_seed(cfg)),
@@ -385,24 +392,18 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
         raise ConfigError("guarantee requires an explicit 'l_n' config key "
                           "(plus optional: n_classes, audit_sigma, audit_n, "
                           "synthetic_trials, synthetic_seeds, synthetic_l, synthetic_dim)")
-    lip = _lip_params(0.0, 0.0, cfg["l_n"])
-    labels = _checked("n_classes", one_hot_labels, cfg["n_classes"])
-    payload = {"guarantee": _checked("n_classes", guarantee, lip, labels).as_dict()}
-    if synthetic:
-        oracle = _checked("synthetic_l/synthetic_dim", RampClassifier,
-                          cfg["synthetic_l"], labels, cfg["synthetic_dim"])
+    labels = one_hot_labels(cfg["n_classes"])
+    payload = {"guarantee": guarantee(LipschitzParams(l_n=cfg["l_n"]), labels).as_dict()}
 
     if checkpoint is not None:
-        if not cfg["audit_sigma"] > 0:
-            raise ConfigError(f"audit_sigma must be > 0, got {cfg['audit_sigma']}")
         test_ds = _load_split(cfg, "test")
-        model = build_registered(cfg["model"], _arch_seed(cfg))
-        model = load_checkpoint(model, checkpoint)
+        model = load_checkpoint(build_registered(cfg["model"], _arch_seed(cfg)), checkpoint)
         stats = audit_empirical_k(model, test_ds, cfg["audit_sigma"], cfg["audit_n"],
-                                  derive_rng(cfg["seed"], "audit"), l_n=lip.l_n)
+                                  derive_rng(cfg["seed"], "audit"), l_n=cfg["l_n"])
         payload["audit"] = dict(stats.as_dict(), sigma=cfg["audit_sigma"])
 
     if synthetic:
+        oracle = RampClassifier(cfg["synthetic_l"], labels, cfg["synthetic_dim"])
         per_seed = [verify_theorem1_synthetic(oracle, cfg["synthetic_trials"],
                                               derive_rng(cfg["seed"], "thm1", i))
                     for i in range(cfg["synthetic_seeds"])]
@@ -423,10 +424,8 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
 
 def cmd_ratio_study(cfg, out: Path) -> int:
     hp = _hp_from_cfg(cfg)
-    ratios = _checked("ratios", _check_ratios, cfg["ratios"])
-    _checked("sweep_sigmas", _check_sigmas, cfg["sweep_sigmas"])
     train_ds, test_ds = load_datasets(cfg)
-    rows = ratio_study(train_ds, test_ds, ratios, hp, cfg["sweep_sigmas"],
+    rows = ratio_study(train_ds, test_ds, cfg["ratios"], hp, cfg["sweep_sigmas"],
                        lambda: build_registered(cfg["model"], _arch_seed(cfg)),
                        corruption_seed=cfg["corruption_seed"])
     out.mkdir(parents=True, exist_ok=True)

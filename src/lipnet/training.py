@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -58,7 +59,7 @@ class HyperParams:
             raise ValueError(f"train_ratio must be in (0, 1], got {self.train_ratio}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        drops = tuple((int(e), float(f)) for e, f in self.lr_drops)
+        drops = tuple((operator.index(e), float(f)) for e, f in self.lr_drops)
         object.__setattr__(self, "lr_drops", drops)
         last = 0
         for e, f in drops:

@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes, resume."""
 
+import contextlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lipnet import (EvalReport, build_blobs_mlp, build_mnist_model, save_checkpoint,
                     save_idx)
@@ -35,6 +40,38 @@ def write_cfg(tmp_path, name="cfg.json", **overrides):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_command(command, cfg, out, checkpoint):
+    """command is a subcommand and its flags, as in "guarantee --checkpoint
+    --synthetic"; --checkpoint is given the checkpoint path."""
+    name, *flags = command.split()
+    flags = [a for f in flags for a in ([f, checkpoint] if f == "--checkpoint" else [f])]
+    return run(name, "--config", cfg, "--out", out, *flags)
+
+
+@contextlib.contextmanager
+def counted_loaders():
+    """Pass-through wrappers that record every data generation and checkpoint load."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("synthetic_blobs", "load_checkpoint"):
+            real = getattr(cli, name)
+            mp.setattr(cli, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        yield calls
+
+
+@pytest.fixture()
+def loader_calls():
+    with counted_loaders() as calls:
+        yield calls
+
+
+@pytest.fixture(scope="session")
+def blobs_ckpt(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(build_blobs_mlp(seed=0), path)
+    return path
 
 
 def test_train_writes_artifacts_and_resolved_config(tmp_path):
@@ -89,44 +126,11 @@ def test_sweep_without_checkpoint_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-def test_sweep_empty_sigmas_is_usage_error(tmp_path):
-    cfg = write_cfg(tmp_path, sweep_sigmas=[])
-    assert run("sweep", "--config", cfg, "--out", tmp_path / "x",
-               "--checkpoint", tmp_path / "nope.ckpt") == 2
-
-
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, learning_rate=0.1)  # typo for lr
     assert run("train", "--config", cfg, "--out", tmp_path / "x") == 2
     err = capsys.readouterr().err
     assert "learning_rate" in err and err.count("\n") == 1
-    assert not (tmp_path / "x").exists()
-
-
-def test_invalid_hyperparam_is_usage_error(tmp_path):
-    cfg = write_cfg(tmp_path, lr=-1.0)
-    assert run("train", "--config", cfg, "--out", tmp_path / "x") == 2
-    assert not (tmp_path / "x").exists()
-
-
-@pytest.mark.parametrize("overrides", [{"lr": -1.0}, {"train_limit": 0}, {"model": "foo"}])
-def test_train_rejects_bad_config_before_loading_data(tmp_path, monkeypatch, overrides):
-    calls = []
-    monkeypatch.setattr(cli, "synthetic_blobs", lambda *a: calls.append(a))
-    cfg = write_cfg(tmp_path, **overrides)
-    assert run("train", "--config", cfg, "--out", tmp_path / "x") == 2
-    assert calls == []
-    assert not (tmp_path / "x").exists()
-
-
-def test_sweep_rejects_bad_config_before_loading_data(tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "synthetic_blobs", lambda *a: calls.append(a))
-    monkeypatch.setattr(cli, "load_checkpoint", lambda *a: calls.append(a))
-    cfg = write_cfg(tmp_path, lr=-1.0)
-    assert run("sweep", "--config", cfg, "--out", tmp_path / "x",
-               "--checkpoint", tmp_path / "model.ckpt") == 2
-    assert calls == []
     assert not (tmp_path / "x").exists()
 
 
@@ -250,14 +254,6 @@ def test_grid_cells_sharing_a_directory_are_usage_error(tmp_path, capsys, axes):
     assert not out.exists()
 
 
-def test_grid_rejects_non_positive_workers(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, workers=0)
-    out = tmp_path / "grid"
-    assert run("grid", "--config", cfg, "--out", out) == 2
-    assert "workers" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command,overrides,message", [
     ("grid", {"grid_sigma_train": [0.0], "grid_beta": [10.0]}, "sigma_train"),
     ("grid", {"grid_l_n": [-1.0]}, "l_n"),
@@ -297,7 +293,7 @@ def test_grid_rejects_non_positive_workers(tmp_path, capsys):
     ("train", {"lr": NAN}, "lr"),
     ("train", {"sigma_train": 0.5, "beta": NAN}, "beta"),
     ("train", {"sigma_train": NAN, "beta": 10.0}, "sigma_train"),
-    ("train", {"lr_drops": [[1, NAN]]}, "lr drop"),
+    ("train", {"lr_drops": [[1, NAN]]}, "lr_drops"),
     ("sensitivity", {"sigma_eval": NAN}, "sigma_eval"),
     ("sensitivity", {"sensitivity_deltas": {"control": NAN}}, "finite"),
     ("sensitivity", {"sensitivity_deltas": {"beta": INF}}, "finite"),
@@ -313,15 +309,93 @@ def test_grid_rejects_non_positive_workers(tmp_path, capsys):
     ("train", {"epochs": True}, "epochs"),
     ("train", {"lr": "0.05"}, "lr"),
     ("grid", {"grid_include_standard": "false"}, "grid_include_standard"),
+    # the flags are those a command needs to reach the code that reads the key
+    ("train", {"lr": -1.0}, "lr"),
+    ("train", {"train_limit": 0}, "train_limit"),
+    ("train", {"model": "foo"}, "model"),
+    ("sweep --checkpoint", {"lr": -1.0}, "lr"),
+    ("sweep --checkpoint", {"sweep_sigmas": []}, "sweep_sigmas"),
+    ("grid", {"workers": 0}, "workers"),
+    ("guarantee --checkpoint", {"l_n": 0.01, "audit_sigma": 0.0}, "audit_sigma"),
+    ("guarantee --checkpoint", {"l_n": 0.01, "audit_sigma": NAN}, "audit_sigma"),
+    ("guarantee --checkpoint", {"l_n": 0.01, "audit_n": 0}, "audit_n"),
+    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "n_classes": 1}, "n_classes"),
+    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "n_classes": -1}, "n_classes"),
+    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "synthetic_l": 0.0}, "synthetic_l"),
+    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "synthetic_l": NAN}, "synthetic_l"),
+    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "synthetic_dim": 0}, "synthetic_dim"),
+    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "synthetic_trials": -1},
+     "synthetic_trials"),
+    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "synthetic_seeds": 0},
+     "synthetic_seeds"),
+    # every float is finite, so Infinity fails its type, not a run
+    ("train", {"lr": INF}, "lr"),
+    ("train", {"sigma_train": 0.5, "beta": INF}, "beta"),
+    ("guarantee --synthetic", {"l_n": 0.01, "synthetic_l": INF}, "synthetic_l"),
+    ("sweep --checkpoint", {"sweep_sigmas": [INF]}, "sweep_sigmas"),
+    ("grid", {"grid_l_n": [INF]}, "grid_l_n"),
+    ("sensitivity", {"sigma_eval": INF}, "sigma_eval"),
+    ("guarantee", {"l_n": INF}, "l_n"),
+    # list and dict elements are floats: no string, no bool
+    ("sweep --checkpoint", {"sweep_sigmas": ["0.5"]}, "sweep_sigmas"),
+    ("sweep --checkpoint", {"sweep_sigmas": [True, 0.0]}, "sweep_sigmas"),
+    ("ratio-study", {"ratios": [True]}, "ratios"),
+    ("grid", {"grid_beta": ["10"]}, "grid_beta"),
+    ("sensitivity", {"sensitivity_deltas": {"beta": True}}, "sensitivity_deltas"),
+    # a key's rule runs for every command, also one that never reads the key
+    ("guarantee", {"l_n": 0.01, "lr": -1.0}, "lr"),
+    ("guarantee", {"l_n": 0.01, "dataset": "foo"}, "dataset"),
+    ("guarantee", {"l_n": 0.01, "sigma_train": 0.0, "beta": 10.0}, "sigma_train"),
+    # an lr drop epoch is an int, never truncated
+    ("train", {"lr_drops": [[1.9, 10.0]]}, "lr_drops"),
+    ("train", {"lr_drops": [[True, 10.0]]}, "lr_drops"),
+    # a negative seed fails the model build at load, before the data loads
+    ("train", {"seed": -1}, "seed"),
+    ("sensitivity", {"arch_seed": -1}, "arch_seed"),
+    ("train --seed -1", {}, "seed"),
 ])
 def test_invalid_run_params_are_usage_errors_before_any_output(
-        tmp_path, capsys, command, overrides, message):
+        tmp_path, capsys, loader_calls, blobs_ckpt, command, overrides, message):
     cfg = write_cfg(tmp_path, **overrides)
     out = tmp_path / "x"
-    assert run(command, "--config", cfg, "--out", out) == 2
+    assert run_command(command, cfg, out, blobs_ckpt) == 2
     err = capsys.readouterr().err
     assert message in err and "ValueError" not in err
+    assert loader_calls == []
     assert not out.exists()
+
+
+# Small enough that every command runs in milliseconds: one grid cell, one
+# ratio, one delta, and few synthetic trials and audit samples.
+TINY_CFG = dict(BASE_CFG, synthetic_train_n=40, synthetic_test_n=20, l_n=0.01,
+                grid_include_standard=False, grid_sigma_train=[0.5], grid_beta=[10.0],
+                grid_l_n=[0.01], ratios=[1.0], sensitivity_deltas={"control": 1.0},
+                synthetic_trials=50, synthetic_seeds=1, audit_n=10)
+ALL_COMMANDS = ("train", "sweep --checkpoint", "grid", "ratio-study", "sensitivity",
+                "guarantee --checkpoint --synthetic")
+# (value, is_mistake): a mistake is never valid for any key, and "wrong type"
+# is True, or "x" for the one bool key; the others are valid for some keys.
+MUTATIONS = [(m, True) for m in ("wrong type", NAN, INF, -INF, [True], ["x"])]
+MUTATIONS += [(m, False) for m in (0, -1, [])]
+
+
+@given(key=st.sampled_from(sorted(cli.CONFIG_DEFAULTS)), mutation=st.sampled_from(MUTATIONS))
+def test_config_mutation_is_a_usage_error_or_runs(blobs_ckpt, key, mutation):
+    """Setting one key to one mutation never exits 1. A mistake exits 2, and
+    every exit 2 comes before any output and any data or checkpoint load."""
+    mutation, is_mistake = mutation
+    if mutation == "wrong type":
+        mutation = "x" if type(cli.CONFIG_DEFAULTS[key]) is bool else True
+    with tempfile.TemporaryDirectory() as tmp, counted_loaders() as calls:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(dict(TINY_CFG, **{key: mutation})), encoding="utf-8")
+        for command in ALL_COMMANDS:
+            out = Path(tmp) / command.split()[0]
+            calls.clear()
+            code = run_command(command, cfg, out, blobs_ckpt)
+            assert code == 2 if is_mistake else code in (0, 2), (command, code)
+            if code == 2:
+                assert calls == [] and not out.exists(), command
 
 
 def test_guarantee_requires_explicit_l_n(tmp_path, capsys):
@@ -363,51 +437,6 @@ def test_guarantee_audit_with_checkpoint(tmp_path):
     assert audit["sigma"] == 0.5
     assert 0.0 <= audit["fraction_exceeding_l_n"] <= 1.0
     assert "fraction_within" not in audit
-
-
-def test_guarantee_rejects_non_positive_audit_sigma(tmp_path, capsys):
-    trained = tmp_path / "trained"
-    assert run("train", "--config", write_cfg(tmp_path), "--out", trained) == 0
-    for sigma in (0.0, NAN):
-        cfg = write_cfg(tmp_path, l_n=0.01, audit_sigma=sigma)
-        out = tmp_path / "g"
-        assert run("guarantee", "--config", cfg, "--out", out,
-                   "--checkpoint", trained / "model.ckpt") == 2
-        assert "audit_sigma" in capsys.readouterr().err
-        assert not out.exists()
-
-
-@pytest.mark.parametrize("overrides,key", [
-    ({"n_classes": 1}, "n_classes"),
-    ({"n_classes": -1}, "n_classes"),
-    ({"synthetic_l": 0.0}, "synthetic_l"),
-    ({"synthetic_l": NAN}, "synthetic_l"),
-    ({"synthetic_dim": 0}, "synthetic_dim"),
-    ({"synthetic_trials": -1}, "synthetic_trials"),
-    ({"synthetic_seeds": 0}, "synthetic_seeds"),
-])
-def test_guarantee_rejects_bad_oracle_config_before_loading_data(
-        tmp_path, capsys, monkeypatch, overrides, key):
-    calls = []
-    monkeypatch.setattr(cli, "synthetic_blobs", lambda *a: calls.append(a))
-    monkeypatch.setattr(cli, "load_checkpoint", lambda *a: calls.append(a))
-    cfg = write_cfg(tmp_path, l_n=0.01, **overrides)
-    out = tmp_path / "g"
-    assert run("guarantee", "--config", cfg, "--out", out,
-               "--checkpoint", tmp_path / "model.ckpt", "--synthetic") == 2
-    assert key in capsys.readouterr().err
-    assert calls == []
-    assert not out.exists()
-
-
-def test_guarantee_rejects_audit_n_below_one(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, l_n=0.01, audit_n=0)
-    save_checkpoint(build_blobs_mlp(seed=0), tmp_path / "model.ckpt")
-    out = tmp_path / "g"
-    assert run("guarantee", "--config", cfg, "--out", out,
-               "--checkpoint", tmp_path / "model.ckpt") == 2
-    assert "audit_n" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_ratio_study_command(tmp_path):

@@ -61,6 +61,13 @@ def test_hyperparams_lr_drops_rules():
     assert hp.lr_drops == ((2, 10.0), (4, 2.0))
 
 
+@pytest.mark.parametrize("epoch", [2.9, 2.0, "2"])
+def test_lr_drop_epoch_must_be_an_int(epoch):
+    # int() would read 2.9 as epoch 2 and drop the rate a whole epoch early
+    with pytest.raises(TypeError):
+        HyperParams(epochs=3, lr_drops=[[epoch, 10.0]])
+
+
 def test_train_blobs_to_high_accuracy(blobs_train, blobs_test, quick_hp):
     model, record = train(build_blobs_mlp(seed=0), blobs_train, quick_hp)
     assert evaluate(model, blobs_test)["accuracy"] >= 0.99
