@@ -29,7 +29,7 @@ from .reports import (EvalReport, write_eval_report, write_json,
                       write_ratio_table, write_sensitivity_report,
                       write_train_record)
 from .seeding import derive_int, derive_rng
-from .training import (HyperParams, _check_ratios, _check_sigmas,
+from .training import (HyperParams, _check_deltas, _check_ratios, _check_sigmas,
                        _sensitivity_runs, ratio_study, sensitivity, sweep, train)
 from .version import VERSION
 
@@ -175,6 +175,7 @@ def load_config(path, seed_override=None) -> dict:
     _checked("sweep_sigmas", _check_sigmas, cfg["sweep_sigmas"])
     _checked("sigma_eval", _check_sigmas, [cfg["sigma_eval"]])
     _checked("ratios", _check_ratios, cfg["ratios"])
+    _checked("sensitivity_deltas", _check_deltas, cfg["sensitivity_deltas"])
     _checked("n_classes/synthetic_l/synthetic_dim", lambda: RampClassifier(
         cfg["synthetic_l"], one_hot_labels(cfg["n_classes"]), cfg["synthetic_dim"]))
     return cfg
@@ -374,7 +375,7 @@ def cmd_grid(cfg, out: Path) -> int:
 def cmd_sensitivity(cfg, out: Path) -> int:
     baseline = _hp_from_cfg(cfg)
     deltas = cfg["sensitivity_deltas"]
-    # the shifted runs depend on the baseline, so this rule cannot run at load
+    # the shifted runs depend on the baseline, so they cannot be checked at load
     _checked("sensitivity_deltas", _sensitivity_runs, baseline, deltas)
     train_ds, test_ds = load_datasets(cfg)
     report = sensitivity(baseline, deltas, train_ds, test_ds, cfg["sigma_eval"],

@@ -10,7 +10,6 @@ brute sampling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,13 +166,9 @@ def compute_rho(labels) -> float:
     m = distinct.shape[0]
     if m < 2:
         raise ValueError(f"compute_rho: needs >= 2 distinct labels, got {m}")
-    best = math.inf
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = float(np.linalg.norm(distinct[i] - distinct[j]))
-            if d < best:
-                best = d
-    return 0.5 * best
+    best = min(np.linalg.norm(distinct[i + 1:] - distinct[i], axis=1).min()
+               for i in range(m - 1))
+    return 0.5 * float(best)
 
 
 def one_hot_labels(n_classes: int) -> np.ndarray:

@@ -232,20 +232,28 @@ def ratio_study(ds_train: LabeledDataset, ds_test: LabeledDataset, ratios,
 SENSITIVITY_PARAMS = ("sigma_train", "beta", "l_n", "control")
 
 
-def _sensitivity_runs(baseline: HyperParams, deltas: dict) -> list:
-    """sensitivity's rule for its deltas: (name, delta, run hyperparams) per
-    delta in name order, or a ValueError before anything trains."""
+def _check_deltas(deltas: dict) -> None:
+    """sensitivity's rule for its deltas alone: a nonempty map from known
+    parameter names to finite nonzero steps."""
     if not deltas:
         raise ValueError("sensitivity: deltas must be nonempty")
     unknown = set(deltas) - set(SENSITIVITY_PARAMS)
     if unknown:
         raise ValueError(f"sensitivity: unknown parameters {sorted(unknown)}, "
                          f"allowed: {list(SENSITIVITY_PARAMS)}")
-    runs = []
     for name in sorted(deltas):
         delta = float(deltas[name])
         if not (math.isfinite(delta) and delta != 0.0):
             raise ValueError(f"sensitivity: delta {name}={delta} must be finite and nonzero")
+
+
+def _sensitivity_runs(baseline: HyperParams, deltas: dict) -> list:
+    """(name, delta, run hyperparams) per delta in name order, or a
+    ValueError before anything trains."""
+    _check_deltas(deltas)
+    runs = []
+    for name in sorted(deltas):
+        delta = float(deltas[name])
         lip = baseline.lip if name == "control" else replace(
             baseline.lip, **{name: getattr(baseline.lip, name) + delta})
         runs.append((name, delta, replace(baseline, lip=lip)))

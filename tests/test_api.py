@@ -5,7 +5,10 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +123,27 @@ def test_every_tensor_op_has_a_caller():
                 if isinstance(node, ast.Call):  # f(...) or module.f(...)
                     called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
     assert sorted(public - called - set(lipnet.__all__)) == []
+
+
+def test_package_imports_only_the_stdlib_and_numpy():
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names == {"numpy"}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+
+
+def test_import_lipnet_leaves_scipy_unloaded():
+    code = "import sys, lipnet; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert out.stdout.strip() == "False"

@@ -264,6 +264,9 @@ def test_grid_cells_sharing_a_directory_are_usage_error(tmp_path, capsys, axes):
     ("sensitivity", {"sensitivity_deltas": {"beta": "abc"}}, "sensitivity_deltas"),
     ("sensitivity", {"sensitivity_deltas": {"control": 0}}, "nonzero"),
     ("sensitivity", {"sensitivity_deltas": {"foo": 1.0}}, "unknown"),
+    # the deltas' names and sizes are checked at load, for every command
+    ("train", {"sensitivity_deltas": {"foo": 1.0}}, "unknown"),
+    ("train", {"sensitivity_deltas": {"beta": 0.0}}, "nonzero"),
     ("sensitivity", {"sigma_eval": -1}, "sigma_eval"),
     ("grid", {"sweep_sigmas": [0.0, -0.5]}, "sweep_sigmas"),
     ("sweep", {"sweep_sigmas": [0.0, -0.5]}, "sweep_sigmas"),

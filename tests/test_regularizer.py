@@ -279,6 +279,10 @@ def test_compute_rho_one_hot_ten():
     assert abs(rho - np.sqrt(2.0) / 2.0) < 1e-12
 
 
+def test_compute_rho_one_hot_thousand():
+    assert compute_rho(one_hot_labels(1000)) == np.sqrt(2.0) / 2.0
+
+
 def test_compute_rho_matches_pdist_oracle():
     for seed in range(5):
         labels = np.random.default_rng(seed).normal(size=(7, 3))
