@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 run failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import os
 import sys
@@ -19,9 +21,11 @@ from pathlib import Path
 
 from dataclasses import replace
 
+import numpy as np
+
 from .data import (LabeledDataset, load_idx, synthetic_blobs, synthetic_digits)
 from .ioutil import atomic_write_text
-from .layers import build_registered, load_checkpoint, save_checkpoint
+from .layers import _registered, build_registered, load_checkpoint, save_checkpoint
 from .regularizer import (COUNTEREXAMPLE_SCALE, LipschitzParams, RampClassifier,
                           audit_empirical_k, counterexample_outside_radius, guarantee,
                           one_hot_labels, verify_theorem1_synthetic)
@@ -168,7 +172,8 @@ def load_config(path, seed_override=None) -> dict:
     # any key exits 2 before anything loads, trains or is written.
     if cfg["dataset"] not in ("idx", "synthetic_digits", "synthetic_blobs"):
         raise ConfigError(f"unknown dataset kind: {cfg['dataset']!r} (config key 'dataset')")
-    _checked("model/seed/arch_seed", build_registered, cfg["model"], _arch_seed(cfg))
+    _checked("model", _registered, cfg["model"])
+    _checked("seed/arch_seed", np.random.SeedSequence, _arch_seed(cfg))
     _checked("lr/epochs/batch_size/lr_drops/train_ratio/momentum/sigma_train/beta/l_n",
              _hp_from_cfg, cfg)
     _checked("grid_sigma_train/grid_beta/grid_l_n", _grid_cells, cfg)
@@ -320,6 +325,52 @@ def _run_cell(cfg, cell_dir: Path, lip: LipschitzParams, train_ds, test_ds):
     return report
 
 
+# OpenBLAS exports its thread controls under a build-specific name. numpy's
+# ILP64 build is tried first, so scipy's own OpenBLAS, if loaded, is not picked.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+def _openblas_threads():
+    """(get, set) of the loaded OpenBLAS's process-wide thread count, or None
+    when no OpenBLAS is loaded or /proc/self/maps cannot be read."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = {line.split()[-1] for line in f
+                     if "openblas" in line.lower() and ".so" in line}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        for lib in libs:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads_split(ways: int):
+    """Share the BLAS threads among `ways` concurrent callers while the block
+    runs, so they do not oversubscribe the cores, then restore the count.
+    Does nothing for one way or without OpenBLAS."""
+    blas = _openblas_threads() if ways > 1 else None
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(max(1, before // ways))
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def cmd_grid(cfg, out: Path) -> int:
     """Train + sweep every (sigma_train, beta, l_n) cell plus the standard
     baseline. Cells with a DONE marker are skipped, so an interrupted grid
@@ -346,7 +397,9 @@ def cmd_grid(cfg, out: Path) -> int:
     if workers == 1:
         outcomes = [run_one(lip) for lip in cells]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # the thread count is process-wide, so it is lowered only while the pool runs
+        with (_blas_threads_split(min(workers, len(cells))),
+              ThreadPoolExecutor(max_workers=workers) as pool):
             outcomes = list(pool.map(run_one, cells))
 
     header = ["method", "sigma_train", "beta", "l_n"]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lipnet import (EvalReport, build_blobs_mlp, build_mnist_model, save_checkpoint,
                     save_idx)
-from lipnet import cli
+from lipnet import cli, layers
 from lipnet.cli import IDX_STANDARD_NAMES, main
 
 NAN = float("nan")  # json.dumps writes it as NaN, which json.load accepts
@@ -222,15 +222,24 @@ def test_grid_resume_skips_done_cells(tmp_path):
     assert (out / "standard" / "model.ckpt").stat().st_mtime_ns == stamp
 
 
+GRID_AXES = dict(grid_sigma_train=[0.5], grid_beta=[10.0], grid_l_n=[0.005, 0.01])
+
+
 def test_grid_parallel_workers_match_serial(tmp_path):
-    cfg1 = write_cfg(tmp_path, "serial.json", grid_sigma_train=[0.5],
-                     grid_beta=[10.0], grid_l_n=[0.005, 0.01])
-    cfg2 = write_cfg(tmp_path, "par.json", grid_sigma_train=[0.5],
-                     grid_beta=[10.0], grid_l_n=[0.005, 0.01], workers=2)
+    cfg1 = write_cfg(tmp_path, "serial.json", **GRID_AXES)
+    cfg2 = write_cfg(tmp_path, "par.json", workers=2, **GRID_AXES)
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("grid", "--config", cfg1, "--out", a) == 0
     assert run("grid", "--config", cfg2, "--out", b) == 0
     assert (a / "grid_summary.csv").read_bytes() == (b / "grid_summary.csv").read_bytes()
+    # the pool runs at a lower BLAS thread count, which must not move a byte
+    cell_files = sorted(p.relative_to(a) for p in a.glob("*/*") if p.name != "timings.json")
+    assert {f.name for f in cell_files} >= {"model.ckpt", "train_record.csv", "train_epochs.csv",
+                                            "eval_report.csv", "eval_report.json"}
+    assert cell_files == sorted(p.relative_to(b) for p in b.glob("*/*")
+                                if p.name != "timings.json")
+    for f in cell_files:
+        assert (a / f).read_bytes() == (b / f).read_bytes(), f
     # each run counts its own perturbed passes, even while others run alongside
     for cell in ("standard", "s0p5_b10_l0p005", "s0p5_b10_l0p01"):
         serial, par = (json.loads((d / cell / "timings.json").read_text())["meta"]
@@ -238,6 +247,65 @@ def test_grid_parallel_workers_match_serial(tmp_path):
         assert par["perturbed_passes"] == serial["perturbed_passes"]
         want = 0 if cell == "standard" else serial["n_steps"]
         assert serial["perturbed_passes"] == want
+
+
+@pytest.fixture()
+def blas_count():
+    """The loaded OpenBLAS's thread count getter, or None without OpenBLAS.
+    The count is 2 during the test, so a split shows on any host and an
+    earlier test cannot hide a count that was never restored."""
+    blas = cli._openblas_threads()
+    if blas is None:
+        yield None
+        return
+    get, put = blas
+    original = get()
+    put(2)
+    yield get
+    put(original)
+
+
+@pytest.mark.parametrize("workers,failing,openblas_found", [
+    (1, None, True),
+    (2, None, True),
+    (2, "s0p5_b10_l0p005", True),  # a raising cell still restores the count
+    (2, None, False),              # no OpenBLAS found: the count is left alone
+])
+def test_grid_splits_blas_threads_while_the_pool_runs(tmp_path, monkeypatch, blas_count,
+                                                      workers, failing, openblas_found):
+    count = blas_count or (lambda: None)
+    if not openblas_found:
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+    seen, real_run_cell = [], cli._run_cell
+
+    def run_cell(cfg, cell_dir, *args):
+        seen.append(count())
+        if cell_dir.name == failing:
+            raise RuntimeError("cell failed on purpose")
+        return real_run_cell(cfg, cell_dir, *args)
+
+    monkeypatch.setattr(cli, "_run_cell", run_cell)
+    out = tmp_path / "grid"
+    cfg = write_cfg(tmp_path, workers=workers, **GRID_AXES)
+    assert run("grid", "--config", cfg, "--out", out) == (1 if failing else 0)
+    if failing:
+        assert "RuntimeError" in (out / failing / "error.txt").read_text()
+    assert len(seen) == 3
+    if blas_count is None:
+        pytest.skip("no OpenBLAS loaded, so there is no thread count to check")
+    assert seen == [1 if workers > 1 and openblas_found else 2] * 3
+    assert blas_count() == 2
+
+
+def test_blas_split_restores_on_any_exit_and_skips_one_way(blas_count):
+    if blas_count is None:
+        pytest.skip("no OpenBLAS loaded, so there is no thread count to check")
+    with cli._blas_threads_split(1):
+        assert blas_count() == 2
+    with pytest.raises(KeyboardInterrupt), cli._blas_threads_split(2):
+        assert blas_count() == 1
+        raise KeyboardInterrupt
+    assert blas_count() == 2
 
 
 @pytest.mark.parametrize("axes", [
@@ -399,6 +467,15 @@ def test_config_mutation_is_a_usage_error_or_runs(blobs_ckpt, key, mutation):
             assert code == 2 if is_mistake else code in (0, 2), (command, code)
             if code == 2:
                 assert calls == [] and not out.exists(), command
+
+
+def test_load_config_checks_model_and_seed_without_building_the_model(tmp_path, monkeypatch):
+    def build(seed):
+        raise AssertionError("load_config built the model")
+
+    monkeypatch.setitem(layers.MODEL_REGISTRY, "mnist_cnn", build)
+    cfg = cli.load_config(write_cfg(tmp_path, model="mnist_cnn", arch_seed=3))
+    assert (cfg["model"], cfg["arch_seed"]) == ("mnist_cnn", 3)
 
 
 def test_guarantee_requires_explicit_l_n(tmp_path, capsys):
