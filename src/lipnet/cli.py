@@ -260,14 +260,25 @@ def _write_resolved_config(cfg, out: Path, command: str, extra: dict | None = No
     write_json(out / "resolved_config.json", doc)
 
 
-def cmd_train(cfg, out: Path) -> int:
-    hp = _hp_from_cfg(cfg)
-    train_ds = _load_split(cfg, "train")
-    model = build_registered(cfg["model"], _arch_seed(cfg))
-    model, record = train(model, train_ds, hp)
-    out.mkdir(parents=True, exist_ok=True)
+def _model(cfg):
+    return build_registered(cfg["model"], _arch_seed(cfg))
+
+
+def _train_to(out: Path, cfg, train_ds, hp: HyperParams):
+    """A freshly trained model, whose model.ckpt and training record go under out."""
+    model, record = train(_model(cfg), train_ds, hp)
     save_checkpoint(model, out / "model.ckpt")
     write_train_record(record, out)
+    return model
+
+
+def _sweep_to(out: Path, cfg, model, test_ds, hyperparams: dict | None = None) -> None:
+    write_eval_report(sweep(model, test_ds, cfg["sweep_sigmas"], cfg["corruption_seed"],
+                            hyperparams=hyperparams), out)
+
+
+def cmd_train(cfg, out: Path) -> int:
+    _train_to(out, cfg, _load_split(cfg, "train"), _hp_from_cfg(cfg))
     _write_resolved_config(cfg, out, "train")
     return 0
 
@@ -276,11 +287,8 @@ def cmd_sweep(cfg, out: Path, checkpoint=None) -> int:
     if checkpoint is None:
         raise ConfigError("sweep needs --checkpoint")
     test_ds = _load_split(cfg, "test")
-    model = load_checkpoint(build_registered(cfg["model"], _arch_seed(cfg)), checkpoint)
-    report = sweep(model, test_ds, cfg["sweep_sigmas"], cfg["corruption_seed"],
-                   hyperparams=_hp_from_cfg(cfg).as_dict())
-    out.mkdir(parents=True, exist_ok=True)
-    write_eval_report(report, out)
+    # the checkpoint's training recipe is unknown here, so hyperparams stay null
+    _sweep_to(out, cfg, load_checkpoint(_model(cfg), checkpoint), test_ds)
     _write_resolved_config(cfg, out, "sweep")
     return 0
 
@@ -311,18 +319,10 @@ def _grid_cells(cfg):
     return cells
 
 
-def _run_cell(cfg, cell_dir: Path, lip: LipschitzParams, train_ds, test_ds):
+def _run_cell(cfg, cell_dir: Path, lip: LipschitzParams, train_ds, test_ds) -> None:
     hp = replace(_hp_from_cfg(cfg), lip=lip)
-    model = build_registered(cfg["model"], _arch_seed(cfg))
-    model, record = train(model, train_ds, hp)
-    report = sweep(model, test_ds, cfg["sweep_sigmas"], cfg["corruption_seed"],
-                   hyperparams=hp.as_dict())
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(model, cell_dir / "model.ckpt")
-    write_train_record(record, cell_dir)
-    write_eval_report(report, cell_dir)
-    (cell_dir / "DONE").write_text("ok\n", encoding="utf-8")
-    return report
+    _sweep_to(cell_dir, cfg, _train_to(cell_dir, cfg, train_ds, hp), test_ds, hp.as_dict())
+    atomic_write_text(cell_dir / "DONE", "ok\n")
 
 
 # OpenBLAS exports its thread controls under a build-specific name. numpy's
@@ -379,7 +379,6 @@ def cmd_grid(cfg, out: Path) -> int:
     sigmas = sorted(cfg["sweep_sigmas"])
     workers = cfg["workers"]
     train_ds, test_ds = load_datasets(cfg)
-    out.mkdir(parents=True, exist_ok=True)
 
     def run_one(lip: LipschitzParams):
         cell_dir = out / _cell_name(lip)
@@ -389,9 +388,7 @@ def cmd_grid(cfg, out: Path) -> int:
             _run_cell(cfg, cell_dir, lip, train_ds, test_ds)
             return "ok"
         except Exception as e:  # recorded, grid continues
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            (cell_dir / "error.txt").write_text(f"{type(e).__name__}: {e}\n",
-                                                encoding="utf-8")
+            atomic_write_text(cell_dir / "error.txt", f"{type(e).__name__}: {e}\n")
             return "failed"
 
     if workers == 1:
@@ -432,10 +429,9 @@ def cmd_sensitivity(cfg, out: Path) -> int:
     _checked("sensitivity_deltas", _sensitivity_runs, baseline, deltas)
     train_ds, test_ds = load_datasets(cfg)
     report = sensitivity(baseline, deltas, train_ds, test_ds, cfg["sigma_eval"],
-                         lambda: build_registered(cfg["model"], _arch_seed(cfg)),
+                         lambda: _model(cfg),
                          corruption_seed=cfg["corruption_seed"])
     report.metadata["reference_cifar10"] = dict(REFERENCE_SENSITIVITIES_CIFAR10)
-    out.mkdir(parents=True, exist_ok=True)
     write_sensitivity_report(report, out)
     _write_resolved_config(cfg, out, "sensitivity")
     return 0
@@ -451,7 +447,7 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
 
     if checkpoint is not None:
         test_ds = _load_split(cfg, "test")
-        model = load_checkpoint(build_registered(cfg["model"], _arch_seed(cfg)), checkpoint)
+        model = load_checkpoint(_model(cfg), checkpoint)
         stats = audit_empirical_k(model, test_ds, cfg["audit_sigma"], cfg["audit_n"],
                                   derive_rng(cfg["seed"], "audit"), l_n=cfg["l_n"])
         payload["audit"] = dict(stats.as_dict(), sigma=cfg["audit_sigma"])
@@ -470,7 +466,6 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
                                "label_before": before, "label_after": after},
         }
 
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "guarantee_report.json", payload)
     _write_resolved_config(cfg, out, "guarantee")
     return 0
@@ -480,9 +475,8 @@ def cmd_ratio_study(cfg, out: Path) -> int:
     hp = _hp_from_cfg(cfg)
     train_ds, test_ds = load_datasets(cfg)
     rows = ratio_study(train_ds, test_ds, cfg["ratios"], hp, cfg["sweep_sigmas"],
-                       lambda: build_registered(cfg["model"], _arch_seed(cfg)),
+                       lambda: _model(cfg),
                        corruption_seed=cfg["corruption_seed"])
-    out.mkdir(parents=True, exist_ok=True)
     write_ratio_table(rows, out)
     _write_resolved_config(cfg, out, "ratio-study")
     return 0

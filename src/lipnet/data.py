@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ioutil import atomic_write_bytes
 from .seeding import derive_rng
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -124,12 +125,10 @@ def save_idx(images_u8: np.ndarray, labels: np.ndarray, images_path, labels_path
     images_u8 = np.asarray(images_u8, dtype=np.uint8)
     labels = np.asarray(labels, dtype=np.uint8)
     n, h, w = images_u8.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w))
-        f.write(images_u8.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.shape[0]))
-        f.write(labels.tobytes())
+    atomic_write_bytes(images_path,
+                       struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w) + images_u8.tobytes())
+    atomic_write_bytes(labels_path,
+                       struct.pack(">II", IDX_LABEL_MAGIC, labels.shape[0]) + labels.tobytes())
 
 
 def subsample(ds: LabeledDataset, ratio: float, seed) -> LabeledDataset:

@@ -1,4 +1,4 @@
-"""Atomic file writes: write to a temp file in the target directory, then rename."""
+"""Atomic file writes: a temp file in the target directory, made if missing, then a rename."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import tempfile
 def atomic_write_bytes(path, blob: bytes) -> None:
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
+    os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as f:

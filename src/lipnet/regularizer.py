@@ -11,6 +11,7 @@ brute sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -219,13 +220,19 @@ class RampClassifier:
             raise ValueError(f"RampClassifier: dim must be >= 1, got {dim}")
         self.l = float(l)
         self.labels = np.asarray(labels, dtype=np.float64)
+        if len(self.labels) < 2:
+            raise ValueError(f"RampClassifier: needs >= 2 labels, got {len(self.labels)}")
         self.dim = int(dim)
-        self.rho = compute_rho(self.labels)
         self.y_a, self.y_b = self.labels[0], self.labels[1]
         gap = float(np.linalg.norm(self.y_b - self.y_a))
         if gap == 0:
             raise ValueError("RampClassifier: labels 0 and 1 share a label vector")
         self.ramp_width = gap / self.l
+
+    @cached_property
+    def rho(self) -> float:
+        """compute_rho(labels), O(m^2) in the label count, so computed on first read."""
+        return compute_rho(self.labels)
 
     def outputs(self, points: np.ndarray) -> np.ndarray:
         """Label-space outputs, shape (n, label_dim)."""
@@ -234,10 +241,13 @@ class RampClassifier:
         return self.y_a + t[:, None] * (self.y_b - self.y_a)
 
     def classify(self, points: np.ndarray) -> np.ndarray:
-        """Nearest label vector (ties go to the lowest class index)."""
+        """Nearest label vector (ties go to the lowest class index), one label at a time."""
         out = self.outputs(points)
-        d2 = ((out[:, None, :] - self.labels[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1)
+        best, nearest = np.full(len(out), np.inf), np.zeros(len(out), dtype=np.intp)
+        for i, y in enumerate(self.labels):
+            d2 = ((out - y) ** 2).sum(axis=1)
+            best, nearest = np.minimum(best, d2), np.where(d2 < best, i, nearest)
+        return nearest
 
     def sample_base(self, n: int, rng) -> np.ndarray:
         """Base points on the two plateaus, each 100 ramp widths deep, edge-adjacent

@@ -102,7 +102,7 @@ class EvalReport:
 def write_eval_report(report: EvalReport, out_dir) -> None:
     """eval_report.csv (one row per sigma) + eval_report.json (rows and
     metadata)."""
-    out_dir = _as_dir(out_dir)
+    out_dir = Path(out_dir)
     atomic_write_text(out_dir / "eval_report.csv", report.to_csv_text())
     write_json(out_dir / "eval_report.json", report.as_dict())
 
@@ -133,7 +133,7 @@ class TrainRecord:
 def write_train_record(record: TrainRecord, out_dir) -> None:
     """train_record.csv (per step), train_epochs.csv (per epoch, no wall
     time) and timings.json (where the nondeterministic numbers live)."""
-    out_dir = _as_dir(out_dir)
+    out_dir = Path(out_dir)
     atomic_write_text(out_dir / "train_record.csv", _csv_text(TRAIN_CSV_COLUMNS, [
         (s.step, s.loss_usual, s.loss_lipschitz, s.mean_k, s.loss_total)
         for s in record.steps]))
@@ -169,15 +169,9 @@ class SensitivityReport:
 
 
 def write_sensitivity_report(report: SensitivityReport, out_dir) -> None:
-    write_json(_as_dir(out_dir) / "sensitivity_report.json", report.as_dict())
+    write_json(Path(out_dir) / "sensitivity_report.json", report.as_dict())
 
 
 def write_ratio_table(rows, out_dir) -> None:
     """ratio_study.csv of (ratio, sigma_test, accuracy) rows."""
-    atomic_write_text(_as_dir(out_dir) / "ratio_study.csv", _csv_text(RATIO_CSV_COLUMNS, rows))
-
-
-def _as_dir(out_dir) -> Path:
-    p = Path(out_dir)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    atomic_write_text(Path(out_dir) / "ratio_study.csv", _csv_text(RATIO_CSV_COLUMNS, rows))

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -123,6 +124,29 @@ def test_every_tensor_op_has_a_caller():
                 if isinstance(node, ast.Call):  # f(...) or module.f(...)
                     called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
     assert sorted(public - called - set(lipnet.__all__)) == []
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether a call makes a directory or writes a file by itself: mkdir,
+    makedirs, write_text, write_bytes, or an open with a writing mode."""
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    if name in ("mkdir", "makedirs", "write_text", "write_bytes"):
+        return True
+    # the mode is open's second argument, Path.open's first, or mode=
+    modes = call.args[:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return name == "open" and any(
+        isinstance(m, ast.Constant) and isinstance(m.value, str)
+        and re.fullmatch(r"[rbt]*[wax+][rwaxbt+]*", m.value) for m in modes)
+
+
+def test_only_ioutil_makes_directories_and_writes_files():
+    # every output reaches disk through ioutil's atomic write, which also
+    # makes its directory; reads (config, IDX files, checkpoints) stay free
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "ioutil.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and _writes(node)]
+    assert found == []
 
 
 def test_package_imports_only_the_stdlib_and_numpy():

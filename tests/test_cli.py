@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lipnet import (EvalReport, build_blobs_mlp, build_mnist_model, save_checkpoint,
                     save_idx)
-from lipnet import cli, layers
+from lipnet import cli, layers, regularizer
 from lipnet.cli import IDX_STANDARD_NAMES, main
 
 NAN = float("nan")  # json.dumps writes it as NaN, which json.load accepts
@@ -118,6 +118,31 @@ def test_sweep_reads_checkpoint_and_reports(tmp_path):
         "eval_report.csv", "eval_report.json", "resolved_config.json"}
 
 
+def test_sweep_report_leaves_the_unknown_training_recipe_null(tmp_path):
+    # the checkpoint was trained with another config than the one sweep reads
+    trained, swept = tmp_path / "trained", tmp_path / "swept"
+    assert run("train", "--config", write_cfg(tmp_path, "a.json", beta=10.0, lr=0.05),
+               "--out", trained) == 0
+    assert run("sweep", "--config", write_cfg(tmp_path, "b.json", lr=0.5, epochs=3),
+               "--out", swept, "--checkpoint", trained / "model.ckpt") == 0
+    meta = json.loads((swept / "eval_report.json").read_text())["metadata"]
+    assert "hyperparams" in meta and meta["hyperparams"] is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["train", "ratio-study", "sensitivity",
+                                     "sweep --checkpoint", "guarantee --checkpoint"])
+def test_run_failure_writes_nothing_under_out(tmp_path, capsys, command):
+    # beta 1e300 diverges in the first step; the checkpoint is corrupt
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"XXXX" + b"\x00" * 16)
+    cfg = write_cfg(tmp_path, sigma_train=0.5, beta=1e300, l_n=1e-9)
+    out = tmp_path / "out"
+    assert run_command(command, cfg, out, bad) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_sweep_without_checkpoint_is_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert run("sweep", "--config", cfg, "--out", tmp_path / "x") == 2
@@ -193,6 +218,9 @@ def test_grid_trains_all_cells_and_summarizes(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("standard,") and lines[2].startswith("proposed,")
     assert json.loads((out / "resolved_config.json").read_text())["failed_cells"] == []
+    # unlike sweep's, a cell's report knows the recipe that trained it
+    meta = json.loads((out / "s0p5_b10_l0p005" / "eval_report.json").read_text())["metadata"]
+    assert meta["hyperparams"]["lip"] == {"sigma_train": 0.5, "beta": 10.0, "l_n": 0.005}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -391,6 +419,7 @@ def test_grid_cells_sharing_a_directory_are_usage_error(tmp_path, capsys, axes):
     ("guarantee --checkpoint", {"l_n": 0.01, "audit_sigma": NAN}, "audit_sigma"),
     ("guarantee --checkpoint", {"l_n": 0.01, "audit_n": 0}, "audit_n"),
     ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "n_classes": 1}, "n_classes"),
+    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "n_classes": 0}, "n_classes"),
     ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "n_classes": -1}, "n_classes"),
     ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "synthetic_l": 0.0}, "synthetic_l"),
     ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "synthetic_l": NAN}, "synthetic_l"),
@@ -476,6 +505,14 @@ def test_load_config_checks_model_and_seed_without_building_the_model(tmp_path, 
     monkeypatch.setitem(layers.MODEL_REGISTRY, "mnist_cnn", build)
     cfg = cli.load_config(write_cfg(tmp_path, model="mnist_cnn", arch_seed=3))
     assert (cfg["model"], cfg["arch_seed"]) == ("mnist_cnn", 3)
+
+
+def test_load_config_checks_n_classes_without_computing_rho(tmp_path, monkeypatch):
+    # rho is O(n_classes^2); a command that never reads it must not wait for it
+    calls = []
+    monkeypatch.setattr(regularizer, "compute_rho", lambda labels: calls.append(labels))
+    cfg = cli.load_config(write_cfg(tmp_path, n_classes=1000))
+    assert cfg["n_classes"] == 1000 and calls == []
 
 
 def test_guarantee_requires_explicit_l_n(tmp_path, capsys):

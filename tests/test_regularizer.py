@@ -1,11 +1,12 @@
 """The quotient, hinge penalty, aggregated loss, k audit and the
 distortion-radius machinery, each against an independent oracle."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
@@ -376,10 +377,46 @@ def test_counterexample_outside_radius_flips():
                                1.5 * compute_rho(labels) / 0.8, atol=1e-12)
 
 
-@pytest.mark.parametrize("l,dim", [(0.0, 2), (float("nan"), 2), (1.0, 0)])
-def test_ramp_classifier_rejects_bad_l_and_dim(l, dim):
+@pytest.mark.parametrize("l,dim,n_classes", [(0.0, 2, 10), (float("nan"), 2, 10), (1.0, 0, 10),
+                                              (1.0, 2, 1), (1.0, 2, 0)])
+def test_ramp_classifier_rejects_bad_l_dim_and_label_count(l, dim, n_classes):
     with pytest.raises(ValueError, match="RampClassifier"):
-        RampClassifier(l, one_hot_labels(10), dim=dim)
+        RampClassifier(l, one_hot_labels(n_classes), dim=dim)
+
+
+def broadcast_classify(oracle, points):
+    """The nearest label by one (n, m, label_dim) array of differences."""
+    out = oracle.outputs(points)
+    return np.argmin(((out[:, None, :] - oracle.labels[None, :, :]) ** 2).sum(axis=2), axis=1)
+
+
+@given(st.integers(2, 12), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_classify_matches_broadcast_argmin(m, width, one_hot, seed):
+    # small integer labels repeat and tie often; ties must go to the lowest index
+    rng = np.random.default_rng(seed)
+    labels = one_hot_labels(m) if one_hot else rng.integers(0, 3, size=(m, width)) * 1.0
+    assume(not np.array_equal(labels[0], labels[1]))
+    oracle = RampClassifier(1.0, labels)
+    t = np.concatenate([[-1.0, 0.0, 0.5, 1.0, 2.0], rng.uniform(-0.5, 1.5, size=40)])
+    points = np.zeros((t.size, 2))
+    points[:, 0] = t * oracle.ramp_width
+    got = oracle.classify(points)
+    np.testing.assert_array_equal(got, broadcast_classify(oracle, points))
+    if one_hot:
+        assert got[2] == 0  # the ramp's midpoint is as near label 1 as label 0
+
+
+def test_classify_memory_does_not_grow_with_label_count_squared():
+    # the broadcast difference array is 500 * 200 * 200 floats, 160 MB
+    oracle = RampClassifier(1.0, one_hot_labels(200))
+    points = oracle.sample_base(500, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        oracle.classify(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_audit_constant_model_all_zero():
