@@ -29,9 +29,8 @@ from .layers import _registered, build_registered, load_checkpoint, save_checkpo
 from .regularizer import (COUNTEREXAMPLE_SCALE, LipschitzParams, RampClassifier,
                           audit_empirical_k, counterexample_outside_radius, guarantee,
                           one_hot_labels, verify_theorem1_synthetic)
-from .reports import (EvalReport, write_eval_report, write_json,
-                      write_ratio_table, write_sensitivity_report,
-                      write_train_record)
+from .reports import (write_eval_report, write_json, write_ratio_table,
+                      write_sensitivity_report, write_train_record)
 from .seeding import derive_int, derive_rng
 from .training import (HyperParams, _check_deltas, _check_ratios, _check_sigmas,
                        _sensitivity_runs, ratio_study, sensitivity, sweep, train)
@@ -380,37 +379,35 @@ def cmd_grid(cfg, out: Path) -> int:
     workers = cfg["workers"]
     train_ds, test_ds = load_datasets(cfg)
 
-    def run_one(lip: LipschitzParams):
+    def run_one(lip: LipschitzParams) -> None:
         cell_dir = out / _cell_name(lip)
         if (cell_dir / "DONE").exists():
-            return "skipped"
+            return
         try:
             _run_cell(cfg, cell_dir, lip, train_ds, test_ds)
-            return "ok"
         except Exception as e:  # recorded, grid continues
             atomic_write_text(cell_dir / "error.txt", f"{type(e).__name__}: {e}\n")
-            return "failed"
 
     if workers == 1:
-        outcomes = [run_one(lip) for lip in cells]
+        for lip in cells:
+            run_one(lip)
     else:
         # the thread count is process-wide, so it is lowered only while the pool runs
         with (_blas_threads_split(min(workers, len(cells))),
               ThreadPoolExecutor(max_workers=workers) as pool):
-            outcomes = list(pool.map(run_one, cells))
+            list(pool.map(run_one, cells))
 
     header = ["method", "sigma_train", "beta", "l_n"]
     header += [f"acc_sigma_{s:g}".replace(".", "p") for s in sigmas]
     lines = [",".join(header)]
     failed = []
-    for lip, outcome in zip(cells, outcomes):
+    for lip in cells:
         cell_dir = out / _cell_name(lip)
-        if outcome == "failed" or not (cell_dir / "DONE").exists():
+        if not (cell_dir / "DONE").exists():
             failed.append(_cell_name(lip))
             continue
-        report = EvalReport.from_csv_text(
-            (cell_dir / "eval_report.csv").read_text(encoding="utf-8"))
-        acc = {row.sigma_test: row.accuracy for row in report.rows}
+        rows = json.loads((cell_dir / "eval_report.json").read_text(encoding="utf-8"))["rows"]
+        acc = {row["sigma_test"]: row["accuracy"] for row in rows}
         cells_txt = [_method(lip.beta), repr(lip.sigma_train), repr(lip.beta), repr(lip.l_n)]
         cells_txt += [repr(acc[s]) for s in sigmas]
         lines.append(",".join(cells_txt))
@@ -454,6 +451,7 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
 
     if synthetic:
         oracle = RampClassifier(cfg["synthetic_l"], labels, cfg["synthetic_dim"])
+        oracle.rho = payload["guarantee"]["rho"]  # the same labels' rho, computed once
         per_seed = [verify_theorem1_synthetic(oracle, cfg["synthetic_trials"],
                                               derive_rng(cfg["seed"], "thm1", i))
                     for i in range(cfg["synthetic_seeds"])]

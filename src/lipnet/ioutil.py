@@ -5,6 +5,10 @@ from __future__ import annotations
 import os
 import tempfile
 
+# mkstemp makes its file owner-only; a written file gets open()'s mode instead
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
 
 def atomic_write_bytes(path, blob: bytes) -> None:
     path = os.fspath(path)
@@ -13,6 +17,7 @@ def atomic_write_bytes(path, blob: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as f:
+            os.fchmod(f.fileno(), 0o666 & ~_UMASK)
             f.write(blob)
         os.replace(tmp, path)
     except BaseException:

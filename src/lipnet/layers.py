@@ -1,8 +1,9 @@
 """Layer stacks, the reference 28x28 conv net, a model registry, checkpoints.
 
 A Model maps image batches to class-probability rows (the stack always ends
-in softmax). Layer geometry is validated once at build time by composing
-shapes through the stack, so a misconfigured stack never reaches forward().
+in softmax). ``_apply`` alone maps a layer kind to its tensor op. build_model
+runs every layer once on a one-row zero batch, so the ops' own checks reject
+a misconfigured stack before it reaches forward().
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class LayerSpec:
     """One layer of a stack; geometry fields are only read for its kind.
 
     conv2d uses out_channels/kernel_size/stride/padding, dense uses
-    out_features. Input extents are inferred while composing the stack.
+    out_features. Input extents come from the previous layer's output.
     """
     kind: str
     out_channels: int = 0
@@ -56,42 +57,28 @@ class Model:
             p.zero_grad()
 
 
-def _compose_shape(shape, spec: LayerSpec, index: int):
-    """Output feature shape (ex-batch) of one layer, or raise naming it."""
-    where = f"layer {index} ({spec.kind})"
+def _apply(params, i: int, spec: LayerSpec, x: Tensor, graph: Graph | None = None) -> Tensor:
+    """Layer i of a stack on x: the one place a layer kind maps to its tensor op."""
     if spec.kind == "conv2d":
-        if len(shape) != 3:
-            raise ValueError(f"{where}: expects [C,H,W] input, got {shape}")
-        c, h, w = shape
-        kh = kw = spec.kernel_size
-        hp, wp = h + 2 * spec.padding, w + 2 * spec.padding
-        if spec.out_channels < 1 or kh < 1 or spec.stride < 1 or spec.padding < 0:
-            raise ValueError(f"{where}: bad geometry {spec}")
-        if hp < kh or wp < kw:
-            raise ValueError(f"{where}: kernel {kh}x{kw} larger than padded input {hp}x{wp}")
-        return (spec.out_channels, (hp - kh) // spec.stride + 1, (wp - kw) // spec.stride + 1)
+        return conv2d(x, params[f"{i}.conv2d.weight"], params[f"{i}.conv2d.bias"],
+                      spec.stride, spec.padding, graph)
     if spec.kind == "dense":
-        if len(shape) != 1:
-            raise ValueError(f"{where}: expects flat input, got {shape} (flatten first)")
-        if spec.out_features < 1:
-            raise ValueError(f"{where}: out_features must be positive")
-        return (spec.out_features,)
+        return affine(x, params[f"{i}.dense.weight"], params[f"{i}.dense.bias"], graph)
     if spec.kind == "relu":
-        return shape
+        return relu(x, graph)
     if spec.kind == "flatten":
-        return (int(np.prod(shape)),)
+        return reshape(x, (x.shape[0], -1), graph)
     if spec.kind == "softmax":
-        if len(shape) != 1:
-            raise ValueError(f"{where}: expects flat input, got {shape}")
-        return shape
-    raise ValueError(f"{where}: unknown layer kind {spec.kind!r}")
+        return softmax(x, graph)
+    raise ValueError(f"unknown layer kind {spec.kind!r}")
 
 
 def build_model(specs, input_shape, seed: int) -> Model:
-    """Compose a stack, validate geometry, He-init parameters from the seed.
+    """He-init parameters from the seed, running each layer once on a zero row.
 
     The stack must end with softmax (outputs are probability rows) and
-    softmax may not appear anywhere else.
+    softmax may not appear anywhere else. Geometry the ops reject raises a
+    ValueError naming the layer.
     """
     specs = list(specs)
     if not specs or specs[-1].kind != "softmax":
@@ -102,23 +89,26 @@ def build_model(specs, input_shape, seed: int) -> Model:
 
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
-    shape = tuple(input_shape)
-    for i, spec in enumerate(specs):
-        out_shape = _compose_shape(shape, spec, i)
-        if spec.kind == "conv2d":
-            c = shape[0]
-            k = spec.kernel_size
-            std = math.sqrt(2.0 / (c * k * k))
-            w = rng.normal(0.0, std, size=(spec.out_channels, c, k, k))
-            params[f"{i}.conv2d.weight"] = Tensor(w, requires_grad=True)
-            params[f"{i}.conv2d.bias"] = Tensor(np.zeros(spec.out_channels), requires_grad=True)
-        elif spec.kind == "dense":
-            fan_in = shape[0]
-            std = math.sqrt(2.0 / fan_in)
-            w = rng.normal(0.0, std, size=(fan_in, spec.out_features))
-            params[f"{i}.dense.weight"] = Tensor(w, requires_grad=True)
-            params[f"{i}.dense.bias"] = Tensor(np.zeros(spec.out_features), requires_grad=True)
-        shape = out_shape
+    i, spec = 0, specs[0]  # a bad input_shape is reported as layer 0's
+    try:
+        x = Tensor(np.zeros((1, *input_shape)))
+        for i, spec in enumerate(specs):
+            # fan-in is x's second extent; an input of the wrong rank is the op's to reject
+            c = x.shape[1] if x.data.ndim > 1 else 1
+            if spec.kind == "conv2d":
+                k = spec.kernel_size
+                # kernel_size 0 draws an empty kernel, which the Tensor rejects
+                std = math.sqrt(2.0 / (c * k * k)) if k else 0.0
+                w = rng.normal(0.0, std, size=(spec.out_channels, c, k, k))
+                params[f"{i}.conv2d.weight"] = Tensor(w, requires_grad=True)
+                params[f"{i}.conv2d.bias"] = Tensor(np.zeros(spec.out_channels), requires_grad=True)
+            elif spec.kind == "dense":
+                w = rng.normal(0.0, math.sqrt(2.0 / c), size=(c, spec.out_features))
+                params[f"{i}.dense.weight"] = Tensor(w, requires_grad=True)
+                params[f"{i}.dense.bias"] = Tensor(np.zeros(spec.out_features), requires_grad=True)
+            x = _apply(params, i, spec, x)
+    except ValueError as e:
+        raise ValueError(f"layer {i} ({spec.kind}): {e}") from None
     return Model(specs, params, input_shape)
 
 
@@ -127,21 +117,9 @@ def forward(model: Model, x: Tensor, graph: Graph | None = None) -> Tensor:
     expected = (x.shape[0],) + model.input_shape
     if x.shape != expected:
         raise ValueError(f"forward: input shape {x.shape}, model expects {expected}")
-    out = x
     for i, spec in enumerate(model.layers):
-        if spec.kind == "conv2d":
-            out = conv2d(out, model.params[f"{i}.conv2d.weight"], model.params[f"{i}.conv2d.bias"],
-                         spec.stride, spec.padding, graph)
-        elif spec.kind == "dense":
-            out = affine(out, model.params[f"{i}.dense.weight"],
-                         model.params[f"{i}.dense.bias"], graph)
-        elif spec.kind == "relu":
-            out = relu(out, graph)
-        elif spec.kind == "flatten":
-            out = reshape(out, (out.shape[0], -1), graph)
-        elif spec.kind == "softmax":
-            out = softmax(out, graph)
-    return out
+        x = _apply(model.params, i, spec, x, graph)
+    return x
 
 
 _EAGER_ROWS = 500  # rows per forward call; bounds the im2col buffer

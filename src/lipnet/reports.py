@@ -84,17 +84,6 @@ class EvalReport:
             (r.sigma_test, r.accuracy, r.mean_confidence_correct, r.mean_k, r.n)
             for r in self.rows])
 
-    @classmethod
-    def from_csv_text(cls, text: str) -> "EvalReport":
-        lines = text.strip("\n").split("\n")
-        if lines[0] != ",".join(EVAL_CSV_COLUMNS):
-            raise ValueError(f"unexpected eval CSV header: {lines[0]!r}")
-        rows = []
-        for line in lines[1:]:
-            s, a, c, k, n = line.split(",")
-            rows.append(EvalRow(float(s), float(a), float(c), float(k), int(n)))
-        return cls(rows)
-
     def as_dict(self) -> dict:
         return {"rows": [vars(r) for r in self.rows], "metadata": self.metadata}
 

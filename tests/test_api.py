@@ -126,6 +126,19 @@ def test_every_tensor_op_has_a_caller():
     assert sorted(public - called - set(lipnet.__all__)) == []
 
 
+def test_only_apply_calls_the_layer_ops():
+    # one dispatch from layer kind to tensor op: build_model and forward both go
+    # through layers._apply, so a kind cannot mean one thing at build and another later
+    ops = {"conv2d", "affine", "relu", "reshape", "softmax"}
+    tree = ast.parse((PACKAGE / "layers.py").read_text(encoding="utf-8"))
+    apply = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_apply"]
+    inside = {id(n) for a in apply for n in ast.walk(a)}
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ops and id(node) not in inside]
+    assert apply and found == []
+
+
 def _writes(call: ast.Call) -> bool:
     """Whether a call makes a directory or writes a file by itself: mkdir,
     makedirs, write_text, write_bytes, or an open with a writing mode."""

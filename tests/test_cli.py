@@ -2,6 +2,9 @@
 
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,11 +13,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lipnet import (EvalReport, build_blobs_mlp, build_mnist_model, save_checkpoint,
-                    save_idx)
+from lipnet import build_blobs_mlp, build_mnist_model, save_checkpoint, save_idx
 from lipnet import cli, layers, regularizer
 from lipnet.cli import IDX_STANDARD_NAMES, main
 
+SRC = Path(cli.__file__).resolve().parents[1]
 NAN = float("nan")  # json.dumps writes it as NaN, which json.load accepts
 INF = float("inf")  # and this one as Infinity
 
@@ -40,6 +43,17 @@ def write_cfg(tmp_path, name="cfg.json", **overrides):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_subprocess(*argv, **kwargs):
+    """lipnet in a fresh interpreter; kwargs go to subprocess.run (env is merged)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **kwargs.pop("env", {}))
+    subprocess.run([sys.executable, "-m", "lipnet.cli", *map(str, argv)], check=True,
+                   capture_output=True, env=env, **kwargs)
+
+
+def eval_rows(out: Path) -> list:
+    return json.loads((out / "eval_report.json").read_text())["rows"]
 
 
 def run_command(command, cfg, out, checkpoint):
@@ -97,6 +111,26 @@ def test_train_rerun_is_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_output_files_get_the_mode_open_would_give(tmp_path):
+    # the atomic write's temp file is owner-only until it is given the umask's mode
+    out = tmp_path / "run"
+    run_subprocess("train", "--config", write_cfg(tmp_path), "--out", out, umask=0o022)
+    modes = {p.name: oct(p.stat().st_mode & 0o777) for p in out.iterdir()}
+    assert len(modes) == 5 and set(modes.values()) == {"0o644"}, modes
+
+
+@pytest.mark.skipif(cli._openblas_threads() is None, reason="no OpenBLAS loaded")
+def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the reproducibility domain is the numpy build and the BLAS kernel, not the threads
+    cfg = write_cfg(tmp_path, dataset="synthetic_digits", model="mnist_cnn",
+                    synthetic_train_n=800, batch_size=100, beta=10.0, l_n=0.005)
+    for threads in ("1", "2"):
+        run_subprocess("train", "--config", cfg, "--out", tmp_path / threads,
+                       env={"OPENBLAS_NUM_THREADS": threads})
+    assert (tmp_path / "1" / "model.ckpt").read_bytes() == (
+        tmp_path / "2" / "model.ckpt").read_bytes()
+
+
 def test_seed_override_lands_in_resolved_config(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "run"
@@ -111,9 +145,9 @@ def test_sweep_reads_checkpoint_and_reports(tmp_path):
     assert run("train", "--config", cfg, "--out", trained) == 0
     assert run("sweep", "--config", cfg, "--out", swept,
                "--checkpoint", trained / "model.ckpt") == 0
-    report = EvalReport.from_csv_text((swept / "eval_report.csv").read_text())
-    assert [r.sigma_test for r in report.rows] == [0.0, 0.5]
-    assert all(0.0 <= r.accuracy <= 1.0 for r in report.rows)
+    rows = eval_rows(swept)
+    assert [r["sigma_test"] for r in rows] == [0.0, 0.5]
+    assert all(0.0 <= r["accuracy"] <= 1.0 for r in rows)
     assert {p.name for p in swept.iterdir()} == {
         "eval_report.csv", "eval_report.json", "resolved_config.json"}
 
@@ -185,8 +219,7 @@ def test_sweep_needs_only_the_test_split(tmp_path, monkeypatch):
                     model="mnist_cnn")
     assert run("sweep", "--config", cfg, "--out", tmp_path / "swept",
                "--checkpoint", tmp_path / "model.ckpt") == 0
-    report = EvalReport.from_csv_text((tmp_path / "swept" / "eval_report.csv").read_text())
-    assert [r.n for r in report.rows] == [20, 20]
+    assert [r["n"] for r in eval_rows(tmp_path / "swept")] == [20, 20]
 
 
 def test_missing_idx_data_fails_before_writing(tmp_path, capsys, monkeypatch):
@@ -513,6 +546,17 @@ def test_load_config_checks_n_classes_without_computing_rho(tmp_path, monkeypatc
     monkeypatch.setattr(regularizer, "compute_rho", lambda labels: calls.append(labels))
     cfg = cli.load_config(write_cfg(tmp_path, n_classes=1000))
     assert cfg["n_classes"] == 1000 and calls == []
+
+
+@pytest.mark.parametrize("flags", [[], ["--synthetic"]])
+def test_guarantee_computes_rho_once(tmp_path, monkeypatch, flags):
+    calls = []
+    real = regularizer.compute_rho
+    monkeypatch.setattr(regularizer, "compute_rho",
+                        lambda labels: calls.append(1) or real(labels))
+    cfg = write_cfg(tmp_path, l_n=0.01, synthetic_trials=100, synthetic_seeds=1)
+    assert run("guarantee", "--config", cfg, "--out", tmp_path / "g", *flags) == 0
+    assert len(calls) == 1
 
 
 def test_guarantee_requires_explicit_l_n(tmp_path, capsys):

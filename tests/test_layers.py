@@ -4,12 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lipnet import (CHECKPOINT_VERSION, LayerSpec, Tensor, build_blobs_mlp,
+from lipnet import (CHECKPOINT_VERSION, LayerSpec, Model, Tensor, build_blobs_mlp,
                     build_mnist_model, build_model, build_registered,
                     checkpoint_bytes, forward, load_checkpoint,
                     read_checkpoint, save_checkpoint)
-from lipnet.layers import _compose_shape
 
 
 def test_mnist_model_shapes_and_param_count():
@@ -42,11 +43,51 @@ def test_build_model_requires_final_softmax():
                      LayerSpec("softmax")], (2,), seed=0)
 
 
-def test_compose_shape_errors_name_layer():
+def test_bad_geometry_errors_name_layer():
     with pytest.raises(ValueError, match="layer 0"):
-        _compose_shape((2,), LayerSpec("conv2d", out_channels=2, kernel_size=3), 0)
+        build_model([LayerSpec("conv2d", out_channels=2, kernel_size=3), LayerSpec("softmax")],
+                    (2,), seed=0)
     with pytest.raises(ValueError, match="dense"):
-        _compose_shape((1, 8, 8), LayerSpec("dense", out_features=4), 1)
+        build_model([LayerSpec("dense", out_features=4), LayerSpec("softmax")], (1, 8, 8), seed=0)
+    with pytest.raises(ValueError, match=re.escape(
+            "layer 0 (conv2d): conv2d: stride must be >= 1, got 0")):
+        build_model([LayerSpec("conv2d", out_channels=2, kernel_size=3, stride=0),
+                     LayerSpec("flatten"), LayerSpec("softmax")], (1, 8, 8), seed=0)
+
+
+def test_unknown_kind_is_rejected_by_build_and_forward():
+    mlp = build_blobs_mlp(seed=0)
+    layers = [LayerSpec("dropout") if s.kind == "relu" else s for s in mlp.layers]
+    with pytest.raises(ValueError, match=re.escape("layer 1 (dropout): unknown layer kind")):
+        build_model(layers, (2,), seed=0)
+    # a Model built directly skips build_model's pass; forward must not skip the layer
+    with pytest.raises(ValueError, match="dropout"):
+        forward(Model(layers, mlp.params, (2,)), Tensor(np.ones((3, 2))))
+
+
+geometry = st.integers(-2, 6)
+layer_specs = st.one_of(
+    st.sampled_from([LayerSpec("relu"), LayerSpec("flatten"), LayerSpec("dropout")]),
+    st.builds(LayerSpec, st.just("dense"), out_features=geometry),
+    st.builds(LayerSpec, st.just("conv2d"), out_channels=geometry, kernel_size=geometry,
+              stride=geometry, padding=geometry))
+
+
+@settings(max_examples=200)
+@given(st.lists(layer_specs, max_size=3), st.lists(st.integers(-1, 6), max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_build_model_returns_a_working_model_or_raises_value_error(body, shape, seed):
+    # the ops' own checks are the only geometry checks, so anything they let
+    # through must run; anything else is a ValueError, never another type
+    try:
+        model = build_model(body + [LayerSpec("softmax")], tuple(shape), seed)
+    except ValueError:
+        return
+    x = np.random.default_rng(seed).random((2, *shape))
+    p = forward(model, Tensor(x)).data
+    assert p.ndim == 2 and p.shape[0] == 2
+    assert (p >= 0).all()
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_init_is_seeded_and_he_scaled():
