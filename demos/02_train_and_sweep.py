@@ -31,8 +31,7 @@ models = {}
 for name, hp in recipes.items():
     model, record = train(build_mnist_model(seed=0), train_ds, hp)
     models[name] = model
-    reports[name] = sweep(model, test_ds, SIGMAS, corruption_seed=9000,
-                          hyperparams=hp.as_dict())
+    reports[name] = sweep(model, test_ds, SIGMAS, corruption_seed=9000)
     print(f"{name}: {record.meta['n_steps']} steps, "
           f"{record.meta['perturbed_passes']} perturbed passes, "
           f"final train acc {record.epochs[-1].train_acc:.3f}")

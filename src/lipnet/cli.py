@@ -19,8 +19,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from dataclasses import replace
-
 import numpy as np
 
 from .data import (LabeledDataset, load_idx, synthetic_blobs, synthetic_digits)
@@ -29,7 +27,7 @@ from .layers import _registered, build_registered, load_checkpoint, save_checkpo
 from .regularizer import (COUNTEREXAMPLE_SCALE, LipschitzParams, RampClassifier,
                           audit_empirical_k, counterexample_outside_radius, guarantee,
                           one_hot_labels, verify_theorem1_synthetic)
-from .reports import (write_eval_report, write_json, write_ratio_table,
+from .reports import (_csv_text, write_eval_report, write_json, write_ratio_table,
                       write_sensitivity_report, write_train_record)
 from .seeding import derive_int, derive_rng
 from .training import (HyperParams, _check_deltas, _check_ratios, _check_sigmas,
@@ -248,15 +246,18 @@ def _method(beta: float) -> str:
     return "standard" if beta == 0 else "proposed"
 
 
-def _write_resolved_config(cfg, out: Path, command: str, extra: dict | None = None) -> None:
+def _resolved_config(cfg, command: str) -> dict:
+    """What resolved_config.json records: the config plus what ran it."""
     doc = {k: v for k, v in cfg.items() if not k.startswith("_")}
     doc["command"] = command
     doc["method"] = _method(cfg["beta"])
     doc["code_version"] = VERSION
     doc["sigma_units"] = "pixel units on [0,1]-scaled inputs"
-    if extra:
-        doc.update(extra)
-    write_json(out / "resolved_config.json", doc)
+    return doc
+
+
+def _write_resolved_config(cfg, out: Path, command: str) -> None:
+    write_json(out / "resolved_config.json", _resolved_config(cfg, command))
 
 
 def _model(cfg):
@@ -271,9 +272,8 @@ def _train_to(out: Path, cfg, train_ds, hp: HyperParams):
     return model
 
 
-def _sweep_to(out: Path, cfg, model, test_ds, hyperparams: dict | None = None) -> None:
-    write_eval_report(sweep(model, test_ds, cfg["sweep_sigmas"], cfg["corruption_seed"],
-                            hyperparams=hyperparams), out)
+def _sweep_to(out: Path, cfg, model, test_ds) -> None:
+    write_eval_report(sweep(model, test_ds, cfg["sweep_sigmas"], cfg["corruption_seed"]), out)
 
 
 def cmd_train(cfg, out: Path) -> int:
@@ -286,7 +286,6 @@ def cmd_sweep(cfg, out: Path, checkpoint=None) -> int:
     if checkpoint is None:
         raise ConfigError("sweep needs --checkpoint")
     test_ds = _load_split(cfg, "test")
-    # the checkpoint's training recipe is unknown here, so hyperparams stay null
     _sweep_to(out, cfg, load_checkpoint(_model(cfg), checkpoint), test_ds)
     _write_resolved_config(cfg, out, "sweep")
     return 0
@@ -299,29 +298,36 @@ def _cell_name(lip: LipschitzParams) -> str:
     return txt.replace(".", "p").replace("+", "").replace("-", "m")
 
 
-def _grid_cells(cfg):
-    cells = []
+def _grid_cells(cfg) -> dict:
+    """{directory name: the cell's own config}: the grid's config without the
+    grid axes and workers, plus the cell's sigma_train, beta and l_n."""
+    lips = []
     if cfg["grid_include_standard"]:
-        cells.append(LipschitzParams(0.0, 0.0, cfg["l_n"]))
+        lips.append(LipschitzParams(0.0, 0.0, cfg["l_n"]))
     for s in cfg["grid_sigma_train"]:
         for b in cfg["grid_beta"]:
             for l in cfg["grid_l_n"]:
-                cells.append(LipschitzParams(s, b, l))
-    if not cells:
+                lips.append(LipschitzParams(s, b, l))
+    if not lips:
         raise ValueError("grid is empty: no standard baseline and no cells")
-    names = [_cell_name(lip) for lip in cells]
+    names = [_cell_name(lip) for lip in lips]
     shared = sorted({n for n in names if names.count(n) > 1})
     if shared:
         raise ValueError(f"grid cells share a directory name: {shared}; axis values "
                          f"must differ in their %g form, and every beta-0 cell "
                          f"is named 'standard'")
-    return cells
+    common = {k: v for k, v in cfg.items() if not k.startswith("grid_") and k != "workers"}
+    return {name: dict(common, sigma_train=lip.sigma_train, beta=lip.beta, l_n=lip.l_n)
+            for name, lip in zip(names, lips)}
 
 
-def _run_cell(cfg, cell_dir: Path, lip: LipschitzParams, train_ds, test_ds) -> None:
-    hp = replace(_hp_from_cfg(cfg), lip=lip)
-    _sweep_to(cell_dir, cfg, _train_to(cell_dir, cfg, train_ds, hp), test_ds, hp.as_dict())
-    atomic_write_text(cell_dir / "DONE", "ok\n")
+def _run_cell(cfg, cell_dir: Path, train_ds, test_ds) -> None:
+    """Train and sweep one grid cell with its own config. Its resolved_config.json,
+    written last, is the record that the cell finished with that recipe."""
+    for name in ("resolved_config.json", "error.txt"):
+        (cell_dir / name).unlink(missing_ok=True)
+    _sweep_to(cell_dir, cfg, _train_to(cell_dir, cfg, train_ds, _hp_from_cfg(cfg)), test_ds)
+    _write_resolved_config(cfg, cell_dir, "grid")
 
 
 # OpenBLAS exports its thread controls under a build-specific name. numpy's
@@ -372,19 +378,26 @@ def _blas_threads_split(ways: int):
 
 def cmd_grid(cfg, out: Path) -> int:
     """Train + sweep every (sigma_train, beta, l_n) cell plus the standard
-    baseline. Cells with a DONE marker are skipped, so an interrupted grid
-    resumes; per-cell failures are recorded and the other cells continue."""
-    cells = _grid_cells(cfg)
+    baseline. A cell whose resolved_config.json matches its current config is
+    done and skipped, so an interrupted grid resumes and a changed recipe
+    retrains; per-cell failures are recorded and the other cells continue."""
+    cells = {out / name: cell for name, cell in _grid_cells(cfg).items()}
     sigmas = sorted(cfg["sweep_sigmas"])
     workers = cfg["workers"]
     train_ds, test_ds = load_datasets(cfg)
 
-    def run_one(lip: LipschitzParams) -> None:
-        cell_dir = out / _cell_name(lip)
-        if (cell_dir / "DONE").exists():
+    def done(cell_dir: Path) -> bool:
+        try:
+            text = (cell_dir / "resolved_config.json").read_text(encoding="utf-8")
+            return json.loads(text) == _resolved_config(cells[cell_dir], "grid")
+        except (OSError, ValueError):  # missing or unreadable: not done
+            return False
+
+    def run_one(cell_dir: Path) -> None:
+        if done(cell_dir):
             return
         try:
-            _run_cell(cfg, cell_dir, lip, train_ds, test_ds)
+            _run_cell(cells[cell_dir], cell_dir, train_ds, test_ds)
         except Exception as e:  # recorded, grid continues
             atomic_write_text(cell_dir / "error.txt", f"{type(e).__name__}: {e}\n")
 
@@ -399,20 +412,17 @@ def cmd_grid(cfg, out: Path) -> int:
 
     header = ["method", "sigma_train", "beta", "l_n"]
     header += [f"acc_sigma_{s:g}".replace(".", "p") for s in sigmas]
-    lines = [",".join(header)]
-    failed = []
-    for lip in cells:
-        cell_dir = out / _cell_name(lip)
-        if not (cell_dir / "DONE").exists():
-            failed.append(_cell_name(lip))
+    rows, failed = [], []
+    for cell_dir, cell in cells.items():
+        if not done(cell_dir):
+            failed.append(cell_dir.name)
             continue
-        rows = json.loads((cell_dir / "eval_report.json").read_text(encoding="utf-8"))["rows"]
-        acc = {row["sigma_test"]: row["accuracy"] for row in rows}
-        cells_txt = [_method(lip.beta), repr(lip.sigma_train), repr(lip.beta), repr(lip.l_n)]
-        cells_txt += [repr(acc[s]) for s in sigmas]
-        lines.append(",".join(cells_txt))
-    atomic_write_text(out / "grid_summary.csv", "\n".join(lines) + "\n")
-    _write_resolved_config(cfg, out, "grid", {"failed_cells": failed})
+        report = json.loads((cell_dir / "eval_report.json").read_text(encoding="utf-8"))
+        acc = {row["sigma_test"]: row["accuracy"] for row in report["rows"]}
+        rows.append([_method(cell["beta"]), cell["sigma_train"], cell["beta"], cell["l_n"],
+                     *(acc[s] for s in sigmas)])
+    atomic_write_text(out / "grid_summary.csv", _csv_text(header, rows))
+    _write_resolved_config(cfg, out, "grid")
     if failed:
         print(f"error: {len(failed)} grid cell(s) failed: {failed}", file=sys.stderr)
         return 1

@@ -212,6 +212,8 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             (nlen,) = struct.unpack_from("<I", blob, off)
             off += 4
             name = blob[off:off + nlen].decode("utf-8")
+            if name in out:
+                raise ValueError(f"{path}: parameter {name!r} appears twice")
             off += nlen
             (rank,) = struct.unpack_from("<I", blob, off)
             off += 4

@@ -170,8 +170,7 @@ def _check_sigmas(sigmas) -> list[float]:
     return sigmas
 
 
-def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed: int,
-          hyperparams: dict | None = None) -> EvalReport:
+def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed: int) -> EvalReport:
     """One evaluation row per test-noise level, rows sorted by sigma.
 
     Corruption is seeded per sigma from corruption_seed only, so every model
@@ -194,7 +193,6 @@ def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed: int
         accuracy, conf = _acc_conf(probs, clean_test.labels)
         rows.append(EvalRow(sigma, accuracy, conf, mean_k, clean_test.n))
     metadata = {
-        "hyperparams": hyperparams,
         "model_hash": hashlib.sha256(checkpoint_bytes(model)).hexdigest(),
         "dataset": clean_test.provenance.as_dict(),
         "corruption_seed": int(corruption_seed),

@@ -4,6 +4,7 @@ from it, the fast demos run end to end, and the callers of every tensor op."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -54,6 +55,28 @@ def _unresolved_lipnet_reads(script: Path) -> list[str]:
     return missing
 
 
+def _lipnet_calls(script: Path):
+    """(label, callable, call node) for each call in a script to a name it
+    imports from lipnet, or to an attribute of a lipnet module it imports."""
+    tree = ast.parse(script.read_text(encoding="utf-8"))
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.split(".")[0] == "lipnet"):
+            module = importlib.import_module(node.module)
+            for a in node.names:
+                names[a.asname or a.name] = getattr(module, a.name, None)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in names:
+            yield f.id, names[f.id], node
+        elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+              and inspect.ismodule(names.get(f.value.id))):
+            yield f"{f.value.id}.{f.attr}", getattr(names[f.value.id], f.attr, None), node
+
+
 def _load_script(path: Path):
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
@@ -78,6 +101,23 @@ def test_benchmark_reads_from_lipnet_resolve(script):
     # the benchmark changes apart from the program and runs only in its own
     # pipeline, so a renamed name would break it unseen
     assert _unresolved_lipnet_reads(script) == []
+
+
+def test_benchmark_calls_into_lipnet_fit_their_signatures():
+    # like the names above, a call that no longer binds would fail only in the
+    # benchmark's own pipeline; calls that spread *args or **kwargs are skipped
+    checked, unbound = 0, []
+    for script in BENCHMARKS:
+        for label, fn, call in _lipnet_calls(script):
+            if fn is None or any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords):
+                continue
+            checked += 1
+            try:
+                inspect.signature(fn).bind(*call.args, **{k.arg: k for k in call.keywords})
+            except TypeError as e:
+                unbound.append(f"{script.name}:{call.lineno} {label}: {e}")
+    assert checked > 0 and unbound == []
 
 
 def test_benchmark_trace_names_resolve():

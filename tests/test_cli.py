@@ -152,15 +152,19 @@ def test_sweep_reads_checkpoint_and_reports(tmp_path):
         "eval_report.csv", "eval_report.json", "resolved_config.json"}
 
 
-def test_sweep_report_leaves_the_unknown_training_recipe_null(tmp_path):
-    # the checkpoint was trained with another config than the one sweep reads
-    trained, swept = tmp_path / "trained", tmp_path / "swept"
+def test_eval_reports_carry_no_training_recipe(tmp_path):
+    # resolved_config.json is the one record of a recipe; sweep's checkpoint
+    # was trained with another config than the one sweep reads
+    trained, swept, grid = tmp_path / "trained", tmp_path / "swept", tmp_path / "grid"
     assert run("train", "--config", write_cfg(tmp_path, "a.json", beta=10.0, lr=0.05),
                "--out", trained) == 0
     assert run("sweep", "--config", write_cfg(tmp_path, "b.json", lr=0.5, epochs=3),
                "--out", swept, "--checkpoint", trained / "model.ckpt") == 0
-    meta = json.loads((swept / "eval_report.json").read_text())["metadata"]
-    assert "hyperparams" in meta and meta["hyperparams"] is None
+    assert run("grid", "--config", write_cfg(tmp_path, "c.json", grid_sigma_train=[]),
+               "--out", grid) == 0
+    for report in (swept / "eval_report.json", grid / "standard" / "eval_report.json"):
+        meta = json.loads(report.read_text())["metadata"]
+        assert {"model_hash", "dataset"} <= set(meta) and "hyperparams" not in meta
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -244,16 +248,21 @@ def test_grid_trains_all_cells_and_summarizes(tmp_path):
                     grid_l_n=[0.005])
     out = tmp_path / "grid"
     assert run("grid", "--config", cfg, "--out", out) == 0
-    assert (out / "standard" / "DONE").exists()
-    assert (out / "s0p5_b10_l0p005" / "DONE").exists()
     lines = (out / "grid_summary.csv").read_text().strip().split("\n")
     assert lines[0] == "method,sigma_train,beta,l_n,acc_sigma_0,acc_sigma_0p5"
     assert len(lines) == 3
     assert lines[1].startswith("standard,") and lines[2].startswith("proposed,")
-    assert json.loads((out / "resolved_config.json").read_text())["failed_cells"] == []
-    # unlike sweep's, a cell's report knows the recipe that trained it
-    meta = json.loads((out / "s0p5_b10_l0p005" / "eval_report.json").read_text())["metadata"]
-    assert meta["hyperparams"]["lip"] == {"sigma_train": 0.5, "beta": 10.0, "l_n": 0.005}
+    assert "failed_cells" not in json.loads((out / "resolved_config.json").read_text())
+    # each cell records its own recipe: the grid's config without the axes and
+    # workers, plus the cell's regularizer
+    for cell, lip, method in [("standard", (0.0, 0.0, 0.01), "standard"),
+                              ("s0p5_b10_l0p005", (0.5, 10.0, 0.005), "proposed")]:
+        resolved = json.loads((out / cell / "resolved_config.json").read_text())
+        assert (resolved["sigma_train"], resolved["beta"], resolved["l_n"]) == lip
+        assert (resolved["command"], resolved["method"]) == ("grid", method)
+        assert resolved["epochs"] == BASE_CFG["epochs"]
+        assert not any(k.startswith("grid_") or k == "workers" for k in resolved)
+        assert not (out / cell / "DONE").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -265,25 +274,83 @@ def test_grid_records_cell_failure_and_continues(tmp_path, capsys):
     assert run("grid", "--config", cfg, "--out", out) == 1
     bad = out / "s0p5_b1e300_l1em09"
     assert "TrainingDivergedError" in (bad / "error.txt").read_text()
-    assert not (bad / "DONE").exists()
-    assert (out / "standard" / "DONE").exists()
-    assert (out / "s0p5_b10_l1em09" / "DONE").exists()
-    resolved = json.loads((out / "resolved_config.json").read_text())
-    assert resolved["failed_cells"] == ["s0p5_b1e300_l1em09"]
-    assert "failed" in capsys.readouterr().err
-
-
-def test_grid_resume_skips_done_cells(tmp_path):
-    cfg = write_cfg(tmp_path, grid_sigma_train=[0.5], grid_beta=[10.0],
-                    grid_l_n=[0.005])
-    out = tmp_path / "grid"
-    assert run("grid", "--config", cfg, "--out", out) == 0
-    stamp = (out / "standard" / "model.ckpt").stat().st_mtime_ns
-    assert run("grid", "--config", cfg, "--out", out) == 0
-    assert (out / "standard" / "model.ckpt").stat().st_mtime_ns == stamp
+    assert not (bad / "resolved_config.json").exists()
+    assert (out / "standard" / "resolved_config.json").exists()
+    assert (out / "s0p5_b10_l1em09" / "resolved_config.json").exists()
+    assert capsys.readouterr().err == "error: 1 grid cell(s) failed: ['s0p5_b1e300_l1em09']\n"
+    assert len((out / "grid_summary.csv").read_text().split()) == 3
 
 
 GRID_AXES = dict(grid_sigma_train=[0.5], grid_beta=[10.0], grid_l_n=[0.005, 0.01])
+
+
+def checkpoint_stamps(out: Path) -> dict:
+    return {p.parent.name: p.stat().st_mtime_ns for p in out.glob("*/model.ckpt")}
+
+
+@pytest.mark.parametrize("change", [{}, {"workers": 2}])
+def test_grid_resume_skips_done_cells(tmp_path, change):
+    out = tmp_path / "grid"
+    assert run("grid", "--config", write_cfg(tmp_path, "a.json", **GRID_AXES), "--out", out) == 0
+    stamps = checkpoint_stamps(out)
+    assert len(stamps) == 3
+    cfg = write_cfg(tmp_path, "b.json", **GRID_AXES, **change)
+    assert run("grid", "--config", cfg, "--out", out) == 0
+    assert checkpoint_stamps(out) == stamps
+
+
+def test_grid_trains_only_a_new_cell(tmp_path, monkeypatch):
+    out = tmp_path / "grid"
+    assert run("grid", "--config", write_cfg(tmp_path, "a.json", **GRID_AXES), "--out", out) == 0
+    ran, real_run_cell = [], cli._run_cell
+
+    def run_cell(cfg, cell_dir, *args):
+        ran.append(cell_dir.name)
+        return real_run_cell(cfg, cell_dir, *args)
+
+    monkeypatch.setattr(cli, "_run_cell", run_cell)
+    cfg = write_cfg(tmp_path, "b.json", **dict(GRID_AXES, grid_l_n=[0.005, 0.01, 0.02]))
+    assert run("grid", "--config", cfg, "--out", out) == 0
+    assert ran == ["s0p5_b10_l0p02"]
+    assert len((out / "grid_summary.csv").read_text().split()) == 5
+
+
+def cell_files(out: Path) -> dict:
+    """Every file a grid wrote, by path under out, except the wall-clock timings."""
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+            if p.is_file() and p.name != "timings.json"}
+
+
+@pytest.mark.parametrize("change", [{"sweep_sigmas": [0.0, 1.0]}, {"epochs": 2}])
+def test_grid_rerun_with_a_changed_recipe_matches_a_fresh_grid(tmp_path, change):
+    # a cell counts as done only under the recipe its resolved_config.json records
+    cfg = write_cfg(tmp_path, "a.json", **GRID_AXES)
+    changed = write_cfg(tmp_path, "b.json", **GRID_AXES, **change)
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert run("grid", "--config", cfg, "--out", rerun) == 0
+    assert run("grid", "--config", changed, "--out", rerun) == 0
+    assert run("grid", "--config", changed, "--out", fresh) == 0
+    assert cell_files(rerun) == cell_files(fresh)  # grid_summary.csv included
+
+
+def test_grid_rerun_clears_a_cell_error(tmp_path, monkeypatch):
+    calls, real_run_cell = [], cli._run_cell
+
+    def fail_first(cfg, cell_dir, *args):
+        calls.append(cell_dir.name)
+        if len(calls) == 1:
+            raise RuntimeError("first attempt fails")
+        return real_run_cell(cfg, cell_dir, *args)
+
+    monkeypatch.setattr(cli, "_run_cell", fail_first)
+    cfg = write_cfg(tmp_path, grid_sigma_train=[0.5], grid_beta=[10.0], grid_l_n=[0.005])
+    out = tmp_path / "grid"
+    assert run("grid", "--config", cfg, "--out", out) == 1
+    assert (out / "standard" / "error.txt").exists()
+    assert run("grid", "--config", cfg, "--out", out) == 0
+    assert calls == ["standard", "s0p5_b10_l0p005", "standard"]
+    assert not (out / "standard" / "error.txt").exists()
+    assert (out / "standard" / "resolved_config.json").exists()
 
 
 def test_grid_parallel_workers_match_serial(tmp_path):

@@ -1,6 +1,7 @@
 """Model construction, forward geometry, and the checkpoint wire format."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -140,6 +141,17 @@ def test_malformed_checkpoint_is_value_error_naming_path(tmp_path, cut):
     path = tmp_path / f"{cut}.ckpt"
     path.write_bytes(bad)
     with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_repeated_parameter(tmp_path):
+    # a second record of one name would otherwise replace the first unseen
+    model = build_blobs_mlp(seed=0)
+    name, w = b"0.dense.weight", model.params["0.dense.weight"].data
+    record = struct.pack(f"<I{len(name)}sI{w.ndim}I", len(name), name, w.ndim, *w.shape)
+    path = tmp_path / "twice.ckpt"
+    path.write_bytes(checkpoint_bytes(model) + record + np.full(w.shape, 7.0).tobytes())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: parameter '0.dense.weight'")):
         read_checkpoint(path)
 
 

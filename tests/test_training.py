@@ -169,11 +169,8 @@ def test_sweep_sorts_rows_and_validates(blobs_test):
 def test_sweep_metadata_identifies_model(blobs_test):
     import hashlib
     model = build_blobs_mlp(seed=0)
-    report = sweep(model, blobs_test, [0.0], corruption_seed=7,
-                   hyperparams={"lr": 0.1})
-    meta = report.metadata
+    meta = sweep(model, blobs_test, [0.0], corruption_seed=7).metadata
     assert meta["model_hash"] == hashlib.sha256(checkpoint_bytes(model)).hexdigest()
-    assert meta["hyperparams"] == {"lr": 0.1}
     assert meta["corruption_seed"] == 7
     assert meta["dataset"]["source"] == blobs_test.provenance.source
 
