@@ -89,8 +89,11 @@ class SGD:
                 continue
             if self.momentum > 0.0:
                 v = self.velocity.get(name)
-                v = p.grad.copy() if v is None else self.momentum * v + p.grad
-                self.velocity[name] = v
+                if v is None:
+                    v = self.velocity[name] = p.grad.copy()
+                else:  # in place: the same roundings as momentum * v + grad
+                    v *= self.momentum
+                    v += p.grad
                 p.data -= lr * v
             else:
                 p.data -= lr * p.grad

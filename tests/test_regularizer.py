@@ -465,14 +465,14 @@ def test_audit_rejects_n_below_one():
 
 
 def test_audit_equals_unchunked_reference(perturb_calls):
-    # same rows, same rng draws, one unchunked forward per side: 700 rows span
-    # two of the audit's forward chunks; all noise comes from one perturb call
+    # same rows, same rng draws, one unchunked forward per side: 733 rows span
+    # seven full forward chunks and a partial one; all noise comes from one perturb call
     model = build_mnist_model(seed=4)
     ds = synthetic_digits(800, seed=5)
-    audit = audit_empirical_k(model, ds, 0.5, 700, np.random.default_rng(6))
+    audit = audit_empirical_k(model, ds, 0.5, 733, np.random.default_rng(6))
     assert len(perturb_calls) == 1
     rng = np.random.default_rng(6)
-    x = ds.images[np.sort(rng.permutation(ds.n)[:700])]
+    x = ds.images[np.sort(rng.permutation(ds.n)[:733])]
     x_bar = x + rng.normal(0.0, 0.5, size=x.shape)
     want = quotient(forward(model, Tensor(x)), forward(model, Tensor(x_bar)), x, x_bar)
     np.testing.assert_allclose(audit.values(), want.data, rtol=1e-12, atol=0)

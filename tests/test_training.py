@@ -1,14 +1,17 @@
 """Training loop determinism, the evaluation protocol, and the study helpers."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lipnet import (SGD, HyperParams, LipschitzParams, Tensor,
                     TrainingDivergedError, audit_empirical_k, build_blobs_mlp,
-                    checkpoint_bytes, evaluate, ratio_study, sensitivity,
-                    sweep, synthetic_blobs, train)
+                    build_mnist_model, checkpoint_bytes, evaluate, ratio_study,
+                    sensitivity, sweep, synthetic_blobs, synthetic_digits, train)
 from lipnet.seeding import derive_int
 
 
@@ -48,6 +51,29 @@ def test_sgd_momentum_leaves_grad_unchanged():
         assert p.grad is grad
         np.testing.assert_array_equal(grad, [1.0, -2.0, 3.0])
     np.testing.assert_allclose(p.data, -0.1 * (1 + 1.9 + 2.71) * grad)
+
+
+@given(n=st.integers(1, 6), momentum=st.floats(0.0, 1.0, exclude_max=True),
+       lr=st.floats(1e-3, 1.0), n_steps=st.integers(3, 5), data=st.data())
+def test_sgd_momentum_in_place_is_the_recurrence_bit_for_bit(n, momentum, lr, n_steps, data):
+    values = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n).map(np.array)
+    start = data.draw(values)
+    grads = [data.draw(values) for _ in range(n_steps)]
+    p = Tensor(start.copy(), requires_grad=True)
+    opt = SGD(momentum)
+    want, v = start.copy(), None
+    for step, g in enumerate(grads, start=1):
+        p.grad = g
+        opt.step({"w": p}, lr)
+        v = g.copy() if v is None else momentum * v + g
+        want -= lr * v
+        if momentum > 0.0:
+            assert opt.velocity["w"] is not p.grad
+            if step == 2:
+                velocity = opt.velocity["w"]
+            elif step == 3:
+                assert opt.velocity["w"] is velocity
+    np.testing.assert_array_equal(p.data, want)
 
 
 def test_hyperparams_lr_drops_rules():
@@ -143,6 +169,19 @@ def test_evaluate_is_pure(blobs_test):
     second = evaluate(model, blobs_test)
     assert first == second
     assert checkpoint_bytes(model) == before
+
+
+def test_evaluate_memory_is_bounded_by_the_chunk_not_the_dataset():
+    # conv2d's im2col buffer is 2000 * 25 * 14 * 14 floats (78 MB) in one pass
+    model = build_mnist_model(4)
+    ds = synthetic_digits(2000, 5)
+    tracemalloc.start()
+    try:
+        evaluate(model, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_sweep_sigma_zero_row_matches_evaluate(blobs_test):
