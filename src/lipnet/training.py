@@ -87,16 +87,16 @@ class SGD:
         for name, p in params.items():
             if p.grad is None:
                 continue
+            v = self.velocity.get(name)
             if self.momentum > 0.0:
-                v = self.velocity.get(name)
                 if v is None:
                     v = self.velocity[name] = p.grad.copy()
                 else:  # in place: the same roundings as momentum * v + grad
                     v *= self.momentum
                     v += p.grad
                 p.data -= lr * v
-            else:
-                p.data -= lr * p.grad
+            else:  # lr * grad in one kept array; fresh ones let glibc trim the heap every step
+                p.data -= self.velocity.setdefault(name, np.multiply(p.grad, lr, out=v))
 
 
 TRAIN_ACC_PROBE_CAP = 5000  # per-epoch train accuracy uses at most this many samples

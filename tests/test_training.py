@@ -67,12 +67,11 @@ def test_sgd_momentum_in_place_is_the_recurrence_bit_for_bit(n, momentum, lr, n_
         opt.step({"w": p}, lr)
         v = g.copy() if v is None else momentum * v + g
         want -= lr * v
-        if momentum > 0.0:
-            assert opt.velocity["w"] is not p.grad
-            if step == 2:
-                velocity = opt.velocity["w"]
-            elif step == 3:
-                assert opt.velocity["w"] is velocity
+        assert opt.velocity["w"] is not p.grad
+        if step == 2:
+            velocity = opt.velocity["w"]
+        elif step == 3:
+            assert opt.velocity["w"] is velocity
     np.testing.assert_array_equal(p.data, want)
 
 
