@@ -7,10 +7,8 @@ reverse-mode autodiff tape, the layer zoo, the data pipeline, the training
 and evaluation protocol, and the distortion-radius guarantee live here.
 """
 
-from .data import (IdxCountMismatchError, IdxError, IdxMagicError,
-                   IdxTruncatedError, LabeledDataset, Provenance, batches,
-                   corrupt, load_idx, save_idx, subsample, synthetic_blobs,
-                   synthetic_digits)
+from .data import (IdxError, LabeledDataset, Provenance, batches, corrupt,
+                   load_idx, save_idx, subsample, synthetic_blobs, synthetic_digits)
 from .layers import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, LayerSpec, Model,
                      build_blobs_mlp, build_mnist_model, build_model,
                      build_registered, checkpoint_bytes, forward,
@@ -34,8 +32,7 @@ __version__ = VERSION
 
 __all__ = [
     "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION", "EvalReport", "EvalRow",
-    "Graph", "GuaranteeReport", "HyperParams", "IdxCountMismatchError",
-    "IdxError", "IdxMagicError", "IdxTruncatedError", "KStatistics",
+    "Graph", "GuaranteeReport", "HyperParams", "IdxError", "KStatistics",
     "LabeledDataset", "LayerSpec", "LipschitzParams", "Model", "Provenance",
     "RampClassifier", "SGD", "SensitivityEntry", "SensitivityReport",
     "StepRecord", "Tensor", "TrainRecord", "TrainingDivergedError",

@@ -23,10 +23,12 @@ import numpy as np
 
 from .data import (LabeledDataset, load_idx, synthetic_blobs, synthetic_digits)
 from .ioutil import atomic_write_text
-from .layers import _registered, build_registered, load_checkpoint, save_checkpoint
-from .regularizer import (COUNTEREXAMPLE_SCALE, LipschitzParams, RampClassifier,
-                          audit_empirical_k, counterexample_outside_radius, guarantee,
-                          one_hot_labels, verify_theorem1_synthetic)
+from .layers import (_eager_probs, _registered, build_registered, load_checkpoint,
+                     save_checkpoint)
+from .regularizer import (COUNTEREXAMPLE_SCALE, ORACLE_DIM, ORACLE_L, ORACLE_SEEDS,
+                          ORACLE_TRIALS, LipschitzParams, RampClassifier, audit_empirical_k,
+                          counterexample_outside_radius, guarantee, one_hot_labels,
+                          verify_theorem1_synthetic)
 from .reports import (_csv_text, write_eval_report, write_json, write_ratio_table,
                       write_sensitivity_report, write_train_record)
 from .seeding import derive_int, derive_rng
@@ -63,7 +65,6 @@ CONFIG_DEFAULTS = {
     "epochs": 5,
     "batch_size": 100,
     "lr_drops": [],
-    "train_ratio": 1.0,
     "seed": 0,
     "momentum": 0.0,
     # regularizer
@@ -85,11 +86,6 @@ CONFIG_DEFAULTS = {
     "sensitivity_deltas": {"sigma_train": 0.25, "beta": 1.0, "l_n": 0.005},
     "sigma_eval": 0.5,
     # guarantee
-    "n_classes": 10,
-    "synthetic_trials": 10000,
-    "synthetic_seeds": 5,
-    "synthetic_l": 1.0,
-    "synthetic_dim": 2,
     "audit_sigma": 0.5,
     "audit_n": 1000,
 }
@@ -107,8 +103,8 @@ class ConfigError(ValueError):
 # None defaults that hold an int when set; every other None default is a path.
 _OPTIONAL_INTS = ("train_limit", "arch_seed")
 # Sizes, counts and the audit noise level; each must be > 0 (train_limit when set).
-_POSITIVE = ("train_limit", "synthetic_train_n", "synthetic_test_n", "synthetic_trials",
-             "synthetic_seeds", "workers", "audit_n", "audit_sigma")
+_POSITIVE = ("train_limit", "synthetic_train_n", "synthetic_test_n", "workers", "audit_n",
+             "audit_sigma")
 
 
 def _as(kind: type, value):
@@ -171,15 +167,12 @@ def load_config(path, seed_override=None) -> dict:
         raise ConfigError(f"unknown dataset kind: {cfg['dataset']!r} (config key 'dataset')")
     _checked("model", _registered, cfg["model"])
     _checked("seed/arch_seed", np.random.SeedSequence, _arch_seed(cfg))
-    _checked("lr/epochs/batch_size/lr_drops/train_ratio/momentum/sigma_train/beta/l_n",
-             _hp_from_cfg, cfg)
+    _checked("lr/epochs/batch_size/lr_drops/momentum/sigma_train/beta/l_n", _hp_from_cfg, cfg)
     _checked("grid_sigma_train/grid_beta/grid_l_n", _grid_cells, cfg)
     _checked("sweep_sigmas", _check_sigmas, cfg["sweep_sigmas"])
     _checked("sigma_eval", _check_sigmas, [cfg["sigma_eval"]])
     _checked("ratios", _check_ratios, cfg["ratios"])
     _checked("sensitivity_deltas", _check_deltas, cfg["sensitivity_deltas"])
-    _checked("n_classes/synthetic_l/synthetic_dim", lambda: RampClassifier(
-        cfg["synthetic_l"], one_hot_labels(cfg["n_classes"]), cfg["synthetic_dim"]))
     return cfg
 
 
@@ -194,8 +187,7 @@ def _checked(key: str, rule, *args):
 def _hp_from_cfg(cfg) -> HyperParams:
     return HyperParams(lip=LipschitzParams(cfg["sigma_train"], cfg["beta"], cfg["l_n"]),
                        lr=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                       lr_drops=cfg["lr_drops"], train_ratio=cfg["train_ratio"],
-                       seed=cfg["seed"], momentum=cfg["momentum"])
+                       lr_drops=cfg["lr_drops"], seed=cfg["seed"], momentum=cfg["momentum"])
 
 
 def _resolve_idx_path(cfg, key):
@@ -256,10 +248,6 @@ def _resolved_config(cfg, command: str) -> dict:
     return doc
 
 
-def _write_resolved_config(cfg, out: Path, command: str) -> None:
-    write_json(out / "resolved_config.json", _resolved_config(cfg, command))
-
-
 def _model(cfg):
     return build_registered(cfg["model"], _arch_seed(cfg))
 
@@ -278,7 +266,6 @@ def _sweep_to(out: Path, cfg, model, test_ds) -> None:
 
 def cmd_train(cfg, out: Path) -> int:
     _train_to(out, cfg, _load_split(cfg, "train"), _hp_from_cfg(cfg))
-    _write_resolved_config(cfg, out, "train")
     return 0
 
 
@@ -287,7 +274,6 @@ def cmd_sweep(cfg, out: Path, checkpoint=None) -> int:
         raise ConfigError("sweep needs --checkpoint")
     test_ds = _load_split(cfg, "test")
     _sweep_to(out, cfg, load_checkpoint(_model(cfg), checkpoint), test_ds)
-    _write_resolved_config(cfg, out, "sweep")
     return 0
 
 
@@ -327,7 +313,7 @@ def _run_cell(cfg, cell_dir: Path, train_ds, test_ds) -> None:
     for name in ("resolved_config.json", "error.txt"):
         (cell_dir / name).unlink(missing_ok=True)
     _sweep_to(cell_dir, cfg, _train_to(cell_dir, cfg, train_ds, _hp_from_cfg(cfg)), test_ds)
-    _write_resolved_config(cfg, cell_dir, "grid")
+    write_json(cell_dir / "resolved_config.json", _resolved_config(cfg, "grid"))
 
 
 # OpenBLAS exports its thread controls under a build-specific name. numpy's
@@ -422,7 +408,6 @@ def cmd_grid(cfg, out: Path) -> int:
         rows.append([_method(cell["beta"]), cell["sigma_train"], cell["beta"], cell["l_n"],
                      *(acc[s] for s in sigmas)])
     atomic_write_text(out / "grid_summary.csv", _csv_text(header, rows))
-    _write_resolved_config(cfg, out, "grid")
     if failed:
         print(f"error: {len(failed)} grid cell(s) failed: {failed}", file=sys.stderr)
         return 1
@@ -440,42 +425,38 @@ def cmd_sensitivity(cfg, out: Path) -> int:
                          corruption_seed=cfg["corruption_seed"])
     report.metadata["reference_cifar10"] = dict(REFERENCE_SENSITIVITIES_CIFAR10)
     write_sensitivity_report(report, out)
-    _write_resolved_config(cfg, out, "sensitivity")
     return 0
 
 
 def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
     if "l_n" not in cfg["_explicit_keys"]:
-        raise ConfigError("guarantee requires an explicit 'l_n' config key "
-                          "(plus optional: n_classes, audit_sigma, audit_n, "
-                          "synthetic_trials, synthetic_seeds, synthetic_l, synthetic_dim)")
-    labels = one_hot_labels(cfg["n_classes"])
+        raise ConfigError("guarantee requires an explicit 'l_n' config key")
+    model = _model(cfg)  # --checkpoint loads into it; the labels span its output width
+    labels = one_hot_labels(_eager_probs(model, np.zeros((1, *model.input_shape))).shape[1])
     payload = {"guarantee": guarantee(LipschitzParams(l_n=cfg["l_n"]), labels).as_dict()}
 
     if checkpoint is not None:
         test_ds = _load_split(cfg, "test")
-        model = load_checkpoint(_model(cfg), checkpoint)
+        load_checkpoint(model, checkpoint)
         stats = audit_empirical_k(model, test_ds, cfg["audit_sigma"], cfg["audit_n"],
                                   derive_rng(cfg["seed"], "audit"), l_n=cfg["l_n"])
         payload["audit"] = dict(stats.as_dict(), sigma=cfg["audit_sigma"])
 
     if synthetic:
-        oracle = RampClassifier(cfg["synthetic_l"], labels, cfg["synthetic_dim"])
-        oracle.rho = payload["guarantee"]["rho"]  # the same labels' rho, computed once
-        per_seed = [verify_theorem1_synthetic(oracle, cfg["synthetic_trials"],
+        oracle = RampClassifier(ORACLE_L, labels, ORACLE_DIM)
+        per_seed = [verify_theorem1_synthetic(oracle, ORACLE_TRIALS,
                                               derive_rng(cfg["seed"], "thm1", i))
-                    for i in range(cfg["synthetic_seeds"])]
+                    for i in range(ORACLE_SEEDS)]
         _, _, before, after = counterexample_outside_radius(oracle)
         payload["synthetic"] = {
             "lipschitz_l": oracle.l, "dim": oracle.dim,
-            "trials_per_seed": cfg["synthetic_trials"],
+            "trials_per_seed": ORACLE_TRIALS,
             "violations_per_seed": per_seed,
             "counterexample": {"distortion_norm_over_radius": COUNTEREXAMPLE_SCALE,
                                "label_before": before, "label_after": after},
         }
 
     write_json(out / "guarantee_report.json", payload)
-    _write_resolved_config(cfg, out, "guarantee")
     return 0
 
 
@@ -486,7 +467,6 @@ def cmd_ratio_study(cfg, out: Path) -> int:
                        lambda: _model(cfg),
                        corruption_seed=cfg["corruption_seed"])
     write_ratio_table(rows, out)
-    _write_resolved_config(cfg, out, "ratio-study")
     return 0
 
 
@@ -527,7 +507,10 @@ def main(argv=None) -> int:
     flags = {k: v for k, v in vars(args).items() if k in ("checkpoint", "synthetic")}
     try:
         cfg = load_config(args.config, seed_override=args.seed)
-        return COMMANDS[args.command](cfg, args.out, **flags)
+        code = COMMANDS[args.command](cfg, args.out, **flags)
+        # written last, so a command that raises leaves nothing under --out
+        write_json(args.out / "resolved_config.json", _resolved_config(cfg, args.command))
+        return code
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -20,19 +20,7 @@ IDX_LABEL_MAGIC = 0x00000801
 
 
 class IdxError(ValueError):
-    """Base for IDX parsing failures."""
-
-
-class IdxMagicError(IdxError):
-    pass
-
-
-class IdxTruncatedError(IdxError):
-    pass
-
-
-class IdxCountMismatchError(IdxError):
-    pass
+    """An IDX file that cannot be parsed, or an image/label pair that disagrees."""
 
 
 @dataclass(frozen=True)
@@ -84,19 +72,19 @@ def _read_maybe_gzip(path) -> bytes:
 
 def _parse_idx(blob: bytes, expect_magic: int, path) -> np.ndarray:
     if len(blob) < 8:
-        raise IdxTruncatedError(f"{path}: only {len(blob)} bytes, no header")
+        raise IdxError(f"{path}: only {len(blob)} bytes, no header")
     (magic,) = struct.unpack_from(">I", blob, 0)
     if magic != expect_magic:
-        raise IdxMagicError(f"{path}: magic 0x{magic:08x}, expected 0x{expect_magic:08x}")
+        raise IdxError(f"{path}: magic 0x{magic:08x}, expected 0x{expect_magic:08x}")
     ndim = magic & 0xFF
     header_len = 4 + 4 * ndim
     if len(blob) < header_len:
-        raise IdxTruncatedError(f"{path}: header cut short")
+        raise IdxError(f"{path}: header cut short")
     dims = struct.unpack_from(f">{ndim}I", blob, 4)
     count = math.prod(dims)  # exact: np.prod wraps at 2**64
     payload = blob[header_len:]
     if len(payload) < count:
-        raise IdxTruncatedError(f"{path}: payload has {len(payload)} bytes, expected {count}")
+        raise IdxError(f"{path}: payload has {len(payload)} bytes, expected {count}")
     if len(payload) > count:
         raise IdxError(f"{path}: {len(payload) - count} trailing bytes after payload")
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
@@ -111,9 +99,8 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     images_u8 = _parse_idx(_read_maybe_gzip(images_path), IDX_IMAGE_MAGIC, images_path)
     labels_u8 = _parse_idx(_read_maybe_gzip(labels_path), IDX_LABEL_MAGIC, labels_path)
     if images_u8.shape[0] != labels_u8.shape[0]:
-        raise IdxCountMismatchError(
-            f"{images_path} has {images_u8.shape[0]} images but "
-            f"{labels_path} has {labels_u8.shape[0]} labels")
+        raise IdxError(f"{images_path} has {images_u8.shape[0]} images but "
+                       f"{labels_path} has {labels_u8.shape[0]} labels")
     n, h, w = images_u8.shape
     images = images_u8.astype(np.float64).reshape(n, 1, h, w) / 255.0
     return LabeledDataset(images, labels_u8.astype(np.int64),

@@ -11,7 +11,6 @@ brute sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +19,12 @@ from .tensor import Graph, Tensor, _acc, _record, add, cross_entropy, rows
 
 NORM_EPS = 1e-12  # input norms are clamped to it; output rows with a smaller norm get no gradient
 COUNTEREXAMPLE_SCALE = 1.5  # counterexample_outside_radius's distortion norm over rho / L
+# The synthetic oracle of `lipnet guarantee --synthetic`: its L and input dim, and
+# ORACLE_SEEDS draws of ORACLE_TRIALS in-ball distortions each.
+ORACLE_L = 1.0
+ORACLE_DIM = 2
+ORACLE_TRIALS = 10000
+ORACLE_SEEDS = 5
 
 
 @dataclass(frozen=True)
@@ -228,11 +233,7 @@ class RampClassifier:
         if gap == 0:
             raise ValueError("RampClassifier: labels 0 and 1 share a label vector")
         self.ramp_width = gap / self.l
-
-    @cached_property
-    def rho(self) -> float:
-        """compute_rho(labels), O(m^2) in the label count, so computed on first read."""
-        return compute_rho(self.labels)
+        self.rho = compute_rho(self.labels)
 
     def outputs(self, points: np.ndarray) -> np.ndarray:
         """Label-space outputs, shape (n, label_dim)."""

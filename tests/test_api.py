@@ -219,6 +219,13 @@ def test_numpy_is_the_only_runtime_dependency():
     assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
 
 
+def test_package_version_is_the_code_version():
+    # outputs record lipnet.VERSION as code_version; pip records pyproject's
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["version"] == lipnet.__version__
+
+
 def test_import_lipnet_leaves_scipy_unloaded():
     code = "import sys, lipnet; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lipnet import build_blobs_mlp, build_mnist_model, save_checkpoint, save_idx
-from lipnet import cli, layers, regularizer
+from lipnet import cli, layers
 from lipnet.cli import IDX_STANDARD_NAMES, main
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -75,6 +75,15 @@ def counted_loaders():
         yield calls
 
 
+@contextlib.contextmanager
+def small_oracle(trials=50, seeds=1):
+    """guarantee --synthetic with a smaller sample budget than the module's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "ORACLE_TRIALS", trials)
+        mp.setattr(cli, "ORACLE_SEEDS", seeds)
+        yield
+
+
 @pytest.fixture()
 def loader_calls():
     with counted_loaders() as calls:
@@ -100,6 +109,22 @@ def test_train_writes_artifacts_and_resolved_config(tmp_path):
     assert resolved["method"] == "standard"
     assert resolved["epochs"] == 1
     assert "_explicit_keys" not in resolved
+
+
+@pytest.mark.parametrize("command", ["train", "sweep --checkpoint", "grid", "ratio-study",
+                                     "sensitivity", "guarantee --checkpoint --synthetic"])
+def test_resolved_config_names_the_command_and_is_written_last(tmp_path, blobs_ckpt,
+                                                               command):
+    out = tmp_path / "out"
+    with small_oracle():
+        assert run_command(command, write_cfg(tmp_path, **TINY_CFG), out, blobs_ckpt) == 0
+    resolved = out / "resolved_config.json"
+    doc = json.loads(resolved.read_text())
+    assert doc["command"] == command.split()[0]
+    assert set(doc) == set(cli.CONFIG_DEFAULTS) | {"command", "method", "code_version",
+                                                   "sigma_units"}
+    others = [p for p in out.iterdir() if p.is_file() and p != resolved]
+    assert others and all(p.stat().st_mtime_ns <= resolved.stat().st_mtime_ns for p in others)
 
 
 def test_train_rerun_is_byte_identical(tmp_path):
@@ -475,13 +500,8 @@ def test_grid_cells_sharing_a_directory_are_usage_error(tmp_path, capsys, axes):
     ("grid", {"workers": "two"}, "workers"),
     ("sweep", {"synthetic_test_n": [100]}, "synthetic_test_n"),
     ("sensitivity", {"synthetic_seed": "x"}, "synthetic_seed"),
-    ("guarantee", {"l_n": 0.01, "n_classes": "ten"}, "n_classes"),
     ("guarantee", {"l_n": 0.01, "audit_sigma": "x"}, "audit_sigma"),
     ("guarantee", {"l_n": 0.01, "audit_n": "many"}, "audit_n"),
-    ("guarantee", {"l_n": 0.01, "synthetic_l": "one"}, "synthetic_l"),
-    ("guarantee", {"l_n": 0.01, "synthetic_dim": None}, "synthetic_dim"),
-    ("guarantee", {"l_n": 0.01, "synthetic_seeds": "five"}, "synthetic_seeds"),
-    ("guarantee", {"l_n": 0.01, "synthetic_trials": 1e999}, "synthetic_trials"),
     ("guarantee", {"l_n": 0.01, "beta": "x"}, "beta"),
     ("sweep", {"sweep_sigmas": [0.5, 0.0, 0.5]}, "distinct"),
     ("grid", {"sweep_sigmas": [0.5, 0.0, 0.5]}, "distinct"),
@@ -501,8 +521,6 @@ def test_grid_cells_sharing_a_directory_are_usage_error(tmp_path, capsys, axes):
     ("train", {"synthetic_train_n": 0}, "synthetic_train_n"),
     ("train", {"synthetic_train_n": -5}, "synthetic_train_n"),
     ("sweep", {"synthetic_test_n": 0}, "synthetic_test_n"),
-    ("guarantee", {"l_n": 0.01, "synthetic_trials": -1}, "synthetic_trials"),
-    ("guarantee", {"l_n": 0.01, "synthetic_seeds": 0}, "synthetic_seeds"),
     # a key's type is its default's: no truncated float, no bool as an int
     ("train", {"epochs": 2.9}, "epochs"),
     ("train", {"epochs": True}, "epochs"),
@@ -518,20 +536,9 @@ def test_grid_cells_sharing_a_directory_are_usage_error(tmp_path, capsys, axes):
     ("guarantee --checkpoint", {"l_n": 0.01, "audit_sigma": 0.0}, "audit_sigma"),
     ("guarantee --checkpoint", {"l_n": 0.01, "audit_sigma": NAN}, "audit_sigma"),
     ("guarantee --checkpoint", {"l_n": 0.01, "audit_n": 0}, "audit_n"),
-    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "n_classes": 1}, "n_classes"),
-    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "n_classes": 0}, "n_classes"),
-    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "n_classes": -1}, "n_classes"),
-    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "synthetic_l": 0.0}, "synthetic_l"),
-    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "synthetic_l": NAN}, "synthetic_l"),
-    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "synthetic_dim": 0}, "synthetic_dim"),
-    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "synthetic_trials": -1},
-     "synthetic_trials"),
-    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "synthetic_seeds": 0},
-     "synthetic_seeds"),
     # every float is finite, so Infinity fails its type, not a run
     ("train", {"lr": INF}, "lr"),
     ("train", {"sigma_train": 0.5, "beta": INF}, "beta"),
-    ("guarantee --synthetic", {"l_n": 0.01, "synthetic_l": INF}, "synthetic_l"),
     ("sweep --checkpoint", {"sweep_sigmas": [INF]}, "sweep_sigmas"),
     ("grid", {"grid_l_n": [INF]}, "grid_l_n"),
     ("sensitivity", {"sigma_eval": INF}, "sigma_eval"),
@@ -553,6 +560,13 @@ def test_grid_cells_sharing_a_directory_are_usage_error(tmp_path, capsys, axes):
     ("train", {"seed": -1}, "seed"),
     ("sensitivity", {"arch_seed": -1}, "arch_seed"),
     ("train --seed -1", {}, "seed"),
+    # keys that earlier versions read are unknown now, at their old defaults too
+    ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "n_classes": 10}, "n_classes"),
+    ("guarantee --synthetic", {"l_n": 0.01, "synthetic_trials": 10000}, "synthetic_trials"),
+    ("guarantee --synthetic", {"l_n": 0.01, "synthetic_seeds": 5}, "synthetic_seeds"),
+    ("guarantee --synthetic", {"l_n": 0.01, "synthetic_l": 1.0}, "synthetic_l"),
+    ("guarantee --synthetic", {"l_n": 0.01, "synthetic_dim": 2}, "synthetic_dim"),
+    ("ratio-study", {"train_ratio": 1.0}, "train_ratio"),
 ])
 def test_invalid_run_params_are_usage_errors_before_any_output(
         tmp_path, capsys, loader_calls, blobs_ckpt, command, overrides, message):
@@ -566,11 +580,12 @@ def test_invalid_run_params_are_usage_errors_before_any_output(
 
 
 # Small enough that every command runs in milliseconds: one grid cell, one
-# ratio, one delta, and few synthetic trials and audit samples.
+# ratio, one delta and few audit samples; the tests that run the synthetic
+# oracle shrink its budget with small_oracle().
 TINY_CFG = dict(BASE_CFG, synthetic_train_n=40, synthetic_test_n=20, l_n=0.01,
                 grid_include_standard=False, grid_sigma_train=[0.5], grid_beta=[10.0],
                 grid_l_n=[0.01], ratios=[1.0], sensitivity_deltas={"control": 1.0},
-                synthetic_trials=50, synthetic_seeds=1, audit_n=10)
+                audit_n=10)
 ALL_COMMANDS = ("train", "sweep --checkpoint", "grid", "ratio-study", "sensitivity",
                 "guarantee --checkpoint --synthetic")
 # (value, is_mistake): a mistake is never valid for any key, and "wrong type"
@@ -586,7 +601,7 @@ def test_config_mutation_is_a_usage_error_or_runs(blobs_ckpt, key, mutation):
     mutation, is_mistake = mutation
     if mutation == "wrong type":
         mutation = "x" if type(cli.CONFIG_DEFAULTS[key]) is bool else True
-    with tempfile.TemporaryDirectory() as tmp, counted_loaders() as calls:
+    with tempfile.TemporaryDirectory() as tmp, counted_loaders() as calls, small_oracle():
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(dict(TINY_CFG, **{key: mutation})), encoding="utf-8")
         for command in ALL_COMMANDS:
@@ -607,51 +622,49 @@ def test_load_config_checks_model_and_seed_without_building_the_model(tmp_path, 
     assert (cfg["model"], cfg["arch_seed"]) == ("mnist_cnn", 3)
 
 
-def test_load_config_checks_n_classes_without_computing_rho(tmp_path, monkeypatch):
-    # rho is O(n_classes^2); a command that never reads it must not wait for it
-    calls = []
-    monkeypatch.setattr(regularizer, "compute_rho", lambda labels: calls.append(labels))
-    cfg = cli.load_config(write_cfg(tmp_path, n_classes=1000))
-    assert cfg["n_classes"] == 1000 and calls == []
-
-
-@pytest.mark.parametrize("flags", [[], ["--synthetic"]])
-def test_guarantee_computes_rho_once(tmp_path, monkeypatch, flags):
-    calls = []
-    real = regularizer.compute_rho
-    monkeypatch.setattr(regularizer, "compute_rho",
-                        lambda labels: calls.append(1) or real(labels))
-    cfg = write_cfg(tmp_path, l_n=0.01, synthetic_trials=100, synthetic_seeds=1)
-    assert run("guarantee", "--config", cfg, "--out", tmp_path / "g", *flags) == 0
-    assert len(calls) == 1
-
-
 def test_guarantee_requires_explicit_l_n(tmp_path, capsys):
     cfg = write_cfg(tmp_path)  # no l_n key
     assert run("guarantee", "--config", cfg, "--out", tmp_path / "x") == 2
     assert "l_n" in capsys.readouterr().err
 
 
-def test_guarantee_reports_radius(tmp_path):
-    cfg = write_cfg(tmp_path, l_n=0.01)
+@pytest.mark.parametrize("flags", [[], ["--synthetic"]])
+@pytest.mark.parametrize("model,width", [("mnist_cnn", 10), ("blobs_mlp", 2)])
+def test_guarantee_labels_are_the_models_classes(tmp_path, model, width, flags):
+    assert layers.build_registered(model, 0).layers[-2].out_features == width
+    cfg = write_cfg(tmp_path, model=model, l_n=0.01)
     out = tmp_path / "g"
-    assert run("guarantee", "--config", cfg, "--out", out) == 0
+    with small_oracle():
+        assert run("guarantee", "--config", cfg, "--out", out, *flags) == 0
     payload = json.loads((out / "guarantee_report.json").read_text())
-    g = payload["guarantee"]
-    assert g["radius"] == pytest.approx(g["rho"] / 0.01)
-    assert g["label_set_size"] == 10
-    assert set(payload) == {"guarantee"}  # rho is stated once, inside guarantee
+    # one-hot labels sit sqrt(2) apart at any count, so only the count moves
+    assert payload["guarantee"] == {"rho": 0.7071067811865476, "l_n": 0.01,
+                                    "radius": 70.71067811865476, "label_set_size": width,
+                                    "conditional_on": "f is l_n-Lipschitz"}
+    # rho is stated once, inside guarantee
+    assert set(payload) == ({"guarantee", "synthetic"} if flags else {"guarantee"})
 
 
 def test_guarantee_synthetic_oracle_clean(tmp_path):
-    cfg = write_cfg(tmp_path, l_n=0.01, synthetic_trials=500, synthetic_seeds=2)
+    cfg = write_cfg(tmp_path, l_n=0.01)
     out = tmp_path / "g"
-    assert run("guarantee", "--config", cfg, "--out", out, "--synthetic") == 0
+    with small_oracle(trials=500, seeds=2):
+        assert run("guarantee", "--config", cfg, "--out", out, "--synthetic") == 0
     synth = json.loads((out / "guarantee_report.json").read_text())["synthetic"]
+    assert (synth["lipschitz_l"], synth["dim"], synth["trials_per_seed"]) == (1.0, 2, 500)
     assert synth["violations_per_seed"] == [0, 0]
     assert "total_violations" not in synth
     ce = synth["counterexample"]
     assert ce["label_before"] != ce["label_after"]
+
+
+def test_guarantee_synthetic_oracle_runs_the_module_budget(tmp_path):
+    out = tmp_path / "g"
+    assert run("guarantee", "--config", write_cfg(tmp_path, l_n=0.01), "--out", out,
+               "--synthetic") == 0
+    synth = json.loads((out / "guarantee_report.json").read_text())["synthetic"]
+    assert (synth["lipschitz_l"], synth["dim"], synth["trials_per_seed"]) == (1.0, 2, 10000)
+    assert synth["violations_per_seed"] == [0] * 5
 
 
 def test_guarantee_audit_with_checkpoint(tmp_path):
