@@ -340,6 +340,26 @@ def test_grid_trains_only_a_new_cell(tmp_path, monkeypatch):
     assert len((out / "grid_summary.csv").read_text().split()) == 5
 
 
+def test_grid_retrains_cells_written_by_another_code_version(tmp_path, monkeypatch):
+    # code_version is part of a cell's recipe, so a version bump retrains every cell
+    cfg = write_cfg(tmp_path, **GRID_AXES)
+    out = tmp_path / "grid"
+    monkeypatch.setattr(cli, "VERSION", "0.1.0")
+    assert run("grid", "--config", cfg, "--out", out) == 0
+    monkeypatch.undo()
+    ran, real_run_cell = [], cli._run_cell
+
+    def run_cell(cfg, cell_dir, *args):
+        ran.append(cell_dir.name)
+        return real_run_cell(cfg, cell_dir, *args)
+
+    monkeypatch.setattr(cli, "_run_cell", run_cell)
+    assert run("grid", "--config", cfg, "--out", out) == 0
+    assert ran == ["standard", "s0p5_b10_l0p005", "s0p5_b10_l0p01"]
+    resolved = json.loads((out / "standard" / "resolved_config.json").read_text())
+    assert resolved["code_version"] == cli.VERSION != "0.1.0"
+
+
 def cell_files(out: Path) -> dict:
     """Every file a grid wrote, by path under out, except the wall-clock timings."""
     return {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
@@ -567,6 +587,7 @@ def test_grid_cells_sharing_a_directory_are_usage_error(tmp_path, capsys, axes):
     ("guarantee --synthetic", {"l_n": 0.01, "synthetic_l": 1.0}, "synthetic_l"),
     ("guarantee --synthetic", {"l_n": 0.01, "synthetic_dim": 2}, "synthetic_dim"),
     ("ratio-study", {"train_ratio": 1.0}, "train_ratio"),
+    ("train", {"train_ratio": 0.5}, "train_ratio"),  # train no longer subsamples
 ])
 def test_invalid_run_params_are_usage_errors_before_any_output(
         tmp_path, capsys, loader_calls, blobs_ckpt, command, overrides, message):

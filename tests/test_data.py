@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import ndimage, stats
 
+import lipnet.data
 from lipnet import (IdxError, LabeledDataset, Provenance, batches, corrupt, load_idx,
                     save_idx, subsample, synthetic_blobs, synthetic_digits)
 from lipnet.data import IDX_IMAGE_MAGIC, _blur_radii, _gaussian_blur
@@ -93,6 +94,12 @@ def test_idx_extent_product_does_not_wrap(tmp_path, payload):
     ip.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 2**31, 2**31, 4) + payload)
     with pytest.raises(IdxError, match=re.escape(f"{ip}: payload has {len(payload)} bytes")):
         load_idx(ip, lp)
+
+
+def test_idx_errors_are_one_class():
+    # callers catch IdxError and read its message; no subclass tells the faults apart
+    assert [n for n in lipnet.__all__ if n.startswith("Idx")] == ["IdxError"]
+    assert not [n for n in vars(lipnet.data) if n.startswith("Idx") and n != "IdxError"]
 
 
 def test_idx_count_mismatch(tmp_path):
