@@ -7,8 +7,8 @@ reverse-mode autodiff tape, the layer zoo, the data pipeline, the training
 and evaluation protocol, and the distortion-radius guarantee live here.
 """
 
-from .data import (IdxError, LabeledDataset, Provenance, batches, corrupt,
-                   load_idx, save_idx, subsample, synthetic_blobs, synthetic_digits)
+from .data import (IdxError, LabeledDataset, Provenance, batches, load_idx,
+                   save_idx, subsample, synthetic_blobs, synthetic_digits)
 from .layers import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, LayerSpec, Model,
                      build_blobs_mlp, build_mnist_model, build_model,
                      build_registered, checkpoint_bytes, forward,
@@ -38,9 +38,9 @@ __all__ = [
     "StepRecord", "Tensor", "TrainRecord", "TrainingDivergedError",
     "aggregated_loss", "audit_empirical_k", "backward", "batches",
     "build_blobs_mlp", "build_mnist_model", "build_model", "build_registered",
-    "checkpoint_bytes", "compute_rho", "corrupt",
-    "counterexample_outside_radius", "derive_int", "derive_key", "derive_rng",
-    "evaluate", "forward", "gradcheck", "guarantee",
+    "checkpoint_bytes", "compute_rho", "counterexample_outside_radius",
+    "derive_int", "derive_key", "derive_rng", "evaluate", "forward",
+    "gradcheck", "guarantee",
     "lipschitz_loss", "load_checkpoint", "load_idx", "one_hot_labels",
     "perturb", "ratio_study", "read_checkpoint", "sample_in_ball",
     "save_checkpoint", "save_idx", "sensitivity", "subsample",

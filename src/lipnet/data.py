@@ -1,6 +1,6 @@
-"""Dataset ingestion and preparation: IDX parsing, subsampling, Gaussian
-test corruption, batching, and two built-in synthetic datasets that need no
-downloaded files (2-D blobs and procedural 28x28 digits)."""
+"""Dataset ingestion and preparation: IDX parsing, subsampling, batching,
+and two built-in synthetic datasets that need no downloaded files (2-D blobs
+and procedural 28x28 digits)."""
 
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ class Provenance:
 
 @dataclass
 class LabeledDataset:
-    """Images (float64, [0,1] when uncorrupted) plus integer labels.
+    """Images (float64, in [0,1] from load_idx and synthetic_digits) plus int labels.
 
     Instances are treated as immutable after construction; derived datasets
     share arrays where contents are unchanged.
@@ -134,19 +134,6 @@ def subsample(ds: LabeledDataset, ratio: float, seed) -> LabeledDataset:
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.permutation(ds.n)[:size])
     return LabeledDataset(ds.images[idx], ds.labels[idx], ds.provenance)
-
-
-def corrupt(ds: LabeledDataset, sigma_test: float, seed) -> LabeledDataset:
-    """Add per-pixel N(0, sigma_test) noise. No clipping: corrupted pixels
-    may leave [0,1], which keeps the perturbation norm unbiased. sigma_test=0
-    returns ds itself. Labels are untouched."""
-    if sigma_test < 0:
-        raise ValueError(f"corrupt: sigma_test must be >= 0, got {sigma_test}")
-    if sigma_test == 0:
-        return ds
-    rng = np.random.default_rng(seed)
-    noisy = ds.images + rng.normal(0.0, sigma_test, size=ds.images.shape)
-    return LabeledDataset(noisy, ds.labels, ds.provenance)
 
 
 def batches(ds: LabeledDataset, batch_size: int, shuffle_seed):

@@ -126,7 +126,7 @@ _EAGER_ROWS = 100  # im2col buffer stays cache-resident; same bytes as 500-row c
 
 
 def _eager_probs(model: Model, images: np.ndarray) -> np.ndarray:
-    """Tape-free probability rows: the eager forward of evaluate, sweep and the audit."""
+    """Tape-free probability rows: evaluate's forward, and sweep's and the audit's clean side."""
     return np.concatenate([forward(model, Tensor(images[s:s + _EAGER_ROWS])).data
                            for s in range(0, images.shape[0], _EAGER_ROWS)])
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Model, _eager_probs, forward
+from .layers import _EAGER_ROWS, Model, _eager_probs, forward
 from .tensor import Graph, Tensor, _acc, _record, add, cross_entropy, rows
 
 NORM_EPS = 1e-12  # input norms are clamped to it; output rows with a smaller norm get no gradient
@@ -41,8 +41,8 @@ class LipschitzParams:
     l_n: float = 0.01
 
     def __post_init__(self):
-        if not self.sigma_train >= 0:  # written so that NaN fails too
-            raise ValueError(f"sigma_train must be >= 0, got {self.sigma_train}")
+        if not 0 <= self.sigma_train < np.inf:  # written so that NaN fails too
+            raise ValueError(f"sigma_train must be finite and >= 0, got {self.sigma_train}")
         if not self.beta >= 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if not self.l_n > 0:
@@ -84,8 +84,8 @@ def perturb(x: Tensor, sigma: float, rng) -> Tensor:
     No clipping: the perturbed input may leave [0,1], keeping ||x_bar - x||
     an unbiased noise norm. sigma = 0 returns a bit-exact copy.
     """
-    if sigma < 0:
-        raise ValueError(f"perturb: sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"perturb: sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return Tensor(x.data.copy())
     return Tensor(x.data + rng.normal(0.0, sigma, size=x.shape))
@@ -113,6 +113,21 @@ def quotient(f_x: Tensor, f_x_bar: Tensor, x: np.ndarray, x_bar: np.ndarray,
         _acc(f_x, -gdf)
 
     return _record(graph, "quotient", (f_x, f_x_bar), out, rule)
+
+
+def _eager_k(model: Model, x: np.ndarray, f_x: np.ndarray, sigma: float, rng):
+    """Tape-free (f(x_bar), k) for x_bar = perturb(x, sigma, rng): the noisy pass
+    of sweep and the audit. Drawn, forwarded and compared _EAGER_ROWS rows at a
+    time in row order: the values of one whole-array draw and the forward
+    chunks of _eager_probs, with temporaries bounded by the chunk."""
+    f_bar, k = [], []
+    for s in range(0, x.shape[0], _EAGER_ROWS):
+        chunk = x[s:s + _EAGER_ROWS]
+        x_bar = perturb(Tensor(chunk), sigma, rng)
+        f_bar.append(forward(model, x_bar).data)
+        k.append(quotient(Tensor(f_x[s:s + _EAGER_ROWS]), Tensor(f_bar[-1]),
+                          chunk, x_bar.data).data)
+    return np.concatenate(f_bar), np.concatenate(k)
 
 
 def lipschitz_loss(k: KStatistics, params: LipschitzParams,
@@ -294,15 +309,14 @@ def audit_empirical_k(model: Model, dataset, sigma: float, n: int, rng,
                       l_n: float | None = None) -> KStatistics:
     """Bulk, non-differentiable k over n samples drawn from the dataset.
 
-    One fresh noise draw per sample; clean and perturbed rows go through
-    sweep's eager forward. Reproducible bit-exactly for a given rng state.
+    One fresh noise draw per sample; the perturbed rows go through sweep's
+    noisy pass. Reproducible bit-exactly for a given rng state.
     """
-    if not sigma > 0:
-        raise ValueError(f"audit_empirical_k: sigma must be > 0, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"audit_empirical_k: sigma must be finite and > 0, got {sigma}")
     if n < 1:
         raise ValueError(f"audit_empirical_k: n must be >= 1, got {n}")
     idx = np.sort(rng.permutation(dataset.n)[:n])
     x = dataset.images[idx]
-    x_bar = perturb(Tensor(x), sigma, rng).data
-    k = quotient(Tensor(_eager_probs(model, x)), Tensor(_eager_probs(model, x_bar)), x, x_bar)
-    return _k_statistics(k, l_n)
+    _, k = _eager_k(model, x, _eager_probs(model, x), sigma, rng)
+    return _k_statistics(Tensor(k), l_n)

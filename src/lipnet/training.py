@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import LabeledDataset, batches, corrupt, subsample
+from .data import LabeledDataset, batches, subsample
 from .layers import Model, _eager_probs, checkpoint_bytes
-from .regularizer import LipschitzParams, aggregated_loss, quotient
+from .regularizer import LipschitzParams, _eager_k, aggregated_loss
 from .reports import (EpochRecord, EvalReport, EvalRow, SensitivityEntry,
                       SensitivityReport, StepRecord, TrainRecord)
 from .seeding import derive_int, derive_key, derive_rng
@@ -167,8 +167,8 @@ def evaluate(model: Model, ds: LabeledDataset) -> dict:
 def _check_sigmas(sigmas) -> list[float]:
     """sweep's rule for test-noise levels."""
     sigmas = [float(s) for s in sigmas]
-    if not sigmas or any(not s >= 0 for s in sigmas) or len(set(sigmas)) < len(sigmas):
-        raise ValueError(f"sweep: sigmas must be a nonempty list of distinct values >= 0, "
+    if not sigmas or any(not 0 <= s < math.inf for s in sigmas) or len(set(sigmas)) < len(sigmas):
+        raise ValueError(f"sweep: sigmas must be a nonempty list of distinct finite values >= 0, "
                          f"got {sigmas}")
     return sigmas
 
@@ -187,12 +187,9 @@ def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed: int
         if sigma == 0.0:
             probs, mean_k = clean_probs, float("nan")
         else:
-            noisy = corrupt(clean_test, sigma,
-                            derive_key(corruption_seed, "sigma", repr(sigma)))
-            probs = _eager_probs(model, noisy.images)
-            k = quotient(Tensor(clean_probs), Tensor(probs),
-                         clean_test.images, noisy.images)
-            mean_k = float(k.data.mean())
+            probs, k = _eager_k(model, clean_test.images, clean_probs, sigma,
+                                derive_rng(corruption_seed, "sigma", repr(sigma)))
+            mean_k = float(k.mean())
         accuracy, conf = _acc_conf(probs, clean_test.labels)
         rows.append(EvalRow(sigma, accuracy, conf, mean_k, clean_test.n))
     metadata = {

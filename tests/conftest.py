@@ -38,9 +38,9 @@ def rng():
 def perturb_calls(monkeypatch):
     """One entry per regularizer.perturb call made during the test.
 
-    aggregated_loss and audit_empirical_k look perturb up in their module, so
-    every perturbed pass of training and every audit's noise draw goes
-    through here.
+    aggregated_loss and the noisy pass that sweep and audit_empirical_k share
+    look perturb up in their module, so every perturbed pass of training and
+    every noise draw of sweep and the audit goes through here.
     """
     calls = []
     original = regularizer.perturb

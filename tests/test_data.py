@@ -1,4 +1,4 @@
-"""IDX parsing, corruption, subsampling, batching, synthetic datasets."""
+"""IDX parsing, subsampling, batching, synthetic datasets."""
 
 import gzip
 import hashlib
@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import ndimage, stats
+from scipy import ndimage
 
 import lipnet.data
-from lipnet import (IdxError, LabeledDataset, Provenance, batches, corrupt, load_idx,
-                    save_idx, subsample, synthetic_blobs, synthetic_digits)
+from lipnet import (IdxError, LabeledDataset, Provenance, batches, load_idx, save_idx,
+                    subsample, synthetic_blobs, synthetic_digits)
 from lipnet.data import IDX_IMAGE_MAGIC, _blur_radii, _gaussian_blur
-from lipnet.seeding import derive_key
 
 
 def write_pair(tmp_path, n=20, h=6, w=5, seed=0, gz=False):
@@ -146,43 +145,10 @@ def test_subsample_preserves_order_and_is_seeded():
     assert idx == sorted(idx)
 
 
-def test_corrupt_sigma_zero_bit_identical():
-    ds = synthetic_digits(10, seed=1)
-    out = corrupt(ds, 0.0, seed=4)
-    assert out.images.tobytes() == ds.images.tobytes()
-    assert out is ds
-
-
 def test_derived_datasets_keep_the_generator_provenance():
     ds = synthetic_blobs(40, seed=3)
     assert ds.provenance.as_dict() == {"source": "synthetic_blobs", "seed": 3}
-    assert corrupt(ds, 0.5, derive_key(3, "sigma", "0.5")).provenance is ds.provenance
     assert subsample(ds, 0.5, seed=9).provenance is ds.provenance
-
-
-def test_corrupt_is_seeded_and_unclipped():
-    ds = synthetic_digits(50, seed=1)
-    a = corrupt(ds, 1.0, seed=4)
-    b = corrupt(ds, 1.0, seed=4)
-    c = corrupt(ds, 1.0, seed=5)
-    assert a.images.tobytes() == b.images.tobytes()
-    assert a.images.tobytes() != c.images.tobytes()
-    assert a.images.min() < 0.0 and a.images.max() > 1.0  # no clipping
-    np.testing.assert_array_equal(a.labels, ds.labels)
-
-
-def test_corrupt_noise_is_gaussian():
-    ds = synthetic_digits(100, seed=1)
-    sigma = 0.7
-    noise = (corrupt(ds, sigma, seed=8).images - ds.images).ravel()
-    assert abs(noise.mean()) < 0.01
-    assert abs(noise.std() - sigma) < 0.01
-    assert stats.kstest(noise / sigma, "norm").pvalue > 1e-3
-
-
-def test_corrupt_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        corrupt(synthetic_blobs(4, seed=0), -0.1, seed=0)
 
 
 def test_batches_partition_exactly_once():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.spatial.distance import pdist
 
 from lipnet import (Graph, GuaranteeReport, LipschitzParams, RampClassifier,
@@ -29,8 +30,9 @@ def drawn_k(f, x, sigma, rng):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        LipschitzParams(sigma_train=-0.1)
+    for sigma in (-0.1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="sigma_train"):
+            LipschitzParams(sigma_train=sigma)
     with pytest.raises(ValueError):
         LipschitzParams(beta=-1.0)
     with pytest.raises(ValueError):
@@ -55,16 +57,22 @@ def test_perturb_deterministic_given_seed():
 
 
 def test_perturb_monte_carlo_moments():
-    # 10^6 draws at sigma=0.5: mean 0 +- 0.002, std 0.5 +- 0.002
+    # 10^6 draws at sigma=0.5: mean 0 +- 0.002, std 0.5 +- 0.002, and normal
     x = Tensor(np.zeros((1000, 1000)))
     noise = perturb(x, 0.5, np.random.default_rng(7)).data
     assert abs(noise.mean()) < 0.002
     assert abs(noise.std() - 0.5) < 0.002
+    assert stats.kstest(noise.ravel() / 0.5, "norm").pvalue > 1e-3
+    # no clipping: noisy digits leave [0,1] on both sides
+    noisy = perturb(Tensor(synthetic_digits(50, seed=1).images), 1.0,
+                    np.random.default_rng(4)).data
+    assert noisy.min() < 0.0 and noisy.max() > 1.0
 
 
 def test_perturb_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        perturb(Tensor(np.zeros(3)), -1e-9, np.random.default_rng(0))
+    for sigma in (-1e-9, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="sigma"):
+            perturb(Tensor(np.zeros(3)), sigma, np.random.default_rng(0))
 
 
 def test_quotient_linear_map_is_exact():
@@ -451,7 +459,7 @@ def test_audit_caps_n_and_reports_fraction():
 def test_audit_rejects_non_positive_sigma():
     model = build_blobs_mlp(seed=1)
     ds = synthetic_blobs(20, seed=2)
-    for sigma in (0.0, -0.5):
+    for sigma in (0.0, -0.5, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="sigma"):
             audit_empirical_k(model, ds, sigma, 10, np.random.default_rng(0))
 
@@ -466,11 +474,11 @@ def test_audit_rejects_n_below_one():
 
 def test_audit_equals_unchunked_reference(perturb_calls):
     # same rows, same rng draws, one unchunked forward per side: 733 rows span
-    # seven full forward chunks and a partial one; all noise comes from one perturb call
+    # seven full chunks and a partial one, each drawn by its own perturb call
     model = build_mnist_model(seed=4)
     ds = synthetic_digits(800, seed=5)
     audit = audit_empirical_k(model, ds, 0.5, 733, np.random.default_rng(6))
-    assert len(perturb_calls) == 1
+    assert len(perturb_calls) == 8
     rng = np.random.default_rng(6)
     x = ds.images[np.sort(rng.permutation(ds.n)[:733])]
     x_bar = x + rng.normal(0.0, 0.5, size=x.shape)

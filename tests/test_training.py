@@ -12,7 +12,9 @@ from lipnet import (SGD, HyperParams, LipschitzParams, Tensor,
                     TrainingDivergedError, audit_empirical_k, build_blobs_mlp,
                     build_mnist_model, checkpoint_bytes, evaluate, ratio_study,
                     sensitivity, sweep, synthetic_blobs, synthetic_digits, train)
-from lipnet.seeding import derive_int
+from lipnet.layers import _eager_probs
+from lipnet.regularizer import quotient
+from lipnet.seeding import derive_int, derive_key
 
 
 def zeroed_blobs_model():
@@ -170,17 +172,26 @@ def test_evaluate_is_pure(blobs_test):
     assert checkpoint_bytes(model) == before
 
 
-def test_evaluate_memory_is_bounded_by_the_chunk_not_the_dataset():
-    # conv2d's im2col buffer is 2000 * 25 * 14 * 14 floats (78 MB) in one pass
+@pytest.mark.parametrize("command", ["evaluate", "sweep", "audit"])
+def test_memory_is_bounded_by_the_chunk_not_the_dataset(command):
+    # conv2d's im2col buffer is 2000 * 25 * 14 * 14 floats (78 MB) in one pass.
+    # sweep and the audit draw, forward and compare their noisy rows 100 at a
+    # time; the audit also holds the rows it samples, here all 2000 (12.5 MB).
     model = build_mnist_model(4)
     ds = synthetic_digits(2000, 5)
+    run, held = {
+        "evaluate": (lambda: evaluate(model, ds), 0),
+        "sweep": (lambda: sweep(model, ds, [0.0, 0.5, 1.0], corruption_seed=7), 0),
+        "audit": (lambda: audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(0)),
+                  ds.images.nbytes),
+    }[command]
     tracemalloc.start()
     try:
-        evaluate(model, ds)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 12e6 + held
 
 
 def test_sweep_sigma_zero_row_matches_evaluate(blobs_test):
@@ -200,8 +211,9 @@ def test_sweep_sorts_rows_and_validates(blobs_test):
     assert [r.sigma_test for r in report.rows] == [0.0, 0.5, 1.0]
     with pytest.raises(ValueError, match="nonempty"):
         sweep(model, blobs_test, [], corruption_seed=7)
-    with pytest.raises(ValueError, match=">= 0"):
-        sweep(model, blobs_test, [-0.5], corruption_seed=7)
+    for sigma in (-0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite values >= 0"):
+            sweep(model, blobs_test, [sigma], corruption_seed=7)
 
 
 def test_sweep_metadata_identifies_model(blobs_test):
@@ -218,6 +230,25 @@ def test_sweep_same_seed_same_corruption(blobs_test):
     r1 = sweep(oracle_blobs_model(), blobs_test, [0.5], corruption_seed=7)
     r2 = sweep(oracle_blobs_model(), blobs_test, [0.5], corruption_seed=7)
     assert r1.rows == r2.rows
+
+
+def test_sweep_rows_equal_one_whole_array_draw_per_sigma():
+    # 733 rows: seven full chunks and a partial one, drawn chunk by chunk from
+    # the sigma's stream, give the bytes of one whole-array draw and forward
+    model = build_mnist_model(4)
+    ds = synthetic_digits(733, 5)
+    report = sweep(model, ds, [0.5, 1.0], corruption_seed=9)
+    clean = _eager_probs(model, ds.images)
+    for row in report.rows:
+        sigma = row.sigma_test
+        rng = np.random.default_rng(derive_key(9, "sigma", repr(sigma)))
+        x_bar = ds.images + rng.normal(0.0, sigma, size=ds.images.shape)
+        probs = _eager_probs(model, x_bar)
+        k = quotient(Tensor(clean), Tensor(probs), ds.images, x_bar).data
+        correct = probs.argmax(axis=1) == ds.labels
+        assert row.accuracy == float(correct.mean())
+        assert row.mean_confidence_correct == float(probs[correct, ds.labels[correct]].mean())
+        assert row.mean_k == float(k.mean())
 
 
 def test_ratio_study_shape_and_reproduction(blobs_train, blobs_test):
