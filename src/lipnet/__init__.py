@@ -16,8 +16,8 @@ from .layers import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, LayerSpec, Model,
 from .regularizer import (GuaranteeReport, KStatistics, LipschitzParams,
                           RampClassifier, aggregated_loss, audit_empirical_k,
                           compute_rho, counterexample_outside_radius, guarantee,
-                          lipschitz_loss, one_hot_labels, perturb, sample_in_ball,
-                          verify_theorem1_synthetic)
+                          lipschitz_loss, one_hot_labels, perturb, quotient,
+                          sample_in_ball, verify_theorem1_synthetic)
 from .reports import (EvalReport, EvalRow, SensitivityEntry, SensitivityReport,
                       StepRecord, TrainRecord, write_eval_report, write_json,
                       write_ratio_table, write_sensitivity_report,
@@ -42,7 +42,7 @@ __all__ = [
     "derive_int", "derive_key", "derive_rng", "evaluate", "forward",
     "gradcheck", "guarantee",
     "lipschitz_loss", "load_checkpoint", "load_idx", "one_hot_labels",
-    "perturb", "ratio_study", "read_checkpoint", "sample_in_ball",
+    "perturb", "quotient", "ratio_study", "read_checkpoint", "sample_in_ball",
     "save_checkpoint", "save_idx", "sensitivity", "subsample",
     "sweep", "synthetic_blobs", "synthetic_digits",
     "train", "verify_theorem1_synthetic",

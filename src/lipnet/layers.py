@@ -125,10 +125,15 @@ def forward(model: Model, x: Tensor, graph: Graph | None = None) -> Tensor:
 _EAGER_ROWS = 100  # im2col buffer stays cache-resident; same bytes as 500-row chunks
 
 
+def _eager_chunks(n: int):
+    """Row slices of every tape-free forward, so clean and noisy chunks start at the same rows."""
+    return (slice(s, s + _EAGER_ROWS) for s in range(0, n, _EAGER_ROWS))
+
+
 def _eager_probs(model: Model, images: np.ndarray) -> np.ndarray:
     """Tape-free probability rows: evaluate's forward, and sweep's and the audit's clean side."""
-    return np.concatenate([forward(model, Tensor(images[s:s + _EAGER_ROWS])).data
-                           for s in range(0, images.shape[0], _EAGER_ROWS)])
+    return np.concatenate([forward(model, Tensor(images[sl])).data
+                           for sl in _eager_chunks(images.shape[0])])
 
 
 def build_mnist_model(seed: int) -> Model:

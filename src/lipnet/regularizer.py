@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import _EAGER_ROWS, Model, _eager_probs, forward
+from .layers import Model, _eager_chunks, _eager_probs, forward
 from .tensor import Graph, Tensor, _acc, _record, add, cross_entropy, rows
 
 NORM_EPS = 1e-12  # input norms are clamped to it; output rows with a smaller norm get no gradient
@@ -116,17 +116,13 @@ def quotient(f_x: Tensor, f_x_bar: Tensor, x: np.ndarray, x_bar: np.ndarray,
 
 
 def _eager_k(model: Model, x: np.ndarray, f_x: np.ndarray, sigma: float, rng):
-    """Tape-free (f(x_bar), k) for x_bar = perturb(x, sigma, rng): the noisy pass
-    of sweep and the audit. Drawn, forwarded and compared _EAGER_ROWS rows at a
-    time in row order: the values of one whole-array draw and the forward
-    chunks of _eager_probs, with temporaries bounded by the chunk."""
+    """Tape-free (f(x_bar), k), x_bar = perturb(x, sigma, rng): sweep's and the audit's noisy
+    pass. It walks _eager_chunks in row order: one whole-array draw's values, chunk temporaries."""
     f_bar, k = [], []
-    for s in range(0, x.shape[0], _EAGER_ROWS):
-        chunk = x[s:s + _EAGER_ROWS]
-        x_bar = perturb(Tensor(chunk), sigma, rng)
+    for sl in _eager_chunks(x.shape[0]):
+        x_bar = perturb(Tensor(x[sl]), sigma, rng)
         f_bar.append(forward(model, x_bar).data)
-        k.append(quotient(Tensor(f_x[s:s + _EAGER_ROWS]), Tensor(f_bar[-1]),
-                          chunk, x_bar.data).data)
+        k.append(quotient(Tensor(f_x[sl]), Tensor(f_bar[-1]), x[sl], x_bar.data).data)
     return np.concatenate(f_bar), np.concatenate(k)
 
 

@@ -23,7 +23,7 @@ EPOCH_CSV_COLUMNS = ("epoch", "train_acc")
 RATIO_CSV_COLUMNS = ("ratio", "sigma_test", "accuracy")
 
 
-def fmt_float(v: float) -> str:
+def _fmt_float(v: float) -> str:
     return repr(float(v))
 
 
@@ -37,7 +37,7 @@ def _csv_text(columns, rows) -> str:
             if isinstance(v, (int, np.integer)):
                 cells.append(str(int(v)))
             elif isinstance(v, (float, np.floating)):
-                cells.append(fmt_float(v))
+                cells.append(_fmt_float(v))
             else:
                 cells.append(str(v))
         lines.append(",".join(cells))

@@ -13,7 +13,7 @@ from lipnet import (EvalReport, EvalRow, SensitivityEntry, SensitivityReport,
                     StepRecord, TrainRecord, write_eval_report,
                     write_ratio_table, write_sensitivity_report,
                     write_train_record)
-from lipnet.reports import EpochRecord, _json_safe, fmt_float, write_json
+from lipnet.reports import EpochRecord, _fmt_float, _json_safe, write_json
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 maybe_nan = st.floats(allow_infinity=False)
@@ -48,9 +48,9 @@ def test_eval_csv_header_and_endings():
 
 
 def test_fmt_float_is_repr():
-    assert fmt_float(0.1) == "0.1"
-    assert fmt_float(1 / 3) == repr(1 / 3)
-    assert fmt_float(float("nan")) == "nan"
+    assert _fmt_float(0.1) == "0.1"
+    assert _fmt_float(1 / 3) == repr(1 / 3)
+    assert _fmt_float(float("nan")) == "nan"
 
 
 def test_json_safe_replaces_non_finite():
