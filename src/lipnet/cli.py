@@ -11,8 +11,6 @@ Exit codes: 0 success, 1 run failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import json
 import os
 import sys
@@ -23,8 +21,8 @@ import numpy as np
 
 from .data import (LabeledDataset, load_idx, synthetic_blobs, synthetic_digits)
 from .ioutil import atomic_write_text
-from .layers import (_eager_probs, _registered, build_registered, load_checkpoint,
-                     save_checkpoint)
+from .layers import (_blas_threads_split, _eager_probs, _registered, build_registered,
+                     load_checkpoint, save_checkpoint)
 from .regularizer import (COUNTEREXAMPLE_SCALE, ORACLE_DIM, ORACLE_L, ORACLE_SEEDS,
                           ORACLE_TRIALS, LipschitzParams, RampClassifier, audit_empirical_k,
                           counterexample_outside_radius, guarantee, one_hot_labels,
@@ -316,52 +314,6 @@ def _run_cell(cfg, cell_dir: Path, train_ds, test_ds) -> None:
     write_json(cell_dir / "resolved_config.json", _resolved_config(cfg, "grid"))
 
 
-# OpenBLAS exports its thread controls under a build-specific name. numpy's
-# ILP64 build is tried first, so scipy's own OpenBLAS, if loaded, is not picked.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"))
-
-
-def _openblas_threads():
-    """(get, set) of the loaded OpenBLAS's process-wide thread count, or None
-    when no OpenBLAS is loaded or /proc/self/maps cannot be read."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            paths = {line.split()[-1] for line in f
-                     if "openblas" in line.lower() and ".so" in line}
-        libs = [ctypes.CDLL(path) for path in sorted(paths)]
-    except OSError:
-        return None
-    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-        for lib in libs:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, put = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _blas_threads_split(ways: int):
-    """Share the BLAS threads among `ways` concurrent callers while the block
-    runs, so they do not oversubscribe the cores, then restore the count.
-    Does nothing for one way or without OpenBLAS."""
-    blas = _openblas_threads() if ways > 1 else None
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    before = get()
-    put(max(1, before // ways))
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def cmd_grid(cfg, out: Path) -> int:
     """Train + sweep every (sigma_train, beta, l_n) cell plus the standard
     baseline. A cell whose resolved_config.json matches its current config is
@@ -380,21 +332,20 @@ def cmd_grid(cfg, out: Path) -> int:
             return False
 
     def run_one(cell_dir: Path) -> None:
-        if done(cell_dir):
-            return
         try:
             _run_cell(cells[cell_dir], cell_dir, train_ds, test_ds)
         except Exception as e:  # recorded, grid continues
             atomic_write_text(cell_dir / "error.txt", f"{type(e).__name__}: {e}\n")
 
+    todo = [cell_dir for cell_dir in cells if not done(cell_dir)]
     if workers == 1:
-        for lip in cells:
-            run_one(lip)
+        for cell_dir in todo:
+            run_one(cell_dir)
     else:
-        # the thread count is process-wide, so it is lowered only while the pool runs
-        with (_blas_threads_split(min(workers, len(cells))),
+        # the count is process-wide: it is lowered only while the pool runs, by the cells it runs
+        with (_blas_threads_split(min(workers, len(todo))),
               ThreadPoolExecutor(max_workers=workers) as pool):
-            list(pool.map(run_one, cells))
+            list(pool.map(run_one, todo))
 
     header = ["method", "sigma_train", "beta", "l_n"]
     header += [f"acc_sigma_{s:g}".replace(".", "p") for s in sigmas]

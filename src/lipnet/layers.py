@@ -8,8 +8,11 @@ a misconfigured stack before it reaches forward().
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,10 +133,81 @@ def _eager_chunks(n: int):
     return (slice(s, s + _EAGER_ROWS) for s in range(0, n, _EAGER_ROWS))
 
 
-def _eager_probs(model: Model, images: np.ndarray) -> np.ndarray:
-    """Tape-free probability rows: evaluate's forward, and sweep's and the audit's clean side."""
-    return np.concatenate([forward(model, Tensor(images[sl])).data
-                           for sl in _eager_chunks(images.shape[0])])
+def _eager_probs(model: Model, images: np.ndarray, helper=None) -> np.ndarray:
+    """Tape-free probability rows: evaluate's forward, and sweep's and the audit's clean side.
+    A helper from _eager_helper forwards every second chunk while the caller forwards
+    the one before, so at most two chunks are in flight and the rows stay in order."""
+    def probs(sl):
+        return forward(model, Tensor(images[sl])).data
+
+    chunks, out = list(_eager_chunks(images.shape[0])), []
+    for mine, theirs in zip(chunks[::2], chunks[1::2] + [None]):
+        ahead = helper.submit(probs, theirs) if helper and theirs else None
+        out.append(probs(mine))
+        if theirs:
+            out.append(ahead.result() if ahead else probs(theirs))
+    return np.concatenate(out)
+
+
+# OpenBLAS exports its thread controls under a build-specific name. numpy's
+# ILP64 build is tried first, so scipy's own OpenBLAS, if loaded, is not picked.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+def _find_openblas_threads():
+    """(get, set) of the loaded OpenBLAS's process-wide thread count, or None
+    when no OpenBLAS is loaded or /proc/self/maps cannot be read."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = {line.split()[-1] for line in f
+                     if "openblas" in line.lower() and ".so" in line}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        for lib in libs:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+# numpy, imported above, has loaded its BLAS; the maps scan costs about 0.4 ms, so it runs once
+_OPENBLAS_THREADS = _find_openblas_threads()
+
+
+@contextlib.contextmanager
+def _blas_threads_split(ways: int):
+    """Share the BLAS threads among `ways` concurrent callers while the block
+    runs, so they do not oversubscribe the cores, then restore the count.
+    Does nothing for one way or without OpenBLAS."""
+    if ways < 2 or _OPENBLAS_THREADS is None:
+        yield
+        return
+    get, put = _OPENBLAS_THREADS
+    before = get()
+    put(max(1, before // ways))
+    try:
+        yield
+    finally:
+        put(before)
+
+
+@contextlib.contextmanager
+def _eager_helper():
+    """One helper thread for a tape-free pass, with the BLAS threads split between it
+    and the caller while it lives. Yields None, so the caller walks alone, when the
+    count is already 1 (as in a grid's pool) or no OpenBLAS is loaded."""
+    if _OPENBLAS_THREADS is None or _OPENBLAS_THREADS[0]() < 2:
+        yield None
+        return
+    with _blas_threads_split(2), ThreadPoolExecutor(max_workers=1) as helper:
+        yield helper
 
 
 def build_mnist_model(seed: int) -> Model:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Model, _eager_chunks, _eager_probs, forward
+from .layers import Model, _eager_chunks, _eager_helper, _eager_probs, forward
 from .tensor import Graph, Tensor, _acc, _record, add, cross_entropy, rows
 
 NORM_EPS = 1e-12  # input norms are clamped to it; output rows with a smaller norm get no gradient
@@ -115,14 +115,21 @@ def quotient(f_x: Tensor, f_x_bar: Tensor, x: np.ndarray, x_bar: np.ndarray,
     return _record(graph, "quotient", (f_x, f_x_bar), out, rule)
 
 
-def _eager_k(model: Model, x: np.ndarray, f_x: np.ndarray, sigma: float, rng):
+def _eager_k(model: Model, x: np.ndarray, f_x: np.ndarray, sigma: float, rng, helper=None):
     """Tape-free (f(x_bar), k), x_bar = perturb(x, sigma, rng): sweep's and the audit's noisy
-    pass. It walks _eager_chunks in row order: one whole-array draw's values, chunk temporaries."""
-    f_bar, k = [], []
-    for sl in _eager_chunks(x.shape[0]):
-        x_bar = perturb(Tensor(x[sl]), sigma, rng)
+    pass. It walks _eager_chunks in row order: one whole-array draw's values, chunk temporaries.
+    With a helper from _eager_helper, the helper draws chunk i+1 while the caller forwards chunk i."""
+    def draw(sl):
+        return perturb(Tensor(x[sl]), sigma, rng)
+
+    chunks = list(_eager_chunks(x.shape[0]))
+    f_bar, k, x_bar = [], [], draw(chunks[0])
+    for sl, nxt in zip(chunks, chunks[1:] + [None]):
+        ahead = helper.submit(draw, nxt) if helper and nxt else None
         f_bar.append(forward(model, x_bar).data)
         k.append(quotient(Tensor(f_x[sl]), Tensor(f_bar[-1]), x[sl], x_bar.data).data)
+        if nxt:
+            x_bar = ahead.result() if ahead else draw(nxt)
     return np.concatenate(f_bar), np.concatenate(k)
 
 
@@ -305,8 +312,9 @@ def audit_empirical_k(model: Model, dataset, sigma: float, n: int, rng,
                       l_n: float | None = None) -> KStatistics:
     """Bulk, non-differentiable k over n samples drawn from the dataset.
 
-    One fresh noise draw per sample; the perturbed rows go through sweep's
-    noisy pass. Reproducible bit-exactly for a given rng state.
+    One fresh noise draw per sample, in row order from rng; the rows go through
+    sweep's passes and helper thread (layers._eager_helper). Reproducible
+    bit-exactly for a given rng state, with or without the helper.
     """
     if not 0 < sigma < np.inf:
         raise ValueError(f"audit_empirical_k: sigma must be finite and > 0, got {sigma}")
@@ -314,5 +322,6 @@ def audit_empirical_k(model: Model, dataset, sigma: float, n: int, rng,
         raise ValueError(f"audit_empirical_k: n must be >= 1, got {n}")
     idx = np.sort(rng.permutation(dataset.n)[:n])
     x = dataset.images[idx]
-    _, k = _eager_k(model, x, _eager_probs(model, x), sigma, rng)
+    with _eager_helper() as helper:
+        _, k = _eager_k(model, x, _eager_probs(model, x, helper), sigma, rng, helper)
     return _k_statistics(Tensor(k), l_n)

@@ -261,9 +261,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     for i in range(kh):
         for j in range(kw):
             cols[:, i, j] = xp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride]
+    del xp  # freed early, like cols below: two eager chunks may be in flight at once
     cols = cols.reshape(c * kh * kw, n * ho * wo)
     w2 = kernel.data.reshape(f, -1)
     y = w2 @ cols
+    if graph is None:  # no rule will read cols
+        del cols
     y += bias.data[:, None]
     out = Tensor(np.ascontiguousarray(y.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)))
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .data import LabeledDataset, batches, subsample
-from .layers import Model, _eager_probs, checkpoint_bytes
+from .layers import Model, _eager_helper, _eager_probs, checkpoint_bytes
 from .regularizer import LipschitzParams, _eager_k, aggregated_loss
 from .reports import (EpochRecord, EvalReport, EvalRow, SensitivityEntry,
                       SensitivityReport, StepRecord, TrainRecord)
@@ -160,6 +160,7 @@ def _acc_conf(probs: np.ndarray, labels: np.ndarray):
 def evaluate(model: Model, ds: LabeledDataset) -> dict:
     """Accuracy (argmax, ties to the lowest class) and mean confidence over
     the correctly classified samples. Pure: no RNG, no model mutation."""
+    # no helper thread: train probes within OpenBLAS's spin-wait after its GEMMs (ROADMAP item 4)
     accuracy, conf = _acc_conf(_eager_probs(model, ds.images), ds.labels)
     return {"accuracy": accuracy, "mean_confidence_on_correct": conf}
 
@@ -179,19 +180,22 @@ def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed: int
     Corruption is seeded per sigma from corruption_seed only, so every model
     swept with the same seed sees identical corrupted inputs. mean_k is the
     empirical quotient between corrupted and clean outputs (NaN at sigma 0).
+    The passes share one helper thread (layers._eager_helper), and each sigma's
+    noise is still drawn in row order from its one stream, helper or not.
     """
     sigmas = _check_sigmas(sigmas)
-    clean_probs = _eager_probs(model, clean_test.images)
     rows = []
-    for sigma in sorted(sigmas):
-        if sigma == 0.0:
-            probs, mean_k = clean_probs, float("nan")
-        else:
-            probs, k = _eager_k(model, clean_test.images, clean_probs, sigma,
-                                derive_rng(corruption_seed, "sigma", repr(sigma)))
-            mean_k = float(k.mean())
-        accuracy, conf = _acc_conf(probs, clean_test.labels)
-        rows.append(EvalRow(sigma, accuracy, conf, mean_k, clean_test.n))
+    with _eager_helper() as helper:
+        clean_probs = _eager_probs(model, clean_test.images, helper)
+        for sigma in sorted(sigmas):
+            if sigma == 0.0:
+                probs, mean_k = clean_probs, float("nan")
+            else:
+                probs, k = _eager_k(model, clean_test.images, clean_probs, sigma,
+                                    derive_rng(corruption_seed, "sigma", repr(sigma)), helper)
+                mean_k = float(k.mean())
+            accuracy, conf = _acc_conf(probs, clean_test.labels)
+            rows.append(EvalRow(sigma, accuracy, conf, mean_k, clean_test.n))
     metadata = {
         "model_hash": hashlib.sha256(checkpoint_bytes(model)).hexdigest(),
         "dataset": clean_test.provenance.as_dict(),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lipnet import HyperParams, LipschitzParams, regularizer, synthetic_blobs
+from lipnet import HyperParams, LipschitzParams, layers, regularizer, synthetic_blobs
 
 try:
     from hypothesis import settings
@@ -51,3 +51,20 @@ def perturb_calls(monkeypatch):
 
     monkeypatch.setattr(regularizer, "perturb", witness)
     return calls
+
+
+@pytest.fixture()
+def blas_count():
+    """The loaded OpenBLAS's thread count getter, or None without OpenBLAS.
+    The count is 2 during the test, so a split shows on any host (and sweep
+    and the audit get their helper thread), and an earlier test cannot hide
+    a count that was never restored."""
+    blas = layers._OPENBLAS_THREADS
+    if blas is None:
+        yield None
+        return
+    get, put = blas
+    original = get()
+    put(2)
+    yield get
+    put(original)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -144,16 +145,22 @@ def test_output_files_get_the_mode_open_would_give(tmp_path):
     assert len(modes) == 5 and set(modes.values()) == {"0o644"}, modes
 
 
-@pytest.mark.skipif(cli._openblas_threads() is None, reason="no OpenBLAS loaded")
+@pytest.mark.skipif(layers._OPENBLAS_THREADS is None, reason="no OpenBLAS loaded")
 def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the reproducibility domain is the numpy build and the BLAS kernel, not the threads
+    # the reproducibility domain is the numpy build and the BLAS kernel, not the threads;
+    # at 2 threads sweep and the audit also run their chunks on a helper thread
     cfg = write_cfg(tmp_path, dataset="synthetic_digits", model="mnist_cnn",
-                    synthetic_train_n=800, batch_size=100, beta=10.0, l_n=0.005)
+                    synthetic_train_n=800, synthetic_test_n=733, audit_n=733,
+                    batch_size=100, beta=10.0, l_n=0.005)
     for threads in ("1", "2"):
-        run_subprocess("train", "--config", cfg, "--out", tmp_path / threads,
-                       env={"OPENBLAS_NUM_THREADS": threads})
-    assert (tmp_path / "1" / "model.ckpt").read_bytes() == (
-        tmp_path / "2" / "model.ckpt").read_bytes()
+        env, out = {"OPENBLAS_NUM_THREADS": threads}, tmp_path / threads
+        run_subprocess("train", "--config", cfg, "--out", out / "train", env=env)
+        for command in ("sweep", "guarantee"):
+            run_subprocess(command, "--config", cfg, "--out", out / command,
+                           "--checkpoint", out / "train" / "model.ckpt", env=env)
+    for name in ("train/model.ckpt", "sweep/eval_report.csv", "sweep/eval_report.json",
+                 "guarantee/guarantee_report.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_seed_override_lands_in_resolved_config(tmp_path):
@@ -422,34 +429,25 @@ def test_grid_parallel_workers_match_serial(tmp_path):
         assert serial["perturbed_passes"] == want
 
 
-@pytest.fixture()
-def blas_count():
-    """The loaded OpenBLAS's thread count getter, or None without OpenBLAS.
-    The count is 2 during the test, so a split shows on any host and an
-    earlier test cannot hide a count that was never restored."""
-    blas = cli._openblas_threads()
-    if blas is None:
-        yield None
-        return
-    get, put = blas
-    original = get()
-    put(2)
-    yield get
-    put(original)
-
-
-@pytest.mark.parametrize("workers,failing,openblas_found", [
-    (1, None, True),
-    (2, None, True),
-    (2, "s0p5_b10_l0p005", True),  # a raising cell still restores the count
-    (2, None, False),              # no OpenBLAS found: the count is left alone
+@pytest.mark.parametrize("workers,failing,openblas_found,cells_done", [
+    (1, None, True, 0),
+    (2, None, True, 0),
+    (2, "s0p5_b10_l0p005", True, 0),  # a raising cell still restores the count
+    (2, None, False, 0),              # no OpenBLAS found: the count is left alone
+    (2, None, True, 2),               # a resumed grid splits by the cells left to run
 ])
 def test_grid_splits_blas_threads_while_the_pool_runs(tmp_path, monkeypatch, blas_count,
-                                                      workers, failing, openblas_found):
+                                                      workers, failing, openblas_found,
+                                                      cells_done):
     count = blas_count or (lambda: None)
+    out = tmp_path / "grid"
+    cfg = write_cfg(tmp_path, workers=workers, **GRID_AXES)
+    if cells_done:
+        assert run("grid", "--config", cfg, "--out", out) == 0
+        (out / "s0p5_b10_l0p01" / "resolved_config.json").unlink()
     if not openblas_found:
-        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
-    seen, real_run_cell = [], cli._run_cell
+        monkeypatch.setattr(layers, "_OPENBLAS_THREADS", None)
+    seen, helpers, real_run_cell = [], [], cli._run_cell
 
     def run_cell(cfg, cell_dir, *args):
         seen.append(count())
@@ -457,25 +455,31 @@ def test_grid_splits_blas_threads_while_the_pool_runs(tmp_path, monkeypatch, bla
             raise RuntimeError("cell failed on purpose")
         return real_run_cell(cfg, cell_dir, *args)
 
+    def helper_pool(**kwargs):  # the executor of every sweep's helper thread
+        helpers.append(kwargs)
+        return ThreadPoolExecutor(**kwargs)
+
     monkeypatch.setattr(cli, "_run_cell", run_cell)
-    out = tmp_path / "grid"
-    cfg = write_cfg(tmp_path, workers=workers, **GRID_AXES)
+    monkeypatch.setattr(layers, "ThreadPoolExecutor", helper_pool)
     assert run("grid", "--config", cfg, "--out", out) == (1 if failing else 0)
     if failing:
         assert "RuntimeError" in (out / failing / "error.txt").read_text()
-    assert len(seen) == 3
+    assert len(seen) == 3 - cells_done
     if blas_count is None:
         pytest.skip("no OpenBLAS loaded, so there is no thread count to check")
-    assert seen == [1 if workers > 1 and openblas_found else 2] * 3
+    split = workers > 1 and openblas_found and not cells_done
+    assert seen == [1 if split else 2] * (3 - cells_done)
+    # a cell's sweep gets a helper thread only when it has the BLAS threads to split
+    assert len(helpers) == (0 if split or not openblas_found else 3 - cells_done)
     assert blas_count() == 2
 
 
 def test_blas_split_restores_on_any_exit_and_skips_one_way(blas_count):
     if blas_count is None:
         pytest.skip("no OpenBLAS loaded, so there is no thread count to check")
-    with cli._blas_threads_split(1):
+    with layers._blas_threads_split(1):
         assert blas_count() == 2
-    with pytest.raises(KeyboardInterrupt), cli._blas_threads_split(2):
+    with pytest.raises(KeyboardInterrupt), layers._blas_threads_split(2):
         assert blas_count() == 1
         raise KeyboardInterrupt
     assert blas_count() == 2

@@ -1,5 +1,6 @@
 """Training loop determinism, the evaluation protocol, and the study helpers."""
 
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lipnet import (SGD, HyperParams, LipschitzParams, Tensor,
+from lipnet import (SGD, HyperParams, LabeledDataset, LipschitzParams, Provenance, Tensor,
                     TrainingDivergedError, audit_empirical_k, build_blobs_mlp,
                     build_mnist_model, checkpoint_bytes, evaluate, ratio_study,
                     sensitivity, sweep, synthetic_blobs, synthetic_digits, train)
+from lipnet import layers, regularizer
 from lipnet.layers import _eager_probs
 from lipnet.regularizer import quotient
 from lipnet.seeding import derive_int, derive_key
@@ -172,11 +174,18 @@ def test_evaluate_is_pure(blobs_test):
     assert checkpoint_bytes(model) == before
 
 
-@pytest.mark.parametrize("command", ["evaluate", "sweep", "audit"])
-def test_memory_is_bounded_by_the_chunk_not_the_dataset(command):
+@pytest.mark.parametrize("command", ["evaluate", "sweep", "audit",
+                                     "sweep_with_helper", "audit_with_helper"])
+def test_memory_is_bounded_by_the_chunk_not_the_dataset(command, monkeypatch, request):
     # conv2d's im2col buffer is 2000 * 25 * 14 * 14 floats (78 MB) in one pass.
     # sweep and the audit draw, forward and compare their noisy rows 100 at a
     # time; the audit also holds the rows it samples, here all 2000 (12.5 MB).
+    # With the helper thread two chunks are in flight, under the same bounds.
+    command, with_helper, _ = command.partition("_with_helper")
+    if not with_helper:
+        monkeypatch.setattr(layers, "_OPENBLAS_THREADS", None)
+    elif request.getfixturevalue("blas_count") is None:
+        pytest.skip("no OpenBLAS loaded, so sweep and the audit get no helper thread")
     model = build_mnist_model(4)
     ds = synthetic_digits(2000, 5)
     run, held = {
@@ -230,6 +239,62 @@ def test_sweep_same_seed_same_corruption(blobs_test):
     r1 = sweep(oracle_blobs_model(), blobs_test, [0.5], corruption_seed=7)
     r2 = sweep(oracle_blobs_model(), blobs_test, [0.5], corruption_seed=7)
     assert r1.rows == r2.rows
+
+
+def _sweep_audit_and_probs(model, ds):
+    report = sweep(model, ds, [0.0, 0.5, 1.0], corruption_seed=7)
+    k = audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(3)).values()
+    with layers._eager_helper() as helper:
+        probs = _eager_probs(model, ds.images, helper)
+    return [vars(r) for r in report.rows], k, probs, helper is not None
+
+
+@pytest.mark.parametrize("n", [1, 99, 100, 101, 733, 2000])
+def test_the_helper_thread_leaves_every_bit_in_place(n, monkeypatch, blas_count):
+    if blas_count is None:
+        pytest.skip("no OpenBLAS loaded, so sweep and the audit get no helper thread")
+    model = build_mnist_model(4)
+    ds = synthetic_digits(n, 5)
+    *threaded, helped = _sweep_audit_and_probs(model, ds)
+    monkeypatch.setattr(layers, "_OPENBLAS_THREADS", None)
+    *serial, alone = _sweep_audit_and_probs(model, ds)
+    assert helped and not alone
+    assert repr(threaded[0]) == repr(serial[0])  # NaN mean_k at sigma 0 compares by repr
+    for a, b in zip(threaded[1:], serial[1:]):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("command", ["sweep", "audit"])
+@pytest.mark.parametrize("failing", ["clean_forward", "noise_draw"])
+def test_a_failing_helper_stops_both_threads(command, failing, monkeypatch, blas_count):
+    # row i of the data is (i, 0), so a chunk names its first row; in both passes the
+    # helper takes the chunk at row 300 while the caller works on the one at row 200
+    if blas_count is None:
+        pytest.skip("no OpenBLAS loaded, so sweep and the audit get no helper thread")
+    rows = np.column_stack([np.arange(733.0), np.zeros(733)])
+    ds = LabeledDataset(rows, np.zeros(733, dtype=np.int64), Provenance("row index"))
+    model = build_blobs_mlp(0)
+    # forward(model, x) and perturb(x, sigma, rng): module, name, x's position
+    module, name, at = {"clean_forward": (layers, "forward", 1),
+                        "noise_draw": (regularizer, "perturb", 0)}[failing]
+    real, taken = getattr(module, name), []
+
+    def fail_at_row_300(*args):
+        taken.append(int(args[at].data[0, 0]))
+        if taken[-1] == 300:
+            assert threading.current_thread() is not threading.main_thread()
+            raise RuntimeError("chunk failed on purpose")
+        return real(*args)
+
+    monkeypatch.setattr(module, name, fail_at_row_300)
+    before = threading.active_count()
+    run = {"sweep": lambda: sweep(model, ds, [0.0, 0.5], corruption_seed=7),
+           "audit": lambda: audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(0))}
+    with pytest.raises(RuntimeError, match="on purpose"):
+        run[command]()
+    assert sorted(taken) == [0, 100, 200, 300]  # nobody takes a chunk after the failure
+    assert blas_count() == 2
+    assert threading.active_count() == before
 
 
 def test_sweep_rows_equal_one_whole_array_draw_per_sigma():
