@@ -1,32 +1,38 @@
 """
 Robustness as a function of training-set size
-=============================================
+==============================================
 
 Trains the same architecture on growing fractions of the synthetic digit
 corpus, for both recipes, and tabulates accuracy under test noise. The gap
 at small ratios is the interesting part: the regularizer acts as a prior
 that pays off most when data is scarce.
+
+Each recipe runs as ``lipnet ratio-study`` in a temporary output directory,
+one cell per ratio, and the table is read from its ``ratio_study.csv``.
 """
 
-from lipnet import (HyperParams, LipschitzParams, build_mnist_model,
-                    ratio_study, synthetic_digits)
+import csv
+import json
+import tempfile
+from pathlib import Path
 
-RATIOS = [0.1, 0.3, 1.0]
-SIGMAS = [0.0, 0.5]
+from lipnet.cli import main
 
-train_ds = synthetic_digits(5000, seed=100)
-test_ds = synthetic_digits(1000, seed=101)
+CONFIG = {"dataset": "synthetic_digits", "synthetic_train_n": 5000, "synthetic_test_n": 1000,
+          "model": "mnist_cnn", "lr": 0.05, "epochs": 5, "batch_size": 100, "seed": 0,
+          "ratios": [0.1, 0.3, 1.0], "sweep_sigmas": [0.0, 0.5], "corruption_seed": 9000}
+RECIPES = {"standard": {},
+           "proposed": {"sigma_train": 0.75, "beta": 10.0, "l_n": 0.005}}
 
-recipes = {
-    "standard": HyperParams(lr=0.05, epochs=5, batch_size=100, seed=0),
-    "proposed": HyperParams(lip=LipschitzParams(sigma_train=0.75, beta=10.0,
-                                                l_n=0.005),
-                            lr=0.05, epochs=5, batch_size=100, seed=0),
-}
-
-tables = {name: ratio_study(train_ds, test_ds, RATIOS, hp, SIGMAS,
-                            lambda: build_mnist_model(seed=0), corruption_seed=9000)
-          for name, hp in recipes.items()}
+tables = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, recipe in RECIPES.items():
+        cfg, out = Path(tmp) / f"{name}.json", Path(tmp) / name
+        cfg.write_text(json.dumps(dict(CONFIG, **recipe)), encoding="utf-8")
+        if main(["ratio-study", "--config", str(cfg), "--out", str(out)]) != 0:
+            raise SystemExit(f"ratio-study failed for the {name} recipe")
+        with open(out / "ratio_study.csv", encoding="utf-8") as f:
+            tables[name] = [[float(v) for v in row] for row in list(csv.reader(f))[1:]]
 
 print(f"{'ratio':>6s} {'sigma':>6s}  {'standard':>9s}  {'proposed':>9s}")
 for row_std, row_prop in zip(tables["standard"], tables["proposed"]):

@@ -24,8 +24,7 @@ from .reports import (EvalReport, EvalRow, SensitivityEntry, SensitivityReport,
                       write_train_record)
 from .seeding import derive_int, derive_key, derive_rng
 from .tensor import Graph, Tensor, backward, gradcheck
-from .training import (SGD, HyperParams, TrainingDivergedError, evaluate,
-                       ratio_study, sensitivity, sweep, train)
+from .training import SGD, HyperParams, TrainingDivergedError, evaluate, sweep, train
 from .version import VERSION
 
 __version__ = VERSION
@@ -42,8 +41,8 @@ __all__ = [
     "derive_int", "derive_key", "derive_rng", "evaluate", "forward",
     "gradcheck", "guarantee",
     "lipschitz_loss", "load_checkpoint", "load_idx", "one_hot_labels",
-    "perturb", "quotient", "ratio_study", "read_checkpoint", "sample_in_ball",
-    "save_checkpoint", "save_idx", "sensitivity", "subsample",
+    "perturb", "quotient", "read_checkpoint", "sample_in_ball",
+    "save_checkpoint", "save_idx", "subsample",
     "sweep", "synthetic_blobs", "synthetic_digits",
     "train", "verify_theorem1_synthetic",
     "write_eval_report", "write_json", "write_ratio_table",

@@ -27,11 +27,12 @@ from .regularizer import (COUNTEREXAMPLE_SCALE, ORACLE_DIM, ORACLE_L, ORACLE_SEE
                           ORACLE_TRIALS, LipschitzParams, RampClassifier, audit_empirical_k,
                           counterexample_outside_radius, guarantee, one_hot_labels,
                           verify_theorem1_synthetic)
-from .reports import (_csv_text, write_eval_report, write_json, write_ratio_table,
-                      write_sensitivity_report, write_train_record)
+from .reports import (SensitivityEntry, SensitivityReport, _csv_text, write_eval_report,
+                      write_json, write_ratio_table, write_sensitivity_report,
+                      write_train_record)
 from .seeding import derive_int, derive_rng
 from .training import (HyperParams, _check_deltas, _check_ratios, _check_sigmas,
-                       _sensitivity_runs, ratio_study, sensitivity, sweep, train)
+                       _sensitivity_runs, sweep, train)
 from .version import VERSION
 
 DATA_DIR_ENV = "LIPNET_DATA_DIR"
@@ -183,9 +184,11 @@ def _checked(key: str, rule, *args):
 
 
 def _hp_from_cfg(cfg) -> HyperParams:
+    # train_ratio is no config key: only a ratio-study cell's config sets it
     return HyperParams(lip=LipschitzParams(cfg["sigma_train"], cfg["beta"], cfg["l_n"]),
                        lr=cfg["lr"], epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                       lr_drops=cfg["lr_drops"], seed=cfg["seed"], momentum=cfg["momentum"])
+                       lr_drops=cfg["lr_drops"], train_ratio=cfg.get("train_ratio", 1.0),
+                       seed=cfg["seed"], momentum=cfg["momentum"])
 
 
 def _resolve_idx_path(cfg, key):
@@ -301,81 +304,100 @@ def _grid_cells(cfg) -> dict:
                          f"must differ in their %g form, and every beta-0 cell "
                          f"is named 'standard'")
     common = {k: v for k, v in cfg.items() if not k.startswith("grid_") and k != "workers"}
-    return {name: dict(common, sigma_train=lip.sigma_train, beta=lip.beta, l_n=lip.l_n)
-            for name, lip in zip(names, lips)}
+    return {name: dict(common, **vars(lip)) for name, lip in zip(names, lips)}
 
 
-def _run_cell(cfg, cell_dir: Path, train_ds, test_ds) -> None:
-    """Train and sweep one grid cell with its own config. Its resolved_config.json,
+def _run_cell(cfg, cell_dir: Path, train_ds, test_ds, command: str) -> None:
+    """Train and sweep one cell with its own config. Its resolved_config.json,
     written last, is the record that the cell finished with that recipe."""
     for name in ("resolved_config.json", "error.txt"):
         (cell_dir / name).unlink(missing_ok=True)
     _sweep_to(cell_dir, cfg, _train_to(cell_dir, cfg, train_ds, _hp_from_cfg(cfg)), test_ds)
-    write_json(cell_dir / "resolved_config.json", _resolved_config(cfg, "grid"))
+    write_json(cell_dir / "resolved_config.json", _resolved_config(cfg, command))
 
 
-def cmd_grid(cfg, out: Path) -> int:
-    """Train + sweep every (sigma_train, beta, l_n) cell plus the standard
-    baseline. A cell whose resolved_config.json matches its current config is
-    done and skipped, so an interrupted grid resumes and a changed recipe
-    retrains; per-cell failures are recorded and the other cells continue."""
-    cells = {out / name: cell for name, cell in _grid_cells(cfg).items()}
-    sigmas = sorted(cfg["sweep_sigmas"])
+def _run_cells(command: str, cfg, out: Path, cells: dict) -> dict:
+    """Train + sweep each {name: cell config} under out/name; returns the
+    sweep rows of every finished cell by name. A cell whose
+    resolved_config.json matches its current config is done and skipped, so
+    an interrupted run resumes and a changed recipe retrains; per-cell
+    failures are recorded and printed, and the other cells continue."""
     workers = cfg["workers"]
     train_ds, test_ds = load_datasets(cfg)
 
-    def done(cell_dir: Path) -> bool:
+    def done(name: str) -> bool:
         try:
-            text = (cell_dir / "resolved_config.json").read_text(encoding="utf-8")
-            return json.loads(text) == _resolved_config(cells[cell_dir], "grid")
+            text = (out / name / "resolved_config.json").read_text(encoding="utf-8")
+            return json.loads(text) == _resolved_config(cells[name], command)
         except (OSError, ValueError):  # missing or unreadable: not done
             return False
 
-    def run_one(cell_dir: Path) -> None:
+    def run_one(name: str) -> None:
         try:
-            _run_cell(cells[cell_dir], cell_dir, train_ds, test_ds)
-        except Exception as e:  # recorded, grid continues
-            atomic_write_text(cell_dir / "error.txt", f"{type(e).__name__}: {e}\n")
+            _run_cell(cells[name], out / name, train_ds, test_ds, command)
+        except Exception as e:  # recorded, the other cells continue
+            atomic_write_text(out / name / "error.txt", f"{type(e).__name__}: {e}\n")
 
-    todo = [cell_dir for cell_dir in cells if not done(cell_dir)]
+    todo = [name for name in cells if not done(name)]
     if workers == 1:
-        for cell_dir in todo:
-            run_one(cell_dir)
+        for name in todo:
+            run_one(name)
     else:
         # the count is process-wide: it is lowered only while the pool runs, by the cells it runs
         with (_blas_threads_split(min(workers, len(todo))),
               ThreadPoolExecutor(max_workers=workers) as pool):
             list(pool.map(run_one, todo))
 
-    header = ["method", "sigma_train", "beta", "l_n"]
-    header += [f"acc_sigma_{s:g}".replace(".", "p") for s in sigmas]
-    rows, failed = [], []
-    for cell_dir, cell in cells.items():
-        if not done(cell_dir):
-            failed.append(cell_dir.name)
+    rows, failed = {}, []
+    for name in cells:
+        if not done(name):
+            failed.append(name)
             continue
-        report = json.loads((cell_dir / "eval_report.json").read_text(encoding="utf-8"))
-        acc = {row["sigma_test"]: row["accuracy"] for row in report["rows"]}
-        rows.append([_method(cell["beta"]), cell["sigma_train"], cell["beta"], cell["l_n"],
-                     *(acc[s] for s in sigmas)])
-    atomic_write_text(out / "grid_summary.csv", _csv_text(header, rows))
+        report = json.loads((out / name / "eval_report.json").read_text(encoding="utf-8"))
+        rows[name] = report["rows"]
     if failed:
-        print(f"error: {len(failed)} grid cell(s) failed: {failed}", file=sys.stderr)
-        return 1
-    return 0
+        print(f"error: {len(failed)} {command} cell(s) failed: {failed}", file=sys.stderr)
+    return rows
+
+
+def cmd_grid(cfg, out: Path) -> int:
+    """Train + sweep every (sigma_train, beta, l_n) cell plus the standard
+    baseline, and summarize the finished cells in grid_summary.csv."""
+    cells = _grid_cells(cfg)
+    rows = _run_cells("grid", cfg, out, cells)
+    header = ["method", "sigma_train", "beta", "l_n"]
+    header += [f"acc_sigma_{s:g}".replace(".", "p") for s in sorted(cfg["sweep_sigmas"])]
+    summary = [[_method(cell["beta"]), cell["sigma_train"], cell["beta"], cell["l_n"],
+                *(row["accuracy"] for row in rows[name])]
+               for name, cell in cells.items() if name in rows]
+    atomic_write_text(out / "grid_summary.csv", _csv_text(header, summary))
+    return 0 if len(rows) == len(cells) else 1
 
 
 def cmd_sensitivity(cfg, out: Path) -> int:
+    """Finite-difference sensitivity of the accuracy at sigma_eval, in
+    percentage points, to each regularizer parameter: a baseline cell and one
+    cell per shifted recipe, all with the baseline's initial model and data
+    order, so the "control" cell, which shifts nothing, reads exactly 0."""
     baseline = _hp_from_cfg(cfg)
-    deltas = cfg["sensitivity_deltas"]
     # the shifted runs depend on the baseline, so they cannot be checked at load
-    _checked("sensitivity_deltas", _sensitivity_runs, baseline, deltas)
-    train_ds, test_ds = load_datasets(cfg)
-    report = sensitivity(baseline, deltas, train_ds, test_ds, cfg["sigma_eval"],
-                         lambda: _model(cfg),
-                         corruption_seed=cfg["corruption_seed"])
-    report.metadata["reference_cifar10"] = dict(REFERENCE_SENSITIVITIES_CIFAR10)
-    write_sensitivity_report(report, out)
+    runs = _checked("sensitivity_deltas", _sensitivity_runs, baseline.lip,
+                    cfg["sensitivity_deltas"])
+    common = {k: v for k, v in cfg.items()
+              if k not in ("workers", "sensitivity_deltas", "sigma_eval")}
+    common["sweep_sigmas"] = [cfg["sigma_eval"]]
+    cells = {"baseline": common, **{name: dict(common, **vars(lip)) for name, _, lip in runs}}
+    rows = _run_cells("sensitivity", cfg, out, cells)
+    if len(rows) < len(cells):
+        return 1
+    acc = {name: cell_rows[0]["accuracy"] * 100.0 for name, cell_rows in rows.items()}
+    before = acc["baseline"]
+    entries = [SensitivityEntry(name, delta, before, acc[name], (acc[name] - before) / delta)
+               for name, delta, _ in runs]
+    metadata = {"sigma_eval": cfg["sigma_eval"], "units": "percentage points",
+                "corruption_seed": cfg["corruption_seed"], "code_version": VERSION,
+                "reference_cifar10": dict(REFERENCE_SENSITIVITIES_CIFAR10)}
+    write_sensitivity_report(SensitivityReport(baseline.as_dict(), entries, metadata), out)
     return 0
 
 
@@ -412,13 +434,16 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
 
 
 def cmd_ratio_study(cfg, out: Path) -> int:
-    hp = _hp_from_cfg(cfg)
-    train_ds, test_ds = load_datasets(cfg)
-    rows = ratio_study(train_ds, test_ds, cfg["ratios"], hp, cfg["sweep_sigmas"],
-                       lambda: _model(cfg),
-                       corruption_seed=cfg["corruption_seed"])
-    write_ratio_table(rows, out)
-    return 0
+    """One cell per entry of ratios, each training on that fraction of the
+    training split with its own derived seed, from the command's initial model."""
+    common = {k: v for k, v in cfg.items() if k not in ("workers", "ratios")}
+    common["arch_seed"] = _arch_seed(cfg)
+    cells = {f"ratio_{i}": dict(common, seed=derive_int(cfg["seed"], "ratio", i), train_ratio=r)
+             for i, r in enumerate(cfg["ratios"])}
+    rows = _run_cells("ratio-study", cfg, out, cells)
+    write_ratio_table([(cell["train_ratio"], row["sigma_test"], row["accuracy"])
+                       for name, cell in cells.items() for row in rows.get(name, ())], out)
+    return 0 if len(rows) == len(cells) else 1
 
 
 COMMANDS = {

@@ -19,9 +19,8 @@ import numpy as np
 from .data import LabeledDataset, batches, subsample
 from .layers import Model, _eager_helper, _eager_probs, checkpoint_bytes
 from .regularizer import LipschitzParams, _eager_k, aggregated_loss
-from .reports import (EpochRecord, EvalReport, EvalRow, SensitivityEntry,
-                      SensitivityReport, StepRecord, TrainRecord)
-from .seeding import derive_int, derive_key, derive_rng
+from .reports import EpochRecord, EvalReport, EvalRow, StepRecord, TrainRecord
+from .seeding import derive_key, derive_rng
 from .tensor import Graph, Tensor, backward
 from .version import VERSION
 
@@ -37,7 +36,8 @@ class HyperParams:
     lr_drops is a tuple of (epoch, factor) pairs: at the start of that epoch
     the current learning rate is divided by the factor. Epochs are 1-based,
     strictly increasing, and must lie within [1, epochs]. momentum is plain
-    classical momentum and defaults to off.
+    classical momentum and defaults to off. train_ratio subsamples the
+    training set; of the commands, only a ratio-study cell sets it.
     """
     lip: LipschitzParams = LipschitzParams()
     lr: float = 0.05
@@ -206,29 +206,11 @@ def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed: int
 
 
 def _check_ratios(ratios) -> list[float]:
-    """ratio_study's rule for training fractions."""
+    """ratio-study's rule for training fractions."""
     ratios = [float(r) for r in ratios]
     if not ratios or any(not 0.0 < r <= 1.0 for r in ratios):
-        raise ValueError(f"ratio_study: ratios must be a nonempty list in (0, 1], got {ratios}")
+        raise ValueError(f"ratio-study: ratios must be a nonempty list in (0, 1], got {ratios}")
     return ratios
-
-
-def ratio_study(ds_train: LabeledDataset, ds_test: LabeledDataset, ratios,
-                hp: HyperParams, sigmas, new_model, corruption_seed: int):
-    """Fresh model + subsampled training set per ratio, each swept on the test
-    sets corrupted from corruption_seed. Returns (ratio, sigma_test, accuracy) rows.
-
-    Run seeds are derived from (hp.seed, ratio index); new_model() must build
-    the same initial model on every call so only the data amount varies.
-    """
-    ratios = _check_ratios(ratios)
-    rows = []
-    for i, ratio in enumerate(ratios):
-        run_hp = replace(hp, train_ratio=ratio, seed=derive_int(hp.seed, "ratio", i))
-        model, _ = train(new_model(), ds_train, run_hp)
-        report = sweep(model, ds_test, sigmas, corruption_seed)
-        rows.extend((ratio, row.sigma_test, row.accuracy) for row in report.rows)
-    return rows
 
 
 SENSITIVITY_PARAMS = ("sigma_train", "beta", "l_n", "control")
@@ -249,46 +231,14 @@ def _check_deltas(deltas: dict) -> None:
             raise ValueError(f"sensitivity: delta {name}={delta} must be finite and nonzero")
 
 
-def _sensitivity_runs(baseline: HyperParams, deltas: dict) -> list:
-    """(name, delta, run hyperparams) per delta in name order, or a
+def _sensitivity_runs(baseline: LipschitzParams, deltas: dict) -> list:
+    """(name, delta, shifted regularizer) per delta in name order, or a
     ValueError before anything trains."""
     _check_deltas(deltas)
     runs = []
     for name in sorted(deltas):
         delta = float(deltas[name])
-        lip = baseline.lip if name == "control" else replace(
-            baseline.lip, **{name: getattr(baseline.lip, name) + delta})
-        runs.append((name, delta, replace(baseline, lip=lip)))
+        lip = baseline if name == "control" else replace(
+            baseline, **{name: getattr(baseline, name) + delta})
+        runs.append((name, delta, lip))
     return runs
-
-
-def sensitivity(baseline: HyperParams, deltas: dict, train_ds: LabeledDataset,
-                test_ds: LabeledDataset, sigma_eval: float, new_model,
-                corruption_seed: int) -> SensitivityReport:
-    """Finite-difference sensitivity of test accuracy (percentage points) to
-    each regularizer hyperparameter at the given test-noise level.
-
-    Every run starts from new_model(), which must build the same initial model
-    on every call, and reuses the baseline's data-order seed, so the lone
-    changed hyperparameter is the only difference. The "control" key retrains
-    with nothing changed; determinism makes its sensitivity exactly 0.
-    """
-    runs = _sensitivity_runs(baseline, deltas)
-    _check_sigmas([sigma_eval])
-
-    def run(hp: HyperParams) -> float:
-        model, _ = train(new_model(), train_ds, hp)
-        report = sweep(model, test_ds, [sigma_eval], corruption_seed)
-        return report.rows[0].accuracy * 100.0
-
-    acc_before = run(baseline)
-    entries = []
-    for name, delta, hp in runs:
-        acc_after = run(hp)
-        entries.append(SensitivityEntry(name, delta, acc_before, acc_after,
-                                        (acc_after - acc_before) / delta))
-    metadata = {"sigma_eval": float(sigma_eval), "units": "percentage points",
-                "corruption_seed": int(corruption_seed),
-                "code_version": VERSION}
-    return SensitivityReport(baseline=baseline.as_dict(), entries=entries,
-                             metadata=metadata)

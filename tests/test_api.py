@@ -188,6 +188,25 @@ def test_only_apply_calls_the_layer_ops():
     assert apply and found == []
 
 
+def test_only_the_cli_stages_call_train_and_sweep():
+    # every command trains through cli._train_to and sweeps through
+    # cli._sweep_to, so no second "train several recipes, then sweep" loop
+    # can grow next to the runner that grid, ratio-study and sensitivity share
+    allowed = {"train": "cli._train_to", "sweep": "cli._sweep_to"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in allowed and allowed[name] != f"{path.stem}.{fn.name}":
+                    found.append(f"{path.stem}.{fn.name}:{node.lineno} calls {name}")
+    assert found == []
+
+
 def _writes(call: ast.Call) -> bool:
     """Whether a call makes a directory or writes a file by itself: mkdir,
     makedirs, write_text, write_bytes, or an open with a writing mode."""

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lipnet import build_blobs_mlp, build_mnist_model, save_checkpoint, save_idx
+from lipnet import (HyperParams, LipschitzParams, build_blobs_mlp, build_mnist_model,
+                    checkpoint_bytes, derive_int, save_checkpoint, save_idx, sweep, train)
 from lipnet import cli, layers
 from lipnet.cli import IDX_STANDARD_NAMES, main
 
@@ -200,8 +201,7 @@ def test_eval_reports_carry_no_training_recipe(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command", ["train", "ratio-study", "sensitivity",
-                                     "sweep --checkpoint", "guarantee --checkpoint"])
+@pytest.mark.parametrize("command", ["train", "sweep --checkpoint", "guarantee --checkpoint"])
 def test_run_failure_writes_nothing_under_out(tmp_path, capsys, command):
     # beta 1e300 diverges in the first step; the checkpoint is corrupt
     bad = tmp_path / "bad.ckpt"
@@ -385,7 +385,11 @@ def test_grid_rerun_with_a_changed_recipe_matches_a_fresh_grid(tmp_path, change)
     assert cell_files(rerun) == cell_files(fresh)  # grid_summary.csv included
 
 
-def test_grid_rerun_clears_a_cell_error(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command,first,second", [("grid", "standard", "s0p5_b10_l0p005"),
+                                                   ("ratio-study", "ratio_0", "ratio_1"),
+                                                   ("sensitivity", "baseline", "control")])
+def test_grid_rerun_clears_a_cell_error(tmp_path, monkeypatch, capsys, command, first, second):
+    # the three commands share one runner, so each records, prints and reruns a failed cell
     calls, real_run_cell = [], cli._run_cell
 
     def fail_first(cfg, cell_dir, *args):
@@ -395,38 +399,47 @@ def test_grid_rerun_clears_a_cell_error(tmp_path, monkeypatch):
         return real_run_cell(cfg, cell_dir, *args)
 
     monkeypatch.setattr(cli, "_run_cell", fail_first)
-    cfg = write_cfg(tmp_path, grid_sigma_train=[0.5], grid_beta=[10.0], grid_l_n=[0.005])
-    out = tmp_path / "grid"
-    assert run("grid", "--config", cfg, "--out", out) == 1
-    assert (out / "standard" / "error.txt").exists()
-    assert run("grid", "--config", cfg, "--out", out) == 0
-    assert calls == ["standard", "s0p5_b10_l0p005", "standard"]
-    assert not (out / "standard" / "error.txt").exists()
-    assert (out / "standard" / "resolved_config.json").exists()
+    cfg = write_cfg(tmp_path, grid_sigma_train=[0.5], grid_beta=[10.0], grid_l_n=[0.005],
+                    ratios=[0.5, 1.0], sensitivity_deltas={"control": 1.0})
+    out = tmp_path / "out"
+    assert run(command, "--config", cfg, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: 1 {command} cell(s) failed: ['{first}']\n"
+    assert (out / first / "error.txt").exists()
+    # the grid and the ratio table list the finished cells; sensitivity needs them all
+    assert {p.name for p in out.iterdir() if p.is_file()} == {
+        "grid": {"grid_summary.csv", "resolved_config.json"},
+        "ratio-study": {"ratio_study.csv", "resolved_config.json"},
+        "sensitivity": {"resolved_config.json"}}[command]
+    assert run(command, "--config", cfg, "--out", out) == 0
+    assert calls == [first, second, first]
+    assert not (out / first / "error.txt").exists()
+    assert (out / first / "resolved_config.json").exists()
 
 
-def test_grid_parallel_workers_match_serial(tmp_path):
-    cfg1 = write_cfg(tmp_path, "serial.json", **GRID_AXES)
-    cfg2 = write_cfg(tmp_path, "par.json", workers=2, **GRID_AXES)
+@pytest.mark.parametrize("command", ["grid", "ratio-study", "sensitivity"])
+def test_grid_parallel_workers_match_serial(tmp_path, command):
+    study = dict(GRID_AXES, sigma_train=0.5, beta=10.0, ratios=[0.5, 1.0, 0.3],
+                 sensitivity_deltas={"beta": 5.0, "control": 1.0})
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run("grid", "--config", cfg1, "--out", a) == 0
-    assert run("grid", "--config", cfg2, "--out", b) == 0
-    assert (a / "grid_summary.csv").read_bytes() == (b / "grid_summary.csv").read_bytes()
+    assert run(command, "--config", write_cfg(tmp_path, "serial.json", **study), "--out", a) == 0
+    assert run(command, "--config", write_cfg(tmp_path, "par.json", workers=2, **study),
+               "--out", b) == 0
     # the pool runs at a lower BLAS thread count, which must not move a byte
-    cell_files = sorted(p.relative_to(a) for p in a.glob("*/*") if p.name != "timings.json")
-    assert {f.name for f in cell_files} >= {"model.ckpt", "train_record.csv", "train_epochs.csv",
-                                            "eval_report.csv", "eval_report.json"}
-    assert cell_files == sorted(p.relative_to(b) for p in b.glob("*/*")
-                                if p.name != "timings.json")
-    for f in cell_files:
-        assert (a / f).read_bytes() == (b / f).read_bytes(), f
+    files = {out: cell_files(out) for out in (a, b)}
+    for out, workers in ((a, 1), (b, 2)):  # the command's own record names its workers
+        assert json.loads(files[out].pop(Path("resolved_config.json")))["workers"] == workers
+    assert {f.name for f in files[a]} >= {"model.ckpt", "train_record.csv", "train_epochs.csv",
+                                          "eval_report.csv", "eval_report.json"}
+    assert files[a] == files[b]  # the summary file included
     # each run counts its own perturbed passes, even while others run alongside
-    for cell in ("standard", "s0p5_b10_l0p005", "s0p5_b10_l0p01"):
+    cells = [p.name for p in a.iterdir() if p.is_dir()]
+    assert len(cells) == 3
+    for cell in cells:
         serial, par = (json.loads((d / cell / "timings.json").read_text())["meta"]
                        for d in (a, b))
         assert par["perturbed_passes"] == serial["perturbed_passes"]
-        want = 0 if cell == "standard" else serial["n_steps"]
-        assert serial["perturbed_passes"] == want
+        beta = json.loads((a / cell / "resolved_config.json").read_text())["beta"]
+        assert serial["perturbed_passes"] == (0 if beta == 0 else serial["n_steps"])
 
 
 @pytest.mark.parametrize("workers,failing,openblas_found,cells_done", [
@@ -509,6 +522,8 @@ def test_grid_cells_sharing_a_directory_are_usage_error(tmp_path, capsys, axes):
     ("sensitivity", {"sensitivity_deltas": {"beta": "abc"}}, "sensitivity_deltas"),
     ("sensitivity", {"sensitivity_deltas": {"control": 0}}, "nonzero"),
     ("sensitivity", {"sensitivity_deltas": {"foo": 1.0}}, "unknown"),
+    ("sensitivity", {"sensitivity_deltas": {"lr": 1.0}}, "unknown"),
+    ("sensitivity", {"sensitivity_deltas": {"beta": 0.0}}, "nonzero"),
     # the deltas' names and sizes are checked at load, for every command
     ("train", {"sensitivity_deltas": {"foo": 1.0}}, "unknown"),
     ("train", {"sensitivity_deltas": {"beta": 0.0}}, "nonzero"),
@@ -517,6 +532,9 @@ def test_grid_cells_sharing_a_directory_are_usage_error(tmp_path, capsys, axes):
     ("sweep", {"sweep_sigmas": [0.0, -0.5]}, "sweep_sigmas"),
     ("ratio-study", {"sweep_sigmas": [0.0, -0.5]}, "sweep_sigmas"),
     ("ratio-study", {"ratios": [0]}, "ratios"),
+    ("ratio-study", {"ratios": [1.5]}, "ratios"),
+    ("ratio-study", {"ratios": [0.5, -0.1]}, "ratios"),
+    ("ratio-study", {"ratios": []}, "ratios"),
     ("train", {"synthetic_train_n": "many"}, "synthetic_train_n"),
     ("train", {"train_limit": "x"}, "train_limit"),
     ("train", {"arch_seed": "x"}, "arch_seed"),
@@ -705,28 +723,106 @@ def test_guarantee_audit_with_checkpoint(tmp_path):
     assert "fraction_within" not in audit
 
 
+CELL_FILES = {"model.ckpt", "train_record.csv", "train_epochs.csv", "timings.json",
+              "eval_report.csv", "eval_report.json", "resolved_config.json"}
+
+
+def ratio_rows(out: Path) -> list:
+    """ratio_study.csv's (ratio, sigma_test, accuracy) rows as floats."""
+    lines = (out / "ratio_study.csv").read_text().split()
+    assert lines[0] == "ratio,sigma_test,accuracy"
+    return [tuple(map(float, line.split(","))) for line in lines[1:]]
+
+
 def test_ratio_study_command(tmp_path):
-    cfg = write_cfg(tmp_path, ratios=[0.5, 1.0], sweep_sigmas=[0.0])
+    cfg = write_cfg(tmp_path, ratios=[0.5, 1.0, 0.5], epochs=2, batch_size=10, seed=4,
+                    corruption_seed=777)
     out = tmp_path / "r"
     assert run("ratio-study", "--config", cfg, "--out", out) == 0
-    lines = (out / "ratio_study.csv").read_text().strip().split("\n")
-    assert lines[0] == "ratio,sigma_test,accuracy"
-    assert len(lines) == 3
-    assert {p.name for p in out.iterdir()} == {"ratio_study.csv", "resolved_config.json"}
+    # one cell per entry of ratios, a repeated one included, each with train's
+    # and sweep's files and its own recipe
+    assert {p.name for p in out.iterdir()} == {"ratio_study.csv", "resolved_config.json",
+                                              "ratio_0", "ratio_1", "ratio_2"}
+    ratios = (0.5, 1.0, 0.5)
+    for i, ratio in enumerate(ratios):
+        assert {p.name for p in (out / f"ratio_{i}").iterdir()} == CELL_FILES
+        resolved = json.loads((out / f"ratio_{i}" / "resolved_config.json").read_text())
+        assert (resolved["command"], resolved["train_ratio"]) == ("ratio-study", ratio)
+        assert resolved["seed"] == derive_int(4, "ratio", i)
+        assert "ratios" not in resolved and "workers" not in resolved
+    rows = ratio_rows(out)
+    assert [r[:2] for r in rows] == [(r, s) for r in ratios for s in (0.0, 0.5)]
+    # each ratio's cell is a direct train + sweep with the seed derived from
+    # its index, on the command's initial model, bit for bit
+    train_ds, test_ds = cli.load_datasets(cli.load_config(cfg))
+    for i, ratio in enumerate(ratios):
+        hp = HyperParams(lip=LipschitzParams(0.75, 0.0, 0.01), lr=0.1, epochs=2,
+                         batch_size=10, train_ratio=ratio, seed=derive_int(4, "ratio", i))
+        model, _ = train(build_blobs_mlp(4), train_ds, hp)
+        assert (out / f"ratio_{i}" / "model.ckpt").read_bytes() == checkpoint_bytes(model)
+        direct = sweep(model, test_ds, [0.0, 0.5], corruption_seed=777)
+        assert [r[2] for r in rows[2 * i:2 * i + 2]] == [row.accuracy for row in direct.rows]
+
+
+def test_ratio_study_more_data_no_worse(tmp_path):
+    cfg = write_cfg(tmp_path, synthetic_train_n=600, synthetic_test_n=300, ratios=[0.1, 1.0],
+                    sweep_sigmas=[0.0], epochs=3, batch_size=10, seed=4)
+    out = tmp_path / "r"
+    assert run("ratio-study", "--config", cfg, "--out", out) == 0
+    acc = {ratio: accuracy for ratio, _, accuracy in ratio_rows(out)}
+    assert acc[1.0] >= acc[0.1] - 0.05
+
+
+def test_killed_ratio_study_resumes(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, ratios=[0.5, 1.0, 0.5])
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert run("ratio-study", "--config", cfg, "--out", rerun) == 0
+    # killed before ratio_1 wrote its record: the rerun trains that cell alone
+    (rerun / "ratio_1" / "resolved_config.json").unlink()
+    ran, real_run_cell = [], cli._run_cell
+
+    def run_cell(cfg, cell_dir, *args):
+        ran.append(cell_dir.name)
+        return real_run_cell(cfg, cell_dir, *args)
+
+    monkeypatch.setattr(cli, "_run_cell", run_cell)
+    assert run("ratio-study", "--config", cfg, "--out", rerun) == 0
+    assert ran == ["ratio_1"]
+    assert run("ratio-study", "--config", cfg, "--out", fresh) == 0
+    assert (rerun / "ratio_study.csv").read_bytes() == (fresh / "ratio_study.csv").read_bytes()
+    assert cell_files(rerun) == cell_files(fresh)
 
 
 def test_sensitivity_command(tmp_path):
-    cfg = write_cfg(tmp_path, sigma_train=0.5, beta=10.0, l_n=0.01,
+    cfg = write_cfg(tmp_path, sigma_train=0.5, beta=10.0, l_n=0.01, seed=4, corruption_seed=99,
                     sensitivity_deltas={"beta": 5.0, "control": 1.0})
     out = tmp_path / "s"
     assert run("sensitivity", "--config", cfg, "--out", out) == 0
+    # a baseline cell and one per delta, each swept at sigma_eval alone
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["baseline", "beta", "control"]
+    for cell, beta in (("baseline", 10.0), ("beta", 15.0), ("control", 10.0)):
+        assert {p.name for p in (out / cell).iterdir()} == CELL_FILES
+        resolved = json.loads((out / cell / "resolved_config.json").read_text())
+        assert (resolved["command"], resolved["beta"]) == ("sensitivity", beta)
+        assert resolved["sweep_sigmas"] == [0.5]
+        assert not {"sensitivity_deltas", "sigma_eval", "workers"} & set(resolved)
     payload = json.loads((out / "sensitivity_report.json").read_text())
     by_name = {e["param"]: e for e in payload["entries"]}
-    assert by_name["control"]["sensitivity"] == 0.0
     assert set(by_name) == {"beta", "control"}
+    # the control cell retrains with nothing changed, so it reads exactly 0
+    control, beta = by_name["control"], by_name["beta"]
+    assert control["sensitivity"] == 0.0
+    assert control["acc_after"] == control["acc_before"]
+    assert beta["acc_before"] == control["acc_before"]
+    assert beta["sensitivity"] == (beta["acc_after"] - beta["acc_before"]) / 5.0
+    # before is the baseline cell's accuracy at sigma_eval, in percentage points
+    assert control["acc_before"] == eval_rows(out / "baseline")[0]["accuracy"] * 100.0
+    hp = HyperParams(lip=LipschitzParams(0.5, 10.0, 0.01), lr=0.1, epochs=1, batch_size=20,
+                     seed=4)
+    assert payload["baseline"] == json.loads(json.dumps(hp.as_dict()))
+    assert payload["metadata"]["units"] == "percentage points"
     ref = payload["metadata"]["reference_cifar10"]
     assert (ref["sigma_train"], ref["beta"], ref["l_n"]) == (87.20, 2.55, -28.89)
-    assert payload["baseline"]["lr"] == 0.1
 
 
 @pytest.mark.parametrize("command", ["sensitivity", "ratio-study"])

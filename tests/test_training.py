@@ -1,4 +1,4 @@
-"""Training loop determinism, the evaluation protocol, and the study helpers."""
+"""Training loop determinism and the evaluation protocol."""
 
 import threading
 import tracemalloc
@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from lipnet import (SGD, HyperParams, LabeledDataset, LipschitzParams, Provenance, Tensor,
                     TrainingDivergedError, audit_empirical_k, build_blobs_mlp,
-                    build_mnist_model, checkpoint_bytes, evaluate, ratio_study,
-                    sensitivity, sweep, synthetic_blobs, synthetic_digits, train)
+                    build_mnist_model, checkpoint_bytes, evaluate, sweep, synthetic_blobs,
+                    synthetic_digits, train)
 from lipnet import layers, regularizer
 from lipnet.layers import _eager_probs
 from lipnet.regularizer import quotient
-from lipnet.seeding import derive_int, derive_key
+from lipnet.seeding import derive_key
 
 
 def zeroed_blobs_model():
@@ -314,62 +314,3 @@ def test_sweep_rows_equal_one_whole_array_draw_per_sigma():
         assert row.accuracy == float(correct.mean())
         assert row.mean_confidence_correct == float(probs[correct, ds.labels[correct]].mean())
         assert row.mean_k == float(k.mean())
-
-
-def test_ratio_study_shape_and_reproduction(blobs_train, blobs_test):
-    hp = HyperParams(lr=0.1, epochs=2, batch_size=10, seed=4)
-    ratios = [0.5, 1.0]
-    sigmas = [0.0, 0.5]
-    rows = ratio_study(blobs_train, blobs_test, ratios, hp, sigmas,
-                       lambda: build_blobs_mlp(0), corruption_seed=777)
-    assert len(rows) == len(ratios) * len(sigmas)
-    assert [r[0] for r in rows] == [0.5, 0.5, 1.0, 1.0]
-    # the ratio-1.0 rows must reproduce a direct train+sweep bit for bit
-    run_hp = replace(hp, train_ratio=1.0, seed=derive_int(hp.seed, "ratio", 1))
-    model, _ = train(build_blobs_mlp(0), blobs_train, run_hp)
-    direct = sweep(model, blobs_test, sigmas, corruption_seed=777)
-    assert [r[2] for r in rows[2:]] == [row.accuracy for row in direct.rows]
-
-
-def test_ratio_study_more_data_no_worse(blobs_train, blobs_test):
-    hp = HyperParams(lr=0.1, epochs=3, batch_size=10, seed=4)
-    rows = ratio_study(blobs_train, blobs_test, [0.1, 1.0], hp, [0.0],
-                       lambda: build_blobs_mlp(0), corruption_seed=777)
-    acc = {r[0]: r[2] for r in rows}
-    assert acc[1.0] >= acc[0.1] - 0.05
-
-
-def test_ratio_study_rejects_bad_ratio(blobs_train, blobs_test):
-    hp = HyperParams(lr=0.1, epochs=1, batch_size=10, seed=4)
-    with pytest.raises(ValueError, match="ratios"):
-        ratio_study(blobs_train, blobs_test, [0.0], hp, [0.0], lambda: build_blobs_mlp(0),
-                    corruption_seed=777)
-
-
-def quick_sensitivity(blobs_train, blobs_test, deltas):
-    baseline = HyperParams(
-        lip=LipschitzParams(sigma_train=0.5, beta=10.0, l_n=0.01),
-        lr=0.1, epochs=1, batch_size=20, seed=4)
-    return sensitivity(baseline, deltas, blobs_train, blobs_test, 0.5,
-                       lambda: build_blobs_mlp(4), corruption_seed=99), baseline
-
-
-def test_sensitivity_control_is_exactly_zero(blobs_train, blobs_test):
-    report, baseline = quick_sensitivity(blobs_train, blobs_test,
-                                         {"control": 1.0, "beta": 5.0})
-    by_name = {e.param: e for e in report.entries}
-    control = by_name["control"]
-    assert control.sensitivity == 0.0
-    assert control.acc_after == control.acc_before
-    beta = by_name["beta"]
-    assert beta.acc_before == control.acc_before
-    assert beta.sensitivity == (beta.acc_after - beta.acc_before) / 5.0
-    assert report.baseline == baseline.as_dict()
-    assert report.metadata["units"] == "percentage points"
-
-
-def test_sensitivity_rejects_bad_deltas(blobs_train, blobs_test):
-    with pytest.raises(ValueError, match="unknown"):
-        quick_sensitivity(blobs_train, blobs_test, {"lr": 1.0})
-    with pytest.raises(ValueError, match="nonzero"):
-        quick_sensitivity(blobs_train, blobs_test, {"beta": 0.0})
