@@ -158,8 +158,8 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 
 def _find_openblas_threads():
-    """(get, set) of the loaded OpenBLAS's process-wide thread count, or None
-    when no OpenBLAS is loaded or /proc/self/maps cannot be read."""
+    """(get, set, stop) of the loaded OpenBLAS's process-wide thread count and worker
+    shutdown (stop None if absent), or None without OpenBLAS or /proc/self/maps."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as f:
             paths = {line.split()[-1] for line in f
@@ -173,7 +173,10 @@ def _find_openblas_threads():
                 get, put = getattr(lib, get_name), getattr(lib, set_name)
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+                stop = getattr(lib, "blas_thread_shutdown_", None)
+                if stop is not None:
+                    stop.argtypes, stop.restype = [], ctypes.c_int
+                return get, put, stop
     return None
 
 
@@ -184,26 +187,36 @@ _OPENBLAS_THREADS = _find_openblas_threads()
 @contextlib.contextmanager
 def _blas_threads_split(ways: int):
     """Share the BLAS threads among `ways` concurrent callers while the block
-    runs, so they do not oversubscribe the cores, then restore the count.
-    Does nothing for one way or without OpenBLAS."""
+    runs, so they do not oversubscribe the cores, then restore the count. Each set
+    also ends OpenBLAS's workers if it can, which the next threaded call restarts: idle
+    ones spin on a core for 0.1-0.2 s after threaded calls and after a set. That is
+    safe while no other thread is in BLAS, as before the block hands out work and
+    after it. Does nothing for one way or without OpenBLAS."""
     if ways < 2 or _OPENBLAS_THREADS is None:
         yield
         return
-    get, put = _OPENBLAS_THREADS
+    get, put, stop = _OPENBLAS_THREADS
+
+    def set_count(n: int) -> None:
+        put(n)
+        if stop is not None:
+            stop()
+
     before = get()
-    put(max(1, before // ways))
+    set_count(max(1, before // ways))
     try:
         yield
     finally:
-        put(before)
+        set_count(before)
 
 
 @contextlib.contextmanager
 def _eager_helper():
-    """One helper thread for a tape-free pass, with the BLAS threads split between it
-    and the caller while it lives. Yields None, so the caller walks alone, when the
-    count is already 1 (as in a grid's pool) or no OpenBLAS is loaded."""
-    if _OPENBLAS_THREADS is None or _OPENBLAS_THREADS[0]() < 2:
+    """One helper thread for a tape-free pass (evaluate, sweep, the audit), with the
+    BLAS threads split between it and the caller while it lives. Yields None, so the
+    caller walks alone, when the count is already 1 (as in a grid's pool) or OpenBLAS
+    is missing or cannot end its workers, whose spin would halve the helper's speed."""
+    if _OPENBLAS_THREADS is None or _OPENBLAS_THREADS[2] is None or _OPENBLAS_THREADS[0]() < 2:
         yield None
         return
     with _blas_threads_split(2), ThreadPoolExecutor(max_workers=1) as helper:

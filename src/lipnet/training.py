@@ -160,8 +160,8 @@ def _acc_conf(probs: np.ndarray, labels: np.ndarray):
 def evaluate(model: Model, ds: LabeledDataset) -> dict:
     """Accuracy (argmax, ties to the lowest class) and mean confidence over
     the correctly classified samples. Pure: no RNG, no model mutation."""
-    # no helper thread: train probes within OpenBLAS's spin-wait after its GEMMs (ROADMAP item 4)
-    accuracy, conf = _acc_conf(_eager_probs(model, ds.images), ds.labels)
+    with _eager_helper() as helper:
+        accuracy, conf = _acc_conf(_eager_probs(model, ds.images, helper), ds.labels)
     return {"accuracy": accuracy, "mean_confidence_on_correct": conf}
 
 

@@ -63,7 +63,7 @@ def blas_count():
     if blas is None:
         yield None
         return
-    get, put = blas
+    get, put, _ = blas
     original = get()
     put(2)
     yield get

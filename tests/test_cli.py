@@ -453,6 +453,7 @@ def test_grid_splits_blas_threads_while_the_pool_runs(tmp_path, monkeypatch, bla
                                                       workers, failing, openblas_found,
                                                       cells_done):
     count = blas_count or (lambda: None)
+    ends_workers = blas_count is not None and layers._OPENBLAS_THREADS[2] is not None
     out = tmp_path / "grid"
     cfg = write_cfg(tmp_path, workers=workers, **GRID_AXES)
     if cells_done:
@@ -468,7 +469,7 @@ def test_grid_splits_blas_threads_while_the_pool_runs(tmp_path, monkeypatch, bla
             raise RuntimeError("cell failed on purpose")
         return real_run_cell(cfg, cell_dir, *args)
 
-    def helper_pool(**kwargs):  # the executor of every sweep's helper thread
+    def helper_pool(**kwargs):  # the executor of every probe's and sweep's helper thread
         helpers.append(kwargs)
         return ThreadPoolExecutor(**kwargs)
 
@@ -482,8 +483,10 @@ def test_grid_splits_blas_threads_while_the_pool_runs(tmp_path, monkeypatch, bla
         pytest.skip("no OpenBLAS loaded, so there is no thread count to check")
     split = workers > 1 and openblas_found and not cells_done
     assert seen == [1 if split else 2] * (3 - cells_done)
-    # a cell's sweep gets a helper thread only when it has the BLAS threads to split
-    assert len(helpers) == (0 if split or not openblas_found else 3 - cells_done)
+    # each epoch's probe and the sweep of a cell get a helper thread only when the
+    # cell has the BLAS threads to split and OpenBLAS can end its idle worker
+    helped = not split and openblas_found and ends_workers
+    assert len(helpers) == (BASE_CFG["epochs"] + 1) * (3 - cells_done) * helped
     assert blas_count() == 2
 
 

@@ -1,5 +1,6 @@
 """Training loop determinism and the evaluation protocol."""
 
+import os
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -16,6 +17,7 @@ from lipnet import (SGD, HyperParams, LabeledDataset, LipschitzParams, Provenanc
 from lipnet import layers, regularizer
 from lipnet.layers import _eager_probs
 from lipnet.regularizer import quotient
+from lipnet.reports import write_train_record
 from lipnet.seeding import derive_key
 
 
@@ -174,7 +176,7 @@ def test_evaluate_is_pure(blobs_test):
     assert checkpoint_bytes(model) == before
 
 
-@pytest.mark.parametrize("command", ["evaluate", "sweep", "audit",
+@pytest.mark.parametrize("command", ["evaluate", "sweep", "audit", "evaluate_with_helper",
                                      "sweep_with_helper", "audit_with_helper"])
 def test_memory_is_bounded_by_the_chunk_not_the_dataset(command, monkeypatch, request):
     # conv2d's im2col buffer is 2000 * 25 * 14 * 14 floats (78 MB) in one pass.
@@ -185,7 +187,7 @@ def test_memory_is_bounded_by_the_chunk_not_the_dataset(command, monkeypatch, re
     if not with_helper:
         monkeypatch.setattr(layers, "_OPENBLAS_THREADS", None)
     elif request.getfixturevalue("blas_count") is None:
-        pytest.skip("no OpenBLAS loaded, so sweep and the audit get no helper thread")
+        pytest.skip("no OpenBLAS loaded, so the tape-free passes get no helper thread")
     model = build_mnist_model(4)
     ds = synthetic_digits(2000, 5)
     run, held = {
@@ -241,27 +243,77 @@ def test_sweep_same_seed_same_corruption(blobs_test):
     assert r1.rows == r2.rows
 
 
-def _sweep_audit_and_probs(model, ds):
+def _tape_free_passes(ds, out):
+    """sweep, evaluate, the audit, the bare chunk walk and a 2-epoch train with its
+    per-epoch probe; the last item says whether a helper thread was there to take."""
+    model = build_mnist_model(4)
     report = sweep(model, ds, [0.0, 0.5, 1.0], corruption_seed=7)
+    scores = evaluate(model, ds)
     k = audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(3)).values()
     with layers._eager_helper() as helper:
         probs = _eager_probs(model, ds.images, helper)
-    return [vars(r) for r in report.rows], k, probs, helper is not None
+    trained, record = train(build_mnist_model(4), ds, HyperParams(epochs=2, seed=3))
+    write_train_record(record, out)
+    return ([vars(r) for r in report.rows], scores, k.tobytes(), probs.tobytes(),
+            checkpoint_bytes(trained), (out / "train_epochs.csv").read_bytes(), helper is not None)
 
 
 @pytest.mark.parametrize("n", [1, 99, 100, 101, 733, 2000])
-def test_the_helper_thread_leaves_every_bit_in_place(n, monkeypatch, blas_count):
+def test_the_helper_thread_leaves_every_bit_in_place(n, monkeypatch, blas_count, tmp_path):
     if blas_count is None:
-        pytest.skip("no OpenBLAS loaded, so sweep and the audit get no helper thread")
-    model = build_mnist_model(4)
+        pytest.skip("no OpenBLAS loaded, so the tape-free passes get no helper thread")
     ds = synthetic_digits(n, 5)
-    *threaded, helped = _sweep_audit_and_probs(model, ds)
+    *threaded, helped = _tape_free_passes(ds, tmp_path / "threaded")
     monkeypatch.setattr(layers, "_OPENBLAS_THREADS", None)
-    *serial, alone = _sweep_audit_and_probs(model, ds)
+    *serial, alone = _tape_free_passes(ds, tmp_path / "serial")
     assert helped and not alone
-    assert repr(threaded[0]) == repr(serial[0])  # NaN mean_k at sigma 0 compares by repr
-    for a, b in zip(threaded[1:], serial[1:]):
-        assert a.tobytes() == b.tobytes()
+    assert repr(threaded[:2]) == repr(serial[:2])  # NaN mean_k at sigma 0 compares by repr
+    for a, b in zip(threaded[2:], serial[2:]):
+        assert a == b
+
+
+def _native_threads() -> int:
+    """Threads of this process that Python did not start, numpy's OpenBLAS workers
+    among them (a scipy loaded by other tests may hold its own)."""
+    return len(os.listdir("/proc/self/task")) - threading.active_count()
+
+
+@pytest.mark.parametrize("block", ["helper", "split"])
+def test_no_idle_blas_worker_is_left_spinning(block, blas_count):
+    # after a threaded GEMM the worker spin-waits on the second core and set(1) leaves it;
+    # a set that starts a worker leaves that one spinning too
+    if blas_count is None or layers._OPENBLAS_THREADS[2] is None:
+        pytest.skip("no OpenBLAS loaded that can end its workers")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to list this process's threads")
+    a = np.random.default_rng(0).random((400, 400))
+    a @ a
+    working = _native_threads()
+    with {"helper": layers._eager_helper, "split": lambda: layers._blas_threads_split(2)}[block]():
+        assert _native_threads() == working - 1
+    assert blas_count() == 2
+    assert _native_threads() == working - 1
+    a @ a  # OpenBLAS starts its worker again for the next threaded call
+    assert _native_threads() == working
+
+
+@pytest.mark.parametrize("count,can_stop", [(2, True), (1, True), (2, False), (None, None)])
+def test_the_helper_ends_the_workers_after_each_set(count, can_stop, monkeypatch):
+    # count None: no OpenBLAS found; can_stop False: a library without the shutdown call
+    calls, state = [], {"count": count}
+
+    def put(n):
+        calls.append(f"set({n})")
+        state["count"] = n
+
+    stop = (lambda: calls.append("stop")) if can_stop else None
+    blas = None if count is None else (lambda: state["count"], put, stop)
+    monkeypatch.setattr(layers, "_OPENBLAS_THREADS", blas)
+    with layers._eager_helper() as helper:
+        calls.append("walk")
+    helped = count == 2 and can_stop
+    assert (helper is not None) == helped
+    assert calls == (["set(1)", "stop", "walk", "set(2)", "stop"] if helped else ["walk"])
 
 
 @pytest.mark.parametrize("command", ["sweep", "audit"])
