@@ -339,13 +339,13 @@ def _run_cells(command: str, cfg, out: Path, cells: dict) -> dict:
             atomic_write_text(out / name / "error.txt", f"{type(e).__name__}: {e}\n")
 
     todo = [name for name in cells if not done(name)]
-    if workers == 1:
+    ways = min(workers, len(todo))
+    if ways < 2:  # on the calling thread, where a cell's tape-free passes may take a helper
         for name in todo:
             run_one(name)
     else:
         # the count is process-wide: it is lowered only while the pool runs, by the cells it runs
-        with (_blas_threads_split(min(workers, len(todo))),
-              ThreadPoolExecutor(max_workers=workers) as pool):
+        with _blas_threads_split(ways), ThreadPoolExecutor(max_workers=ways) as pool:
             list(pool.map(run_one, todo))
 
     rows, failed = {}, []

@@ -12,6 +12,7 @@ import contextlib
 import ctypes
 import math
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -211,12 +212,15 @@ def _blas_threads_split(ways: int):
 
 
 @contextlib.contextmanager
-def _eager_helper():
-    """One helper thread for a tape-free pass (evaluate, sweep, the audit), with the
-    BLAS threads split between it and the caller while it lives. Yields None, so the
-    caller walks alone, when the count is already 1 (as in a grid's pool) or OpenBLAS
-    is missing or cannot end its workers, whose spin would halve the helper's speed."""
-    if _OPENBLAS_THREADS is None or _OPENBLAS_THREADS[2] is None or _OPENBLAS_THREADS[0]() < 2:
+def _eager_helper(n: int):
+    """One helper thread for a tape-free pass of n rows (evaluate, sweep, the audit), with
+    the BLAS threads split between it and the caller while it lives. Only the main thread
+    gets one, as the split ends the workers and a grid pool's cells run BLAS side by side.
+    Yields None, so the caller walks alone, also for one chunk, at a count of 1, or when
+    OpenBLAS is missing or cannot end its workers, whose spin would halve the helper's speed."""
+    blas = _OPENBLAS_THREADS
+    if (n <= _EAGER_ROWS or threading.current_thread() is not threading.main_thread()
+            or blas is None or blas[2] is None or blas[0]() < 2):
         yield None
         return
     with _blas_threads_split(2), ThreadPoolExecutor(max_workers=1) as helper:

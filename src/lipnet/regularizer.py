@@ -322,6 +322,6 @@ def audit_empirical_k(model: Model, dataset, sigma: float, n: int, rng,
         raise ValueError(f"audit_empirical_k: n must be >= 1, got {n}")
     idx = np.sort(rng.permutation(dataset.n)[:n])
     x = dataset.images[idx]
-    with _eager_helper() as helper:
+    with _eager_helper(len(x)) as helper:
         _, k = _eager_k(model, x, _eager_probs(model, x, helper), sigma, rng, helper)
     return _k_statistics(Tensor(k), l_n)

@@ -160,7 +160,7 @@ def _acc_conf(probs: np.ndarray, labels: np.ndarray):
 def evaluate(model: Model, ds: LabeledDataset) -> dict:
     """Accuracy (argmax, ties to the lowest class) and mean confidence over
     the correctly classified samples. Pure: no RNG, no model mutation."""
-    with _eager_helper() as helper:
+    with _eager_helper(ds.n) as helper:
         accuracy, conf = _acc_conf(_eager_probs(model, ds.images, helper), ds.labels)
     return {"accuracy": accuracy, "mean_confidence_on_correct": conf}
 
@@ -185,7 +185,7 @@ def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed: int
     """
     sigmas = _check_sigmas(sigmas)
     rows = []
-    with _eager_helper() as helper:
+    with _eager_helper(clean_test.n) as helper:
         clean_probs = _eager_probs(model, clean_test.images, helper)
         for sigma in sorted(sigmas):
             if sigma == 0.0:

@@ -483,11 +483,43 @@ def test_grid_splits_blas_threads_while_the_pool_runs(tmp_path, monkeypatch, bla
         pytest.skip("no OpenBLAS loaded, so there is no thread count to check")
     split = workers > 1 and openblas_found and not cells_done
     assert seen == [1 if split else 2] * (3 - cells_done)
-    # each epoch's probe and the sweep of a cell get a helper thread only when the
-    # cell has the BLAS threads to split and OpenBLAS can end its idle worker
+    # each epoch's probe (200 rows, two chunks) gets a helper thread only when the cell
+    # has the BLAS threads to split and OpenBLAS can end its idle worker; the sweep's
+    # 100 rows are one chunk and walk alone
     helped = not split and openblas_found and ends_workers
-    assert len(helpers) == (BASE_CFG["epochs"] + 1) * (3 - cells_done) * helped
+    assert len(helpers) == BASE_CFG["epochs"] * (3 - cells_done) * helped
     assert blas_count() == 2
+
+
+def test_a_grid_pool_never_ends_the_workers_under_its_cells(tmp_path, monkeypatch):
+    # at 4 threads and 2 workers each cell runs at a count of 2, so its probes and sweep
+    # could split it, yet no set or stop may come while a sibling cell may be in a GEMM
+    calls, state, in_flight = [], {"count": 4}, []
+
+    def put(n):
+        calls.append(f"set({n}) with {len(in_flight)} cells in flight")
+        state["count"] = n
+
+    def stop():
+        calls.append(f"stop with {len(in_flight)} cells in flight")
+
+    real_run_cell = cli._run_cell
+
+    def run_cell(*args):
+        in_flight.append(args[1].name)
+        calls.append(f"cell at {state['count']}")
+        try:
+            return real_run_cell(*args)
+        finally:
+            in_flight.remove(args[1].name)
+
+    monkeypatch.setattr(layers, "_OPENBLAS_THREADS", (lambda: state["count"], put, stop))
+    monkeypatch.setattr(cli, "_run_cell", run_cell)
+    cfg = write_cfg(tmp_path, workers=2, synthetic_test_n=300, **GRID_AXES)
+    assert run("grid", "--config", cfg, "--out", tmp_path / "grid") == 0
+    assert calls == ["set(2) with 0 cells in flight", "stop with 0 cells in flight",
+                     *["cell at 2"] * 3,
+                     "set(4) with 0 cells in flight", "stop with 0 cells in flight"]
 
 
 def test_blas_split_restores_on_any_exit_and_skips_one_way(blas_count):

@@ -3,6 +3,7 @@
 import os
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -245,12 +246,12 @@ def test_sweep_same_seed_same_corruption(blobs_test):
 
 def _tape_free_passes(ds, out):
     """sweep, evaluate, the audit, the bare chunk walk and a 2-epoch train with its
-    per-epoch probe; the last item says whether a helper thread was there to take."""
+    per-epoch probe; the last item says whether the chunk walk had a helper thread."""
     model = build_mnist_model(4)
     report = sweep(model, ds, [0.0, 0.5, 1.0], corruption_seed=7)
     scores = evaluate(model, ds)
     k = audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(3)).values()
-    with layers._eager_helper() as helper:
+    with layers._eager_helper(ds.n) as helper:
         probs = _eager_probs(model, ds.images, helper)
     trained, record = train(build_mnist_model(4), ds, HyperParams(epochs=2, seed=3))
     write_train_record(record, out)
@@ -266,7 +267,7 @@ def test_the_helper_thread_leaves_every_bit_in_place(n, monkeypatch, blas_count,
     *threaded, helped = _tape_free_passes(ds, tmp_path / "threaded")
     monkeypatch.setattr(layers, "_OPENBLAS_THREADS", None)
     *serial, alone = _tape_free_passes(ds, tmp_path / "serial")
-    assert helped and not alone
+    assert helped == (n > layers._EAGER_ROWS) and not alone  # one chunk walks alone
     assert repr(threaded[:2]) == repr(serial[:2])  # NaN mean_k at sigma 0 compares by repr
     for a, b in zip(threaded[2:], serial[2:]):
         assert a == b
@@ -289,16 +290,21 @@ def test_no_idle_blas_worker_is_left_spinning(block, blas_count):
     a = np.random.default_rng(0).random((400, 400))
     a @ a
     working = _native_threads()
-    with {"helper": layers._eager_helper, "split": lambda: layers._blas_threads_split(2)}[block]():
-        assert _native_threads() == working - 1
+    with {"helper": lambda: layers._eager_helper(2 * layers._EAGER_ROWS),
+          "split": lambda: layers._blas_threads_split(2)}[block]():
+        ended = _native_threads()
+        assert ended < working
     assert blas_count() == 2
-    assert _native_threads() == working - 1
-    a @ a  # OpenBLAS starts its worker again for the next threaded call
-    assert _native_threads() == working
+    assert _native_threads() == ended  # the restoring set starts no worker that stays
+    a @ a  # OpenBLAS starts its workers again for the next threaded call
+    assert _native_threads() > ended
 
 
-@pytest.mark.parametrize("count,can_stop", [(2, True), (1, True), (2, False), (None, None)])
-def test_the_helper_ends_the_workers_after_each_set(count, can_stop, monkeypatch):
+@pytest.mark.parametrize("count,can_stop,rows,on_main", [
+    (2, True, 101, True), (1, True, 101, True), (2, False, 101, True), (None, None, 101, True),
+    (2, True, 100, True),    # one chunk: nothing to hand the helper
+    (2, True, 101, False)])  # off the main thread, as in a grid's pool
+def test_the_helper_ends_the_workers_after_each_set(count, can_stop, rows, on_main, monkeypatch):
     # count None: no OpenBLAS found; can_stop False: a library without the shutdown call
     calls, state = [], {"count": count}
 
@@ -306,14 +312,41 @@ def test_the_helper_ends_the_workers_after_each_set(count, can_stop, monkeypatch
         calls.append(f"set({n})")
         state["count"] = n
 
+    def walk():
+        with layers._eager_helper(rows) as helper:
+            calls.append("walk")
+        return helper
+
     stop = (lambda: calls.append("stop")) if can_stop else None
     blas = None if count is None else (lambda: state["count"], put, stop)
     monkeypatch.setattr(layers, "_OPENBLAS_THREADS", blas)
-    with layers._eager_helper() as helper:
-        calls.append("walk")
-    helped = count == 2 and can_stop
+    if on_main:
+        helper = walk()
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            helper = pool.submit(walk).result()
+    helped = count == 2 and can_stop and rows > layers._EAGER_ROWS and on_main
     assert (helper is not None) == helped
     assert calls == (["set(1)", "stop", "walk", "set(2)", "stop"] if helped else ["walk"])
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep", "audit"])
+def test_a_one_chunk_pass_starts_no_helper(command, monkeypatch):
+    # a single chunk would pay for the thread, the split and the workers' restart for nothing
+    calls = []
+    blas = (lambda: 2, lambda n: calls.append(f"set({n})"), lambda: calls.append("stop"))
+    monkeypatch.setattr(layers, "_OPENBLAS_THREADS", blas)
+    monkeypatch.setattr(layers, "ThreadPoolExecutor",
+                        lambda **kwargs: calls.append("helper") or ThreadPoolExecutor(**kwargs))
+    model = build_blobs_mlp(0)
+    run = {"evaluate": lambda ds: evaluate(model, ds),
+           "sweep": lambda ds: sweep(model, ds, [0.0, 0.5], corruption_seed=7),
+           "audit": lambda ds: audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(0))}
+    for n, expected in ((layers._EAGER_ROWS, []),
+                        (layers._EAGER_ROWS + 1, ["set(1)", "stop", "helper", "set(2)", "stop"])):
+        calls.clear()
+        run[command](synthetic_blobs(n, 3))
+        assert calls == expected
 
 
 @pytest.mark.parametrize("command", ["sweep", "audit"])
