@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import (LabeledDataset, load_idx, synthetic_blobs, synthetic_digits)
 from .ioutil import atomic_write_text
-from .layers import (_blas_threads_split, _eager_probs, _registered, build_registered,
+from .layers import (_blas_threads_split, _registered, build_registered, forward,
                      load_checkpoint, save_checkpoint)
 from .regularizer import (COUNTEREXAMPLE_SCALE, ORACLE_DIM, ORACLE_L, ORACLE_SEEDS,
                           ORACLE_TRIALS, LipschitzParams, RampClassifier, audit_empirical_k,
@@ -31,6 +31,7 @@ from .reports import (SensitivityEntry, SensitivityReport, _csv_text, write_eval
                       write_json, write_ratio_table, write_sensitivity_report,
                       write_train_record)
 from .seeding import derive_int, derive_rng
+from .tensor import Tensor
 from .training import (HyperParams, _check_deltas, _check_ratios, _check_sigmas,
                        _sensitivity_runs, sweep, train)
 from .version import VERSION
@@ -405,7 +406,7 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
     if "l_n" not in cfg["_explicit_keys"]:
         raise ConfigError("guarantee requires an explicit 'l_n' config key")
     model = _model(cfg)  # --checkpoint loads into it; the labels span its output width
-    labels = one_hot_labels(_eager_probs(model, np.zeros((1, *model.input_shape))).shape[1])
+    labels = one_hot_labels(forward(model, Tensor(np.zeros((1, *model.input_shape)))).shape[1])
     payload = {"guarantee": guarantee(LipschitzParams(l_n=cfg["l_n"]), labels).as_dict()}
 
     if checkpoint is not None:
@@ -482,6 +483,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     flags = {k: v for k, v in vars(args).items() if k in ("checkpoint", "synthetic")}
     try:
+        if flags.get("checkpoint") is not None and not flags["checkpoint"].is_file():
+            raise ConfigError(f"checkpoint file not found: {flags['checkpoint']}")
         cfg = load_config(args.config, seed_override=args.seed)
         code = COMMANDS[args.command](cfg, args.out, **flags)
         # written last, so a command that raises leaves nothing under --out

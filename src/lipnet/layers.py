@@ -129,27 +129,6 @@ def forward(model: Model, x: Tensor, graph: Graph | None = None) -> Tensor:
 _EAGER_ROWS = 100  # im2col buffer stays cache-resident; same bytes as 500-row chunks
 
 
-def _eager_chunks(n: int):
-    """Row slices of every tape-free forward, so clean and noisy chunks start at the same rows."""
-    return (slice(s, s + _EAGER_ROWS) for s in range(0, n, _EAGER_ROWS))
-
-
-def _eager_probs(model: Model, images: np.ndarray, helper=None) -> np.ndarray:
-    """Tape-free probability rows: evaluate's forward, and sweep's and the audit's clean side.
-    A helper from _eager_helper forwards every second chunk while the caller forwards
-    the one before, so at most two chunks are in flight and the rows stay in order."""
-    def probs(sl):
-        return forward(model, Tensor(images[sl])).data
-
-    chunks, out = list(_eager_chunks(images.shape[0])), []
-    for mine, theirs in zip(chunks[::2], chunks[1::2] + [None]):
-        ahead = helper.submit(probs, theirs) if helper and theirs else None
-        out.append(probs(mine))
-        if theirs:
-            out.append(ahead.result() if ahead else probs(theirs))
-    return np.concatenate(out)
-
-
 # OpenBLAS exports its thread controls under a build-specific name. numpy's
 # ILP64 build is tried first, so scipy's own OpenBLAS, if loaded, is not picked.
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -213,8 +192,8 @@ def _blas_threads_split(ways: int):
 
 @contextlib.contextmanager
 def _eager_helper(n: int):
-    """One helper thread for a tape-free pass of n rows (evaluate, sweep, the audit), with
-    the BLAS threads split between it and the caller while it lives. Only the main thread
+    """The helper thread of regularizer._eager_passes over n rows, with the BLAS
+    threads split between it and the caller while it lives. Only the main thread
     gets one, as the split ends the workers and a grid pool's cells run BLAS side by side.
     Yields None, so the caller walks alone, also for one chunk, at a count of 1, or when
     OpenBLAS is missing or cannot end its workers, whose spin would halve the helper's speed."""

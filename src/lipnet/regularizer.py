@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Model, _eager_chunks, _eager_helper, _eager_probs, forward
+from .layers import _EAGER_ROWS, Model, _eager_helper, forward
 from .tensor import Graph, Tensor, _acc, _record, add, cross_entropy, rows
 
 NORM_EPS = 1e-12  # input norms are clamped to it; output rows with a smaller norm get no gradient
@@ -115,22 +115,38 @@ def quotient(f_x: Tensor, f_x_bar: Tensor, x: np.ndarray, x_bar: np.ndarray,
     return _record(graph, "quotient", (f_x, f_x_bar), out, rule)
 
 
-def _eager_k(model: Model, x: np.ndarray, f_x: np.ndarray, sigma: float, rng, helper=None):
-    """Tape-free (f(x_bar), k), x_bar = perturb(x, sigma, rng): sweep's and the audit's noisy
-    pass. It walks _eager_chunks in row order: one whole-array draw's values, chunk temporaries.
-    With a helper from _eager_helper, the helper draws chunk i+1 while the caller forwards chunk i."""
-    def draw(sl):
+def _eager_passes(model: Model, x: np.ndarray, noise=()):
+    """Every tape-free pass: (f(x), [(f(x_bar), k) for each (sigma, rng) in noise]) with
+    x_bar = perturb(x, sigma, rng). It walks 100-row chunks in row order, so each stream's
+    values are one whole-array draw's and the temporaries a chunk's. With a helper from
+    _eager_helper, the two threads forward alternate clean chunks; then, stream by stream,
+    the helper draws chunk i+1 while the caller forwards and compares chunk i."""
+    chunks = [slice(s, s + _EAGER_ROWS) for s in range(0, len(x), _EAGER_ROWS)]
+
+    def probs(sl):
+        return forward(model, Tensor(x[sl])).data
+
+    def draw(sl, sigma, rng):
         return perturb(Tensor(x[sl]), sigma, rng)
 
-    chunks = list(_eager_chunks(x.shape[0]))
-    f_bar, k, x_bar = [], [], draw(chunks[0])
-    for sl, nxt in zip(chunks, chunks[1:] + [None]):
-        ahead = helper.submit(draw, nxt) if helper and nxt else None
-        f_bar.append(forward(model, x_bar).data)
-        k.append(quotient(Tensor(f_x[sl]), Tensor(f_bar[-1]), x[sl], x_bar.data).data)
-        if nxt:
-            x_bar = ahead.result() if ahead else draw(nxt)
-    return np.concatenate(f_bar), np.concatenate(k)
+    with _eager_helper(len(x)) as helper:
+        clean = []
+        for mine, theirs in zip(chunks[::2], chunks[1::2] + [None]):
+            ahead = helper.submit(probs, theirs) if helper and theirs else None
+            clean.append(probs(mine))
+            if theirs:
+                clean.append(ahead.result() if ahead else probs(theirs))
+        f_x, noisy = np.concatenate(clean), []
+        for sigma, rng in noise:
+            f_bar, k, x_bar = [], [], draw(chunks[0], sigma, rng)
+            for sl, nxt in zip(chunks, chunks[1:] + [None]):
+                ahead = helper.submit(draw, nxt, sigma, rng) if helper and nxt else None
+                f_bar.append(forward(model, x_bar).data)
+                k.append(quotient(Tensor(f_x[sl]), Tensor(f_bar[-1]), x[sl], x_bar.data).data)
+                if nxt:
+                    x_bar = ahead.result() if ahead else draw(nxt, sigma, rng)
+            noisy.append((np.concatenate(f_bar), np.concatenate(k)))
+    return f_x, noisy
 
 
 def lipschitz_loss(k: KStatistics, params: LipschitzParams,
@@ -312,16 +328,14 @@ def audit_empirical_k(model: Model, dataset, sigma: float, n: int, rng,
                       l_n: float | None = None) -> KStatistics:
     """Bulk, non-differentiable k over n samples drawn from the dataset.
 
-    One fresh noise draw per sample, in row order from rng; the rows go through
-    sweep's passes and helper thread (layers._eager_helper). Reproducible
-    bit-exactly for a given rng state, with or without the helper.
+    One fresh noise draw per sample, in row order from rng, through the
+    tape-free walk of evaluate and sweep (_eager_passes). Reproducible
+    bit-exactly for a given rng state, with or without its helper thread.
     """
     if not 0 < sigma < np.inf:
         raise ValueError(f"audit_empirical_k: sigma must be finite and > 0, got {sigma}")
     if n < 1:
         raise ValueError(f"audit_empirical_k: n must be >= 1, got {n}")
     idx = np.sort(rng.permutation(dataset.n)[:n])
-    x = dataset.images[idx]
-    with _eager_helper(len(x)) as helper:
-        _, k = _eager_k(model, x, _eager_probs(model, x, helper), sigma, rng, helper)
+    _, [(_, k)] = _eager_passes(model, dataset.images[idx], [(sigma, rng)])
     return _k_statistics(Tensor(k), l_n)

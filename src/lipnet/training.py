@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .data import LabeledDataset, batches, subsample
-from .layers import Model, _eager_helper, _eager_probs, checkpoint_bytes
-from .regularizer import LipschitzParams, _eager_k, aggregated_loss
+from .layers import Model, checkpoint_bytes
+from .regularizer import LipschitzParams, _eager_passes, aggregated_loss
 from .reports import EpochRecord, EvalReport, EvalRow, StepRecord, TrainRecord
 from .seeding import derive_key, derive_rng
 from .tensor import Graph, Tensor, backward
@@ -160,8 +160,7 @@ def _acc_conf(probs: np.ndarray, labels: np.ndarray):
 def evaluate(model: Model, ds: LabeledDataset) -> dict:
     """Accuracy (argmax, ties to the lowest class) and mean confidence over
     the correctly classified samples. Pure: no RNG, no model mutation."""
-    with _eager_helper(ds.n) as helper:
-        accuracy, conf = _acc_conf(_eager_probs(model, ds.images, helper), ds.labels)
+    accuracy, conf = _acc_conf(_eager_passes(model, ds.images)[0], ds.labels)
     return {"accuracy": accuracy, "mean_confidence_on_correct": conf}
 
 
@@ -180,22 +179,20 @@ def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed: int
     Corruption is seeded per sigma from corruption_seed only, so every model
     swept with the same seed sees identical corrupted inputs. mean_k is the
     empirical quotient between corrupted and clean outputs (NaN at sigma 0).
-    The passes share one helper thread (layers._eager_helper), and each sigma's
-    noise is still drawn in row order from its one stream, helper or not.
+    All levels share one clean pass (regularizer._eager_passes), and each
+    sigma's noise is drawn in row order from its one stream.
     """
-    sigmas = _check_sigmas(sigmas)
+    sigmas = sorted(_check_sigmas(sigmas))
+    noisy = [s for s in sigmas if s != 0.0]
+    clean_probs, passes = _eager_passes(model, clean_test.images, [
+        (s, derive_rng(corruption_seed, "sigma", repr(s))) for s in noisy])
+    passes = dict(zip(noisy, passes))
     rows = []
-    with _eager_helper(clean_test.n) as helper:
-        clean_probs = _eager_probs(model, clean_test.images, helper)
-        for sigma in sorted(sigmas):
-            if sigma == 0.0:
-                probs, mean_k = clean_probs, float("nan")
-            else:
-                probs, k = _eager_k(model, clean_test.images, clean_probs, sigma,
-                                    derive_rng(corruption_seed, "sigma", repr(sigma)), helper)
-                mean_k = float(k.mean())
-            accuracy, conf = _acc_conf(probs, clean_test.labels)
-            rows.append(EvalRow(sigma, accuracy, conf, mean_k, clean_test.n))
+    for sigma in sigmas:
+        probs, k = passes.get(sigma, (clean_probs, None))
+        accuracy, conf = _acc_conf(probs, clean_test.labels)
+        mean_k = float("nan") if k is None else float(k.mean())
+        rows.append(EvalRow(sigma, accuracy, conf, mean_k, clean_test.n))
     metadata = {
         "model_hash": hashlib.sha256(checkpoint_bytes(model)).hexdigest(),
         "dataset": clean_test.provenance.as_dict(),

@@ -56,9 +56,9 @@ def perturb_calls(monkeypatch):
 @pytest.fixture()
 def blas_count():
     """The loaded OpenBLAS's thread count getter, or None without OpenBLAS.
-    The count is 2 during the test, so a split shows on any host (and sweep
-    and the audit get their helper thread), and an earlier test cannot hide
-    a count that was never restored."""
+    The count is 2 during the test, so a split shows on any host (and every
+    tape-free pass of more than one chunk gets its helper thread), and an
+    earlier test cannot hide a count that was never restored."""
     blas = layers._OPENBLAS_THREADS
     if blas is None:
         yield None

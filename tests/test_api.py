@@ -188,6 +188,19 @@ def test_only_apply_calls_the_layer_ops():
     assert apply and found == []
 
 
+def test_only_the_tape_free_walk_takes_the_helper_thread():
+    # evaluate, sweep and the audit all go through regularizer._eager_passes, so
+    # when a tape-free pass gets a second thread is decided in that one function
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    getattr(node, "id", getattr(node, "attr", None)) == "_eager_helper"
+                    for node in ast.walk(fn)):
+                found.add(f"{path.stem}.{fn.name}")
+    assert found == {"regularizer._eager_passes"}
+
+
 def test_only_the_cli_stages_call_train_and_sweep():
     # every command trains through cli._train_to and sweeps through
     # cli._sweep_to, so no second "train several recipes, then sweep" loop

@@ -275,6 +275,17 @@ def test_corrupt_checkpoint_is_run_error(tmp_path, capsys):
     assert "ValueError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "guarantee"])
+def test_a_missing_checkpoint_is_usage_error_before_any_load(
+        tmp_path, capsys, loader_calls, command):
+    cfg = write_cfg(tmp_path, l_n=0.01)
+    missing, out = tmp_path / "nope.ckpt", tmp_path / "x"
+    assert run(command, "--config", cfg, "--out", out, "--checkpoint", missing) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert loader_calls == []
+    assert not out.exists()
+
+
 def test_grid_trains_all_cells_and_summarizes(tmp_path):
     cfg = write_cfg(tmp_path, grid_sigma_train=[0.5], grid_beta=[10.0],
                     grid_l_n=[0.005])

@@ -16,8 +16,7 @@ from lipnet import (SGD, HyperParams, LabeledDataset, LipschitzParams, Provenanc
                     build_mnist_model, checkpoint_bytes, evaluate, sweep, synthetic_blobs,
                     synthetic_digits, train)
 from lipnet import layers, regularizer
-from lipnet.layers import _eager_probs
-from lipnet.regularizer import quotient
+from lipnet.regularizer import _eager_passes, quotient
 from lipnet.reports import write_train_record
 from lipnet.seeding import derive_key
 
@@ -245,18 +244,23 @@ def test_sweep_same_seed_same_corruption(blobs_test):
 
 
 def _tape_free_passes(ds, out):
-    """sweep, evaluate, the audit, the bare chunk walk and a 2-epoch train with its
-    per-epoch probe; the last item says whether the chunk walk had a helper thread."""
+    """sweep, evaluate, the audit, the bare walk with one noise stream and a 2-epoch train
+    with its per-epoch probe; the last item says whether the bare walk started a helper."""
     model = build_mnist_model(4)
     report = sweep(model, ds, [0.0, 0.5, 1.0], corruption_seed=7)
     scores = evaluate(model, ds)
     k = audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(3)).values()
-    with layers._eager_helper(ds.n) as helper:
-        probs = _eager_probs(model, ds.images, helper)
+    started = []
+    with pytest.MonkeyPatch.context() as spy:
+        spy.setattr(layers, "ThreadPoolExecutor",
+                    lambda **kwargs: started.append(1) or ThreadPoolExecutor(**kwargs))
+        clean, [(noisy, walk_k)] = _eager_passes(model, ds.images,
+                                                 [(0.5, np.random.default_rng(5))])
     trained, record = train(build_mnist_model(4), ds, HyperParams(epochs=2, seed=3))
     write_train_record(record, out)
-    return ([vars(r) for r in report.rows], scores, k.tobytes(), probs.tobytes(),
-            checkpoint_bytes(trained), (out / "train_epochs.csv").read_bytes(), helper is not None)
+    return ([vars(r) for r in report.rows], scores, k.tobytes(), clean.tobytes(),
+            noisy.tobytes(), walk_k.tobytes(), checkpoint_bytes(trained),
+            (out / "train_epochs.csv").read_bytes(), bool(started))
 
 
 @pytest.mark.parametrize("n", [1, 99, 100, 101, 733, 2000])
@@ -360,7 +364,7 @@ def test_a_failing_helper_stops_both_threads(command, failing, monkeypatch, blas
     ds = LabeledDataset(rows, np.zeros(733, dtype=np.int64), Provenance("row index"))
     model = build_blobs_mlp(0)
     # forward(model, x) and perturb(x, sigma, rng): module, name, x's position
-    module, name, at = {"clean_forward": (layers, "forward", 1),
+    module, name, at = {"clean_forward": (regularizer, "forward", 1),
                         "noise_draw": (regularizer, "perturb", 0)}[failing]
     real, taken = getattr(module, name), []
 
@@ -388,12 +392,12 @@ def test_sweep_rows_equal_one_whole_array_draw_per_sigma():
     model = build_mnist_model(4)
     ds = synthetic_digits(733, 5)
     report = sweep(model, ds, [0.5, 1.0], corruption_seed=9)
-    clean = _eager_probs(model, ds.images)
+    clean = _eager_passes(model, ds.images)[0]
     for row in report.rows:
         sigma = row.sigma_test
         rng = np.random.default_rng(derive_key(9, "sigma", repr(sigma)))
         x_bar = ds.images + rng.normal(0.0, sigma, size=ds.images.shape)
-        probs = _eager_probs(model, x_bar)
+        probs = _eager_passes(model, x_bar)[0]
         k = quotient(Tensor(clean), Tensor(probs), ds.images, x_bar).data
         correct = probs.argmax(axis=1) == ds.labels
         assert row.accuracy == float(correct.mean())
