@@ -166,16 +166,18 @@ _OPENBLAS_THREADS = _find_openblas_threads()
 
 @contextlib.contextmanager
 def _blas_threads_split(ways: int):
-    """Share the BLAS threads among `ways` concurrent callers while the block
-    runs, so they do not oversubscribe the cores, then restore the count. Each set
-    also ends OpenBLAS's workers if it can, which the next threaded call restarts: idle
-    ones spin on a core for 0.1-0.2 s after threaded calls and after a set. That is
-    safe while no other thread is in BLAS, as before the block hands out work and
-    after it. Does nothing for one way or without OpenBLAS."""
-    if ways < 2 or _OPENBLAS_THREADS is None:
-        yield
+    """Split the BLAS count among `ways` concurrent callers while the block runs, so they
+    do not oversubscribe the cores, then restore it; yields whether it split. Each set also
+    ends OpenBLAS's workers if it can: idle ones spin on a core for 0.1-0.2 s after threaded
+    calls and sets, and the next threaded call restarts them. Count and shutdown are
+    process-wide, and the shutdown can hang another thread's threaded call, so it splits only
+    while its caller is the process's only Python thread (threads not started through
+    `threading` go unseen), for 2 or more ways, with OpenBLAS, at a count of 2 or more."""
+    blas = _OPENBLAS_THREADS
+    if ways < 2 or blas is None or threading.active_count() > 1 or blas[0]() < 2:
+        yield False
         return
-    get, put, stop = _OPENBLAS_THREADS
+    get, put, stop = blas
 
     def set_count(n: int) -> None:
         put(n)
@@ -185,25 +187,23 @@ def _blas_threads_split(ways: int):
     before = get()
     set_count(max(1, before // ways))
     try:
-        yield
+        yield True
     finally:
         set_count(before)
 
 
 @contextlib.contextmanager
 def _eager_helper(n: int):
-    """The helper thread of regularizer._eager_passes over n rows, with the BLAS
-    threads split between it and the caller while it lives. Only the main thread
-    gets one, as the split ends the workers and a grid pool's cells run BLAS side by side.
-    Yields None, so the caller walks alone, also for one chunk, at a count of 1, or when
-    OpenBLAS is missing or cannot end its workers, whose spin would halve the helper's speed."""
-    blas = _OPENBLAS_THREADS
-    if (n <= _EAGER_ROWS or threading.current_thread() is not threading.main_thread()
-            or blas is None or blas[2] is None or blas[0]() < 2):
+    """The helper thread of regularizer._eager_passes over n rows, with the BLAS threads
+    split between it and the caller while it lives. Yields None, so the caller walks alone,
+    for one chunk, when OpenBLAS is missing or cannot end its workers, whose spin would
+    halve the helper's speed, and when _blas_threads_split does not split."""
+    if n <= _EAGER_ROWS or _OPENBLAS_THREADS is None or _OPENBLAS_THREADS[2] is None:
         yield None
         return
-    with _blas_threads_split(2), ThreadPoolExecutor(max_workers=1) as helper:
-        yield helper
+    with _blas_threads_split(2) as split:
+        with ThreadPoolExecutor(max_workers=1) if split else contextlib.nullcontext() as helper:
+            yield helper
 
 
 def build_mnist_model(seed: int) -> Model:

@@ -1,3 +1,7 @@
+import faulthandler
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,29 @@ try:
     settings.load_profile("ci")
 except ImportError:
     pass
+
+WATCHDOG_S = 300  # the slowest tier-1 test takes seconds; one this long is stuck
+_TERMINAL = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # pytest captures the stderr of a running test into a file that a process exiting
+    # mid-test never shows, so the watchdog writes to a copy of fd 2 taken before any test
+    config.stash[_TERMINAL] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_TERMINAL])
+
+
+@pytest.fixture(autouse=True)
+def deadlock_watchdog(request):
+    """Ends the run with every thread's stack if a test outlasts WATCHDOG_S, so a deadlock
+    fails tier-1 instead of blocking it. faulthandler's watchdog is a C thread, not a
+    threading.Thread, so it does not count as a second Python thread for the BLAS split."""
+    faulthandler.dump_traceback_later(WATCHDOG_S, exit=True, file=request.config.stash[_TERMINAL])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")
@@ -57,8 +84,9 @@ def perturb_calls(monkeypatch):
 def blas_count():
     """The loaded OpenBLAS's thread count getter, or None without OpenBLAS.
     The count is 2 during the test, so a split shows on any host (and every
-    tape-free pass of more than one chunk gets its helper thread), and an
-    earlier test cannot hide a count that was never restored."""
+    tape-free pass of more than one chunk gets its helper thread while the test
+    runs no other Python thread), and an earlier test cannot hide a count that
+    was never restored."""
     blas = layers._OPENBLAS_THREADS
     if blas is None:
         yield None
@@ -68,3 +96,15 @@ def blas_count():
     put(2)
     yield get
     put(original)
+
+
+@pytest.fixture()
+def another_thread():
+    """An idle Python thread alive through the test, as a caller's own threads would be;
+    while it lives, lipnet leaves the BLAS count and OpenBLAS's workers alone."""
+    idle = threading.Event()
+    thread = threading.Thread(target=idle.wait)
+    thread.start()
+    yield thread
+    idle.set()
+    thread.join()

@@ -149,11 +149,11 @@ def test_output_files_get_the_mode_open_would_give(tmp_path):
 @pytest.mark.skipif(layers._OPENBLAS_THREADS is None, reason="no OpenBLAS loaded")
 def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the reproducibility domain is the numpy build and the BLAS kernel, not the threads;
-    # at 2 threads sweep and the audit also run their chunks on a helper thread
+    # at 2 threads and more sweep and the audit also run their chunks on a helper thread
     cfg = write_cfg(tmp_path, dataset="synthetic_digits", model="mnist_cnn",
                     synthetic_train_n=800, synthetic_test_n=733, audit_n=733,
                     batch_size=100, beta=10.0, l_n=0.005)
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         env, out = {"OPENBLAS_NUM_THREADS": threads}, tmp_path / threads
         run_subprocess("train", "--config", cfg, "--out", out / "train", env=env)
         for command in ("sweep", "guarantee"):
@@ -161,7 +161,9 @@ def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
                            "--checkpoint", out / "train" / "model.ckpt", env=env)
     for name in ("train/model.ckpt", "sweep/eval_report.csv", "sweep/eval_report.json",
                  "guarantee/guarantee_report.json"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+        want = (tmp_path / "1" / name).read_bytes()
+        for threads in ("2", "4"):
+            assert (tmp_path / threads / name).read_bytes() == want, (name, threads)
 
 
 def test_seed_override_lands_in_resolved_config(tmp_path):
@@ -502,9 +504,8 @@ def test_grid_splits_blas_threads_while_the_pool_runs(tmp_path, monkeypatch, bla
     assert blas_count() == 2
 
 
-def test_a_grid_pool_never_ends_the_workers_under_its_cells(tmp_path, monkeypatch):
-    # at 4 threads and 2 workers each cell runs at a count of 2, so its probes and sweep
-    # could split it, yet no set or stop may come while a sibling cell may be in a GEMM
+def _grid_blas_calls(tmp_path, monkeypatch):
+    """The sets, stops and cell starts of a 3-cell grid at workers 2 and a fake count of 4."""
     calls, state, in_flight = [], {"count": 4}, []
 
     def put(n):
@@ -528,9 +529,21 @@ def test_a_grid_pool_never_ends_the_workers_under_its_cells(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "_run_cell", run_cell)
     cfg = write_cfg(tmp_path, workers=2, synthetic_test_n=300, **GRID_AXES)
     assert run("grid", "--config", cfg, "--out", tmp_path / "grid") == 0
-    assert calls == ["set(2) with 0 cells in flight", "stop with 0 cells in flight",
-                     *["cell at 2"] * 3,
-                     "set(4) with 0 cells in flight", "stop with 0 cells in flight"]
+    return calls
+
+
+def test_a_grid_pool_never_ends_the_workers_under_its_cells(tmp_path, monkeypatch):
+    # at 4 threads and 2 workers each cell runs at a count of 2, so its probes and sweep
+    # could split it, yet no set or stop may come while a sibling cell may be in a GEMM
+    assert _grid_blas_calls(tmp_path, monkeypatch) == [
+        "set(2) with 0 cells in flight", "stop with 0 cells in flight", *["cell at 2"] * 3,
+        "set(4) with 0 cells in flight", "stop with 0 cells in flight"]
+
+
+def test_a_grid_beside_another_thread_leaves_the_blas_count_alone(tmp_path, monkeypatch,
+                                                                  another_thread):
+    # the in-process caller's own thread may be inside BLAS: no set, and no stop to hang it
+    assert _grid_blas_calls(tmp_path, monkeypatch) == ["cell at 4"] * 3
 
 
 def test_blas_split_restores_on_any_exit_and_skips_one_way(blas_count):

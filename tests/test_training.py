@@ -1,10 +1,14 @@
 """Training loop determinism and the evaluation protocol."""
 
+import json
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,11 +308,60 @@ def test_no_idle_blas_worker_is_left_spinning(block, blas_count):
     assert _native_threads() > ended
 
 
-@pytest.mark.parametrize("count,can_stop,rows,on_main", [
-    (2, True, 101, True), (1, True, 101, True), (2, False, 101, True), (None, None, 101, True),
-    (2, True, 100, True),    # one chunk: nothing to hand the helper
-    (2, True, 101, False)])  # off the main thread, as in a grid's pool
-def test_the_helper_ends_the_workers_after_each_set(count, can_stop, rows, on_main, monkeypatch):
+# A thread loops a threaded product while the main thread runs the public tape-free
+# passes; it prints whether the thread joined, how many products it made while they ran,
+# and how many differ from the product taken before the loop.
+_BESIDE_A_BLAS_THREAD = """
+import json, threading
+import numpy as np
+from lipnet import audit_empirical_k, build_mnist_model, evaluate, sweep, synthetic_digits
+
+rng = np.random.default_rng(0)
+a, b = rng.random((600, 600)), rng.random((600, 600))
+want, done, stats = (a @ b).tobytes(), threading.Event(), {"products": 0, "differing": 0}
+
+def products():
+    while not done.is_set():
+        stats["differing"] += (a @ b).tobytes() != want
+        stats["products"] += 1
+
+thread = threading.Thread(target=products, daemon=True)  # a stuck one cannot hold the exit
+thread.start()
+model, ds = build_mnist_model(4), synthetic_digits(2000, 5)
+before = stats["products"]
+for _ in range(2):
+    evaluate(model, ds)
+    sweep(model, ds, [0.0, 0.5], corruption_seed=7)
+    audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(0))
+during = stats["products"] - before
+done.set()
+thread.join(10)
+print(json.dumps({"joined": not thread.is_alive(), "during": during, **stats}))
+"""
+
+
+@pytest.mark.skipif(layers._OPENBLAS_THREADS is None or layers._OPENBLAS_THREADS[2] is None,
+                    reason="no OpenBLAS loaded that can end its workers")
+def test_the_public_passes_leave_another_threads_blas_calls_alone():
+    # a count split would give that thread's products other bits, and a worker shutdown
+    # while it is inside a threaded product can hang it; the timeout fails such a hang
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=str(Path(layers.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _BESIDE_A_BLAS_THREAD], capture_output=True,
+                         text=True, env=env, timeout=30)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["joined"] and result["during"] > 0 and result["differing"] == 0, result
+
+
+@pytest.mark.parametrize("count,can_stop,rows,where", [
+    (2, True, 101, "alone"), (1, True, 101, "alone"), (2, False, 101, "alone"),
+    (None, None, 101, "alone"),
+    (2, True, 100, "alone"),  # one chunk: nothing to hand the helper
+    (2, True, 101, "pool"),   # off the main thread, as in a grid's pool
+    (2, True, 101, "beside an idle thread")])  # which could be inside BLAS
+def test_the_helper_ends_the_workers_after_each_set(count, can_stop, rows, where, monkeypatch,
+                                                    request):
     # count None: no OpenBLAS found; can_stop False: a library without the shutdown call
     calls, state = [], {"count": count}
 
@@ -324,12 +377,14 @@ def test_the_helper_ends_the_workers_after_each_set(count, can_stop, rows, on_ma
     stop = (lambda: calls.append("stop")) if can_stop else None
     blas = None if count is None else (lambda: state["count"], put, stop)
     monkeypatch.setattr(layers, "_OPENBLAS_THREADS", blas)
-    if on_main:
-        helper = walk()
-    else:
+    if where == "beside an idle thread":
+        request.getfixturevalue("another_thread")
+    if where == "pool":
         with ThreadPoolExecutor(max_workers=1) as pool:
             helper = pool.submit(walk).result()
-    helped = count == 2 and can_stop and rows > layers._EAGER_ROWS and on_main
+    else:
+        helper = walk()
+    helped = count == 2 and can_stop and rows > layers._EAGER_ROWS and where == "alone"
     assert (helper is not None) == helped
     assert calls == (["set(1)", "stop", "walk", "set(2)", "stop"] if helped else ["walk"])
 
