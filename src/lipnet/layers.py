@@ -164,6 +164,12 @@ def _find_openblas_threads():
 _OPENBLAS_THREADS = _find_openblas_threads()
 
 
+def _lone_caller() -> bool:
+    """Whether the caller is the process's only Python thread (threads not started through
+    `threading` go unseen): the one caller that may split the BLAS count or draw ahead."""
+    return threading.active_count() == 1
+
+
 @contextlib.contextmanager
 def _blas_threads_split(ways: int):
     """Split the BLAS count among `ways` concurrent callers while the block runs, so they
@@ -171,10 +177,9 @@ def _blas_threads_split(ways: int):
     ends OpenBLAS's workers if it can: idle ones spin on a core for 0.1-0.2 s after threaded
     calls and sets, and the next threaded call restarts them. Count and shutdown are
     process-wide, and the shutdown can hang another thread's threaded call, so it splits only
-    while its caller is the process's only Python thread (threads not started through
-    `threading` go unseen), for 2 or more ways, with OpenBLAS, at a count of 2 or more."""
+    for a _lone_caller, for 2 or more ways, with OpenBLAS, at a count of 2 or more."""
     blas = _OPENBLAS_THREADS
-    if ways < 2 or blas is None or threading.active_count() > 1 or blas[0]() < 2:
+    if ways < 2 or blas is None or not _lone_caller() or blas[0]() < 2:
         yield False
         return
     get, put, stop = blas
@@ -196,9 +201,10 @@ def _blas_threads_split(ways: int):
 def _eager_helper(n: int):
     """The helper thread of regularizer._eager_passes over n rows, with the BLAS threads
     split between it and the caller while it lives. Yields None, so the caller walks alone,
-    for one chunk, when OpenBLAS is missing or cannot end its workers, whose spin would
+    below two full chunks, where the thread's start and the split's sets cost more than the
+    second thread gains, when OpenBLAS is missing or cannot end its workers, whose spin would
     halve the helper's speed, and when _blas_threads_split does not split."""
-    if n <= _EAGER_ROWS or _OPENBLAS_THREADS is None or _OPENBLAS_THREADS[2] is None:
+    if n < 2 * _EAGER_ROWS or _OPENBLAS_THREADS is None or _OPENBLAS_THREADS[2] is None:
         yield None
         return
     with _blas_threads_split(2) as split:

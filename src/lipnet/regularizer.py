@@ -168,22 +168,25 @@ def lipschitz_loss(k: KStatistics, params: LipschitzParams,
 
 
 def aggregated_loss(model: Model, x: Tensor, labels, params: LipschitzParams,
-                    rng, graph: Graph | None = None):
+                    rng, graph: Graph | None = None, drawn=None):
     """Training loss L = L_usual + L_Lipschitz.
 
     L_usual is cross-entropy on the clean inputs only. With beta == 0 the
     returned tensor IS that cross-entropy (one plain forward pass, no
     perturbed rows, bit-identical to plain training). With beta > 0 the clean
-    and perturbed rows share one forward pass over [x; x_bar]. Returns
-    (loss, parts) where parts carries float values of both terms, the batch
-    mean k for logging, and the number of perturbed passes run (0 or 1).
+    and perturbed rows share one forward pass over [x; x_bar]. x_bar is
+    drawn's result, waited for here, when training drew it ahead as a future
+    of perturb(x, params.sigma_train, rng); with drawn None it is drawn here
+    from rng. Returns (loss, parts) where parts carries float values of both
+    terms, the batch mean k for logging, and the number of perturbed passes
+    run (0 or 1).
     """
     if params.beta == 0:
         usual = cross_entropy(forward(model, x, graph), labels, graph)
         parts = {"usual": usual.item(), "lipschitz": 0.0, "mean_k": float("nan"),
                  "perturbed_passes": 0}
         return usual, parts
-    x_bar = perturb(x, params.sigma_train, rng)
+    x_bar = perturb(x, params.sigma_train, rng) if drawn is None else drawn.result()
     b = x.shape[0]
     both = forward(model, Tensor(np.concatenate([x.data, x_bar.data])), graph)
     f_x, f_x_bar = rows(both, 0, b, graph), rows(both, b, 2 * b, graph)

@@ -8,16 +8,19 @@ byte-identical checkpoints and records.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import operator
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import regularizer
 from .data import LabeledDataset, batches, subsample
-from .layers import Model, checkpoint_bytes
+from .layers import Model, _lone_caller, checkpoint_bytes
 from .regularizer import LipschitzParams, _eager_passes, aggregated_loss
 from .reports import EpochRecord, EvalReport, EvalRow, StepRecord, TrainRecord
 from .seeding import derive_key, derive_rng
@@ -102,11 +105,34 @@ class SGD:
 TRAIN_ACC_PROBE_CAP = 5000  # per-epoch train accuracy uses at most this many samples
 
 
+def _epoch_steps(ds: LabeledDataset, hp: HyperParams, epoch: int, noise_rng, drawer):
+    """The epoch's (x, labels, drawn) steps in shuffled order. With a drawer, step i+1's
+    perturbed copy is queued on it as step i is handed out, so the draw runs while step i
+    trains, and drawn is its future; without one, drawn is None and aggregated_loss draws."""
+    steps = ((Tensor(xb), yb) for xb, yb in
+             batches(ds, hp.batch_size, derive_key(hp.seed, "shuffle", epoch)))
+    if drawer is None:
+        yield from ((x, y, None) for x, y in steps)
+        return
+    # a lazy generator: pulling a step submits its draw, through the module attribute
+    queued = ((x, y, drawer.submit(regularizer.perturb, x, hp.lip.sigma_train, noise_rng))
+              for x, y in steps)
+    ahead = next(queued, None)
+    while ahead is not None:
+        step, ahead = ahead, next(queued, None)
+        yield step
+
+
 def train(model: Model, ds: LabeledDataset, hp: HyperParams):
     """SGD on the aggregated loss. Returns (model, TrainRecord).
 
     Applies hp.train_ratio subsampling first. Aborts on a non-finite loss
     with the offending step's loss parts in the message.
+
+    At beta > 0 a lone caller (layers._lone_caller) draws each step's noise
+    one step ahead on a helper thread, in step order from the one stream, so
+    the bytes are those of inline draws. The thread lives for an epoch's steps
+    and has ended before the per-epoch probe; other callers draw inline.
     """
     if hp.train_ratio < 1.0:
         ds = subsample(ds, hp.train_ratio, derive_key(hp.seed, "subset"))
@@ -124,21 +150,23 @@ def train(model: Model, ds: LabeledDataset, hp: HyperParams):
         if epoch in drops:
             lr /= drops[epoch]
         t0 = time.perf_counter()
-        for xb, yb in batches(ds, hp.batch_size, derive_key(hp.seed, "shuffle", epoch)):
-            graph = Graph()
-            loss, parts = aggregated_loss(model, Tensor(xb), yb, hp.lip, noise_rng, graph)
-            total = loss.item()
-            if not math.isfinite(total):
-                raise TrainingDivergedError(
-                    f"non-finite loss at step {step_i}: total={total} "
-                    f"usual={parts['usual']} lipschitz={parts['lipschitz']}")
-            model.zero_grad()
-            backward(loss, graph)
-            opt.step(model.params, lr)
-            passes += parts["perturbed_passes"]
-            steps.append(StepRecord(step_i, parts["usual"], parts["lipschitz"],
-                                    parts["mean_k"], total))
-            step_i += 1
+        ahead = hp.lip.beta > 0 and _lone_caller()
+        with ThreadPoolExecutor(max_workers=1) if ahead else contextlib.nullcontext() as drawer:
+            for x, yb, drawn in _epoch_steps(ds, hp, epoch, noise_rng, drawer):
+                graph = Graph()
+                loss, parts = aggregated_loss(model, x, yb, hp.lip, noise_rng, graph, drawn)
+                total = loss.item()
+                if not math.isfinite(total):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at step {step_i}: total={total} "
+                        f"usual={parts['usual']} lipschitz={parts['lipschitz']}")
+                model.zero_grad()
+                backward(loss, graph)
+                opt.step(model.params, lr)
+                passes += parts["perturbed_passes"]
+                steps.append(StepRecord(step_i, parts["usual"], parts["lipschitz"],
+                                        parts["mean_k"], total))
+                step_i += 1
         epochs.append(EpochRecord(epoch, evaluate(model, probe)["accuracy"],
                                   time.perf_counter() - t0))
     meta = {"perturbed_passes": passes,

@@ -40,6 +40,18 @@ def deadlock_watchdog(request):
     faulthandler.cancel_dump_traceback_later()
 
 
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fails a test that ends with a Python thread it did not start with. lipnet's helper
+    threads (the tape-free walk's, training's noise draws) end with the pass that started
+    them; one left running would make every later caller look like it has company, which
+    silently switches off every BLAS split and draw-ahead after it."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads outlived the test: {left}"
+
+
 @pytest.fixture(scope="session")
 def blobs_train():
     return synthetic_blobs(600, seed=11)
@@ -63,17 +75,18 @@ def rng():
 
 @pytest.fixture()
 def perturb_calls(monkeypatch):
-    """One entry per regularizer.perturb call made during the test.
+    """One entry per regularizer.perturb call made during the test: the thread that made it.
 
-    aggregated_loss and the noisy pass that sweep and audit_empirical_k share
-    look perturb up in their module, so every perturbed pass of training and
-    every noise draw of sweep and the audit goes through here.
+    aggregated_loss, training's draw-ahead and the noisy pass that sweep and
+    audit_empirical_k share look perturb up in its module, so every perturbed
+    pass of training, drawn inline or one step ahead on training's helper
+    thread, and every noise draw of sweep and the audit goes through here.
     """
     calls = []
     original = regularizer.perturb
 
     def witness(*args, **kwargs):
-        calls.append(args)
+        calls.append(threading.current_thread())
         return original(*args, **kwargs)
 
     monkeypatch.setattr(regularizer, "perturb", witness)
@@ -84,7 +97,7 @@ def perturb_calls(monkeypatch):
 def blas_count():
     """The loaded OpenBLAS's thread count getter, or None without OpenBLAS.
     The count is 2 during the test, so a split shows on any host (and every
-    tape-free pass of more than one chunk gets its helper thread while the test
+    tape-free pass of two full chunks or more gets its helper thread while the test
     runs no other Python thread), and an earlier test cannot hide a count that
     was never restored."""
     blas = layers._OPENBLAS_THREADS

@@ -1,5 +1,6 @@
 """Training loop determinism and the evaluation protocol."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 
 from lipnet import (SGD, HyperParams, LabeledDataset, LipschitzParams, Provenance, Tensor,
                     TrainingDivergedError, audit_empirical_k, build_blobs_mlp,
-                    build_mnist_model, checkpoint_bytes, evaluate, sweep, synthetic_blobs,
-                    synthetic_digits, train)
-from lipnet import layers, regularizer
+                    build_mnist_model, checkpoint_bytes, evaluate, save_checkpoint, sweep,
+                    synthetic_blobs, synthetic_digits, train)
+from lipnet import layers, regularizer, training
 from lipnet.regularizer import _eager_passes, quotient
 from lipnet.reports import write_train_record
 from lipnet.seeding import derive_key
@@ -158,6 +159,115 @@ def test_train_divergence_raises_with_step(blobs_train):
         train(build_blobs_mlp(seed=0), blobs_train, hp)
 
 
+REGULARIZED = LipschitzParams(sigma_train=0.75, beta=10.0, l_n=0.005)
+
+
+def _watch_steps(monkeypatch):
+    """The Python thread count at each training step, and the draw threads train starts."""
+    at_step, drawers, real_loss = [], [], training.aggregated_loss
+
+    def counted_loss(*args, **kwargs):
+        at_step.append(threading.active_count())
+        return real_loss(*args, **kwargs)
+
+    monkeypatch.setattr(training, "aggregated_loss", counted_loss)
+    monkeypatch.setattr(training, "ThreadPoolExecutor",
+                        lambda **kwargs: drawers.append(1) or ThreadPoolExecutor(**kwargs))
+    return at_step, drawers
+
+
+@pytest.mark.parametrize("where", ["alone", "beside another thread"])
+def test_each_step_draws_once_ahead_alone_and_inline_beside_a_thread(
+        where, blobs_train, quick_hp, perturb_calls, monkeypatch, request):
+    # the draw of step i+1 runs on one helper thread per epoch while step i trains; beside
+    # another Python thread, as in a grid's pool, every draw stays on the calling thread
+    at_step, drawers = _watch_steps(monkeypatch)
+    if where != "alone":
+        request.getfixturevalue("another_thread")
+    before = threading.active_count()
+    _, record = train(build_blobs_mlp(0), blobs_train, replace(quick_hp, lip=REGULARIZED))
+    n_steps = record.meta["n_steps"]
+    assert len(perturb_calls) == len(at_step) == n_steps
+    if where == "alone":
+        assert not any(t is threading.main_thread() for t in perturb_calls)
+        assert len(drawers) == quick_hp.epochs and set(at_step) == {before + 1}
+    else:
+        assert all(t is threading.main_thread() for t in perturb_calls)
+        assert drawers == [] and set(at_step) == {before}
+    assert threading.active_count() == before
+
+
+def test_beta_zero_training_draws_nothing_and_starts_no_thread(blobs_train, quick_hp,
+                                                               perturb_calls, monkeypatch):
+    # criterion 8: plain training runs no regularizer code, a draw thread included
+    at_step, drawers = _watch_steps(monkeypatch)
+    before = threading.active_count()
+    train(build_blobs_mlp(0), blobs_train, quick_hp)
+    assert perturb_calls == [] and drawers == [] and set(at_step) == {before}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("failure", ["divergence", "draw"])
+def test_no_draw_thread_outlives_a_failed_train(failure, blobs_train, monkeypatch):
+    hp = HyperParams(lip=REGULARIZED, lr=0.1, epochs=1, batch_size=20, seed=0)
+    if failure == "divergence":
+        hp, error = replace(hp, lr=1e160), TrainingDivergedError
+    else:
+        real, drawn = regularizer.perturb, []
+
+        def third_draw_fails(*args):
+            drawn.append(1)
+            if len(drawn) == 3:
+                raise RuntimeError("draw failed on purpose")
+            return real(*args)
+
+        monkeypatch.setattr(regularizer, "perturb", third_draw_fails)
+        error = RuntimeError
+    before = threading.active_count()
+    with pytest.raises(error):
+        train(build_blobs_mlp(0), blobs_train, hp)
+    assert threading.active_count() == before
+
+
+def test_the_per_epoch_probe_still_takes_its_helper(blobs_train, quick_hp, monkeypatch,
+                                                    blas_count):
+    # the draw thread has ended before the probe, so the probe's split sees a lone caller
+    if blas_count is None or layers._OPENBLAS_THREADS[2] is None:
+        pytest.skip("no OpenBLAS loaded that can end its workers")
+    probes, real_split = [], layers._blas_threads_split
+
+    @contextlib.contextmanager
+    def witnessed_split(ways):
+        with real_split(ways) as split:
+            probes.append(split)
+            yield split
+
+    monkeypatch.setattr(layers, "_blas_threads_split", witnessed_split)
+    train(build_blobs_mlp(0), blobs_train, replace(quick_hp, lip=REGULARIZED))
+    assert probes == [True] * quick_hp.epochs
+    assert blas_count() == 2
+
+
+def test_drawing_ahead_leaves_every_byte_in_place(tmp_path, perturb_calls, request):
+    # 350 rows: three full batches and a short one per epoch, each drawn at its own shape
+    ds = synthetic_digits(350, 8)
+    hp = HyperParams(lip=REGULARIZED, lr=0.05, momentum=0.9, epochs=3, batch_size=100, seed=6)
+    outputs = []
+    for where in ("alone", "beside another thread"):
+        if where != "alone":
+            request.getfixturevalue("another_thread")
+        model, record = train(build_mnist_model(4), ds, hp)
+        out = tmp_path / where
+        save_checkpoint(model, out / "model.ckpt")
+        write_train_record(record, out)
+        outputs.append([(out / name).read_bytes() for name in
+                        ("model.ckpt", "train_record.csv", "train_epochs.csv")])
+    assert outputs[0] == outputs[1]
+    n = len(perturb_calls) // 2
+    assert n == 12 and not any(t is threading.main_thread() for t in perturb_calls[:n])
+    assert all(t is threading.main_thread() for t in perturb_calls[n:])
+
+
 def test_evaluate_oracle_model(blobs_test):
     out = evaluate(oracle_blobs_model(), blobs_test)
     assert out["accuracy"] == 1.0
@@ -267,7 +377,7 @@ def _tape_free_passes(ds, out):
             (out / "train_epochs.csv").read_bytes(), bool(started))
 
 
-@pytest.mark.parametrize("n", [1, 99, 100, 101, 733, 2000])
+@pytest.mark.parametrize("n", [1, 99, 100, 101, 199, 200, 733, 2000])
 def test_the_helper_thread_leaves_every_bit_in_place(n, monkeypatch, blas_count, tmp_path):
     if blas_count is None:
         pytest.skip("no OpenBLAS loaded, so the tape-free passes get no helper thread")
@@ -275,7 +385,7 @@ def test_the_helper_thread_leaves_every_bit_in_place(n, monkeypatch, blas_count,
     *threaded, helped = _tape_free_passes(ds, tmp_path / "threaded")
     monkeypatch.setattr(layers, "_OPENBLAS_THREADS", None)
     *serial, alone = _tape_free_passes(ds, tmp_path / "serial")
-    assert helped == (n > layers._EAGER_ROWS) and not alone  # one chunk walks alone
+    assert helped == (n >= 2 * layers._EAGER_ROWS) and not alone  # below two chunks, alone
     assert repr(threaded[:2]) == repr(serial[:2])  # NaN mean_k at sigma 0 compares by repr
     for a, b in zip(threaded[2:], serial[2:]):
         assert a == b
@@ -309,12 +419,13 @@ def test_no_idle_blas_worker_is_left_spinning(block, blas_count):
 
 
 # A thread loops a threaded product while the main thread runs the public tape-free
-# passes; it prints whether the thread joined, how many products it made while they ran,
-# and how many differ from the product taken before the loop.
+# passes and a regularized train; it prints whether the thread joined, how many products
+# it made while they ran, and how many differ from the product taken before the loop.
 _BESIDE_A_BLAS_THREAD = """
 import json, threading
 import numpy as np
-from lipnet import audit_empirical_k, build_mnist_model, evaluate, sweep, synthetic_digits
+from lipnet import (HyperParams, LipschitzParams, audit_empirical_k, build_mnist_model,
+                    evaluate, sweep, synthetic_digits, train)
 
 rng = np.random.default_rng(0)
 a, b = rng.random((600, 600)), rng.random((600, 600))
@@ -333,6 +444,8 @@ for _ in range(2):
     evaluate(model, ds)
     sweep(model, ds, [0.0, 0.5], corruption_seed=7)
     audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(0))
+    train(build_mnist_model(4), synthetic_digits(300, 6), HyperParams(
+        lip=LipschitzParams(sigma_train=0.75, beta=10.0, l_n=0.005), epochs=2))
 during = stats["products"] - before
 done.set()
 thread.join(10)
@@ -355,11 +468,11 @@ def test_the_public_passes_leave_another_threads_blas_calls_alone():
 
 
 @pytest.mark.parametrize("count,can_stop,rows,where", [
-    (2, True, 101, "alone"), (1, True, 101, "alone"), (2, False, 101, "alone"),
-    (None, None, 101, "alone"),
-    (2, True, 100, "alone"),  # one chunk: nothing to hand the helper
-    (2, True, 101, "pool"),   # off the main thread, as in a grid's pool
-    (2, True, 101, "beside an idle thread")])  # which could be inside BLAS
+    (2, True, 200, "alone"), (1, True, 200, "alone"), (2, False, 200, "alone"),
+    (None, None, 200, "alone"),
+    (2, True, 199, "alone"),  # below two full chunks: the thread costs more than it gains
+    (2, True, 200, "pool"),   # off the main thread, as in a grid's pool
+    (2, True, 200, "beside an idle thread")])  # which could be inside BLAS
 def test_the_helper_ends_the_workers_after_each_set(count, can_stop, rows, where, monkeypatch,
                                                     request):
     # count None: no OpenBLAS found; can_stop False: a library without the shutdown call
@@ -384,14 +497,15 @@ def test_the_helper_ends_the_workers_after_each_set(count, can_stop, rows, where
             helper = pool.submit(walk).result()
     else:
         helper = walk()
-    helped = count == 2 and can_stop and rows > layers._EAGER_ROWS and where == "alone"
+    helped = count == 2 and can_stop and rows >= 2 * layers._EAGER_ROWS and where == "alone"
     assert (helper is not None) == helped
     assert calls == (["set(1)", "stop", "walk", "set(2)", "stop"] if helped else ["walk"])
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep", "audit"])
 def test_a_one_chunk_pass_starts_no_helper(command, monkeypatch):
-    # a single chunk would pay for the thread, the split and the workers' restart for nothing
+    # below two full chunks the thread, the split and the workers' restart cost more than the
+    # second thread gains: 101 digits took 1.98 ms with the helper against 1.29 ms without
     calls = []
     blas = (lambda: 2, lambda n: calls.append(f"set({n})"), lambda: calls.append("stop"))
     monkeypatch.setattr(layers, "_OPENBLAS_THREADS", blas)
@@ -401,8 +515,8 @@ def test_a_one_chunk_pass_starts_no_helper(command, monkeypatch):
     run = {"evaluate": lambda ds: evaluate(model, ds),
            "sweep": lambda ds: sweep(model, ds, [0.0, 0.5], corruption_seed=7),
            "audit": lambda ds: audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(0))}
-    for n, expected in ((layers._EAGER_ROWS, []),
-                        (layers._EAGER_ROWS + 1, ["set(1)", "stop", "helper", "set(2)", "stop"])):
+    for n, expected in ((2 * layers._EAGER_ROWS - 1, []),
+                        (2 * layers._EAGER_ROWS, ["set(1)", "stop", "helper", "set(2)", "stop"])):
         calls.clear()
         run[command](synthetic_blobs(n, 3))
         assert calls == expected
