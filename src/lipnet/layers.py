@@ -127,6 +127,7 @@ def forward(model: Model, x: Tensor, graph: Graph | None = None) -> Tensor:
 
 
 _EAGER_ROWS = 100  # im2col buffer stays cache-resident; same bytes as 500-row chunks
+_HELPER_ROWS = _EAGER_ROWS + _EAGER_ROWS // 2  # below it the helper costs more than it gains
 
 
 # OpenBLAS exports its thread controls under a build-specific name. numpy's
@@ -199,12 +200,12 @@ def _blas_threads_split(ways: int):
 
 @contextlib.contextmanager
 def _eager_helper(n: int):
-    """The helper thread of regularizer._eager_passes over n rows, with the BLAS threads
-    split between it and the caller while it lives. Yields None, so the caller walks alone,
-    below two full chunks, where the thread's start and the split's sets cost more than the
-    second thread gains, when OpenBLAS is missing or cannot end its workers, whose spin would
-    halve the helper's speed, and when _blas_threads_split does not split."""
-    if n < 2 * _EAGER_ROWS or _OPENBLAS_THREADS is None or _OPENBLAS_THREADS[2] is None:
+    """The helper thread of regularizer._eager_passes over n rows, which takes every other chunk
+    of each stream, with the BLAS threads split between it and the caller while it lives. Yields
+    None, so the caller walks alone, below _HELPER_ROWS, when OpenBLAS is missing or cannot end
+    its workers, whose spin would halve the helper's speed, and when _blas_threads_split does
+    not split."""
+    if n < _HELPER_ROWS or _OPENBLAS_THREADS is None or _OPENBLAS_THREADS[2] is None:
         yield None
         return
     with _blas_threads_split(2) as split:

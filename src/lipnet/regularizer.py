@@ -10,6 +10,7 @@ brute sampling.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,37 +116,46 @@ def quotient(f_x: Tensor, f_x_bar: Tensor, x: np.ndarray, x_bar: np.ndarray,
     return _record(graph, "quotient", (f_x, f_x_bar), out, rule)
 
 
-def _eager_passes(model: Model, x: np.ndarray, noise=()):
-    """Every tape-free pass: (f(x), [(f(x_bar), k) for each (sigma, rng) in noise]) with
-    x_bar = perturb(x, sigma, rng). It walks 100-row chunks in row order, so each stream's
-    values are one whole-array draw's and the temporaries a chunk's. With a helper from
-    _eager_helper, the two threads forward alternate clean chunks; then, stream by stream,
-    the helper draws chunk i+1 while the caller forwards and compares chunk i."""
+def _now(fn, *args) -> Future:
+    """fn(*args) run at once, as a finished future: the helper's half of a walk without one."""
+    (done := Future()).set_result(fn(*args))
+    return done
+
+
+def _eager_passes(model: Model, x: np.ndarray, noise=(), keep=lambda f, k: (f, k)):
+    """Every tape-free pass: (f(x), [keep(f(x_bar), k) for each (sigma, rng) in noise]) with
+    x_bar = perturb(x, sigma, rng). One loop walks the clean stream, then each noisy one, in
+    pairs (mine, theirs) of 100-row chunks: the helper (_eager_helper's, or _now inline) draws
+    theirs (the caller slices a clean one), forwards and compares it; the caller forwards and
+    compares mine, waits for that draw and draws the next. So each stream is drawn in row order,
+    one whole-array draw's values, holding f(x), one stream's rows and two chunks' temporaries."""
     chunks = [slice(s, s + _EAGER_ROWS) for s in range(0, len(x), _EAGER_ROWS)]
+    f_x, noisy = None, []
 
-    def probs(sl):
-        return forward(model, Tensor(x[sl])).data
+    def draw(sl, sigma, rng):  # the clean stream's chunks are x's own rows
+        return x[sl] if rng is None else perturb(Tensor(x[sl]), sigma, rng).data
 
-    def draw(sl, sigma, rng):
-        return perturb(Tensor(x[sl]), sigma, rng)
+    def compare(sl, x_bar):  # f(x_bar) and its k against f(x); the clean stream, first, has none
+        f = forward(model, Tensor(x_bar)).data
+        return f, None if f_x is None else quotient(Tensor(f_x[sl]), Tensor(f), x[sl], x_bar).data
 
     with _eager_helper(len(x)) as helper:
-        clean = []
-        for mine, theirs in zip(chunks[::2], chunks[1::2] + [None]):
-            ahead = helper.submit(probs, theirs) if helper and theirs else None
-            clean.append(probs(mine))
-            if theirs:
-                clean.append(ahead.result() if ahead else probs(theirs))
-        f_x, noisy = np.concatenate(clean), []
-        for sigma, rng in noise:
-            f_bar, k, x_bar = [], [], draw(chunks[0], sigma, rng)
-            for sl, nxt in zip(chunks, chunks[1:] + [None]):
-                ahead = helper.submit(draw, nxt, sigma, rng) if helper and nxt else None
-                f_bar.append(forward(model, x_bar).data)
-                k.append(quotient(Tensor(f_x[sl]), Tensor(f_bar[-1]), x[sl], x_bar.data).data)
-                if nxt:
-                    x_bar = ahead.result() if ahead else draw(nxt, sigma, rng)
-            noisy.append((np.concatenate(f_bar), np.concatenate(k)))
+        run = helper.submit if helper else _now
+        for sigma, rng in [(0.0, None), *noise]:
+            out, x_bar = [], draw(chunks[0], sigma, rng)
+            for mine, theirs, nxt in zip(chunks[::2], chunks[1::2], chunks[2::2] + [None]):
+                drawn = (_now if rng is None else run)(draw, theirs, sigma, rng)  # here if clean
+                ahead = run(lambda sl, d: compare(sl, d.result()), theirs, drawn)
+                out.append(compare(mine, x_bar))
+                drawn.result()  # the next pair's draw follows theirs in the stream
+                x_bar = draw(nxt, sigma, rng) if nxt else None
+                out.append(ahead.result())
+            if len(chunks) % 2:  # an odd last chunk is the caller's alone
+                out.append(compare(chunks[-1], x_bar))
+            if f_x is None:
+                f_x = np.concatenate([f for f, _ in out])
+            else:  # no name keeps this stream's arrays while the next one is walked
+                noisy.append(keep(*(np.concatenate(part) for part in zip(*out))))
     return f_x, noisy
 
 

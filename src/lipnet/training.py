@@ -212,15 +212,14 @@ def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed: int
     """
     sigmas = sorted(_check_sigmas(sigmas))
     noisy = [s for s in sigmas if s != 0.0]
+
+    def level(probs, k):  # a row's values: the walk then holds no level's arrays past its own
+        return *_acc_conf(probs, clean_test.labels), float("nan") if k is None else float(k.mean())
+
     clean_probs, passes = _eager_passes(model, clean_test.images, [
-        (s, derive_rng(corruption_seed, "sigma", repr(s))) for s in noisy])
-    passes = dict(zip(noisy, passes))
-    rows = []
-    for sigma in sigmas:
-        probs, k = passes.get(sigma, (clean_probs, None))
-        accuracy, conf = _acc_conf(probs, clean_test.labels)
-        mean_k = float("nan") if k is None else float(k.mean())
-        rows.append(EvalRow(sigma, accuracy, conf, mean_k, clean_test.n))
+        (s, derive_rng(corruption_seed, "sigma", repr(s))) for s in noisy], level)
+    levels = {0.0: level(clean_probs, None), **dict(zip(noisy, passes))}
+    rows = [EvalRow(sigma, *levels[sigma], clean_test.n) for sigma in sigmas]
     metadata = {
         "model_hash": hashlib.sha256(checkpoint_bytes(model)).hexdigest(),
         "dataset": clean_test.provenance.as_dict(),

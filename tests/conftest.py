@@ -97,9 +97,9 @@ def perturb_calls(monkeypatch):
 def blas_count():
     """The loaded OpenBLAS's thread count getter, or None without OpenBLAS.
     The count is 2 during the test, so a split shows on any host (and every
-    tape-free pass of two full chunks or more gets its helper thread while the test
-    runs no other Python thread), and an earlier test cannot hide a count that
-    was never restored."""
+    tape-free pass of layers._HELPER_ROWS rows or more gets its helper thread
+    while the test runs no other Python thread), and an earlier test cannot
+    hide a count that was never restored."""
     blas = layers._OPENBLAS_THREADS
     if blas is None:
         yield None

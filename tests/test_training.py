@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -23,7 +24,7 @@ from lipnet import (SGD, HyperParams, LabeledDataset, LipschitzParams, Provenanc
 from lipnet import layers, regularizer, training
 from lipnet.regularizer import _eager_passes, quotient
 from lipnet.reports import write_train_record
-from lipnet.seeding import derive_key
+from lipnet.seeding import derive_key, derive_rng
 
 
 def zeroed_blobs_model():
@@ -296,7 +297,8 @@ def test_memory_is_bounded_by_the_chunk_not_the_dataset(command, monkeypatch, re
     # conv2d's im2col buffer is 2000 * 25 * 14 * 14 floats (78 MB) in one pass.
     # sweep and the audit draw, forward and compare their noisy rows 100 at a
     # time; the audit also holds the rows it samples, here all 2000 (12.5 MB).
-    # With the helper thread two chunks are in flight, under the same bounds.
+    # With the helper thread two forwards are in flight, two noisy ones in sweep and the
+    # audit, with at most one drawn chunk beside them, under the same bounds.
     command, with_helper, _ = command.partition("_with_helper")
     if not with_helper:
         monkeypatch.setattr(layers, "_OPENBLAS_THREADS", None)
@@ -377,7 +379,7 @@ def _tape_free_passes(ds, out):
             (out / "train_epochs.csv").read_bytes(), bool(started))
 
 
-@pytest.mark.parametrize("n", [1, 99, 100, 101, 199, 200, 733, 2000])
+@pytest.mark.parametrize("n", [1, 99, 100, 101, 149, 150, 199, 200, 733, 2000])
 def test_the_helper_thread_leaves_every_bit_in_place(n, monkeypatch, blas_count, tmp_path):
     if blas_count is None:
         pytest.skip("no OpenBLAS loaded, so the tape-free passes get no helper thread")
@@ -385,7 +387,7 @@ def test_the_helper_thread_leaves_every_bit_in_place(n, monkeypatch, blas_count,
     *threaded, helped = _tape_free_passes(ds, tmp_path / "threaded")
     monkeypatch.setattr(layers, "_OPENBLAS_THREADS", None)
     *serial, alone = _tape_free_passes(ds, tmp_path / "serial")
-    assert helped == (n >= 2 * layers._EAGER_ROWS) and not alone  # below two chunks, alone
+    assert helped == (n >= layers._HELPER_ROWS) and not alone  # below 1.5 chunks, alone
     assert repr(threaded[:2]) == repr(serial[:2])  # NaN mean_k at sigma 0 compares by repr
     for a, b in zip(threaded[2:], serial[2:]):
         assert a == b
@@ -470,7 +472,8 @@ def test_the_public_passes_leave_another_threads_blas_calls_alone():
 @pytest.mark.parametrize("count,can_stop,rows,where", [
     (2, True, 200, "alone"), (1, True, 200, "alone"), (2, False, 200, "alone"),
     (None, None, 200, "alone"),
-    (2, True, 199, "alone"),  # below two full chunks: the thread costs more than it gains
+    (2, True, 149, "alone"),  # below one and a half chunks: the thread costs more than it gains
+    (2, True, 199, "alone"),  # a partial second chunk: the second thread gains more
     (2, True, 200, "pool"),   # off the main thread, as in a grid's pool
     (2, True, 200, "beside an idle thread")])  # which could be inside BLAS
 def test_the_helper_ends_the_workers_after_each_set(count, can_stop, rows, where, monkeypatch,
@@ -497,15 +500,15 @@ def test_the_helper_ends_the_workers_after_each_set(count, can_stop, rows, where
             helper = pool.submit(walk).result()
     else:
         helper = walk()
-    helped = count == 2 and can_stop and rows >= 2 * layers._EAGER_ROWS and where == "alone"
+    helped = count == 2 and can_stop and rows >= layers._HELPER_ROWS and where == "alone"
     assert (helper is not None) == helped
     assert calls == (["set(1)", "stop", "walk", "set(2)", "stop"] if helped else ["walk"])
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep", "audit"])
 def test_a_one_chunk_pass_starts_no_helper(command, monkeypatch):
-    # below two full chunks the thread, the split and the workers' restart cost more than the
-    # second thread gains: 101 digits took 1.98 ms with the helper against 1.29 ms without
+    # below one and a half chunks the thread, the split and the workers' restart cost more than
+    # the second thread gains: 120 digits took 1.97 ms with the helper against 1.49 ms without
     calls = []
     blas = (lambda: 2, lambda n: calls.append(f"set({n})"), lambda: calls.append("stop"))
     monkeypatch.setattr(layers, "_OPENBLAS_THREADS", blas)
@@ -515,8 +518,8 @@ def test_a_one_chunk_pass_starts_no_helper(command, monkeypatch):
     run = {"evaluate": lambda ds: evaluate(model, ds),
            "sweep": lambda ds: sweep(model, ds, [0.0, 0.5], corruption_seed=7),
            "audit": lambda ds: audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(0))}
-    for n, expected in ((2 * layers._EAGER_ROWS - 1, []),
-                        (2 * layers._EAGER_ROWS, ["set(1)", "stop", "helper", "set(2)", "stop"])):
+    for n, expected in ((layers._HELPER_ROWS - 1, []),
+                        (layers._HELPER_ROWS, ["set(1)", "stop", "helper", "set(2)", "stop"])):
         calls.clear()
         run[command](synthetic_blobs(n, 3))
         assert calls == expected
@@ -553,6 +556,81 @@ def test_a_failing_helper_stops_both_threads(command, failing, monkeypatch, blas
     assert sorted(taken) == [0, 100, 200, 300]  # nobody takes a chunk after the failure
     assert blas_count() == 2
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n", [150, 500, 733, 2000])  # 2, 5, 8 (the last partial) and 20 chunks
+@pytest.mark.parametrize("where", ["helper", "alone"])
+def test_each_noise_stream_draws_every_value_once(n, where, monkeypatch, request):
+    # the two threads draw a stream's chunks in turn; a chunk skipped or drawn twice would
+    # leave its rng away from where one whole-array draw of the same shape leaves it
+    if where == "alone":
+        monkeypatch.setattr(layers, "_OPENBLAS_THREADS", None)
+    elif request.getfixturevalue("blas_count") is None:
+        pytest.skip("no OpenBLAS loaded, so sweep and the audit get no helper thread")
+    started, streams = [], []
+    monkeypatch.setattr(layers, "ThreadPoolExecutor",
+                        lambda **kwargs: started.append(1) or ThreadPoolExecutor(**kwargs))
+    monkeypatch.setattr(training, "derive_rng",
+                        lambda *tags: streams.append(derive_rng(*tags)) or streams[-1])
+    model, ds, audit_rng = build_blobs_mlp(0), synthetic_blobs(n, 3), np.random.default_rng(0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads trade the interpreter often, so a race would show
+    try:
+        sweep(model, ds, [0.0, 0.5, 1.0], corruption_seed=7)
+        audit_empirical_k(model, ds, 0.5, ds.n, audit_rng)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == (2 if where == "helper" else 0)
+    for sigma, rng in zip([0.5, 1.0], streams, strict=True):
+        want = derive_rng(7, "sigma", repr(sigma))
+        want.normal(0.0, sigma, size=ds.images.shape)
+        assert rng.bit_generator.state == want.bit_generator.state
+    want = np.random.default_rng(0)
+    want.permutation(ds.n)
+    want.normal(0.0, 0.5, size=ds.images.shape)
+    assert audit_rng.bit_generator.state == want.bit_generator.state
+
+
+def test_both_threads_draw_and_forward_every_noisy_stream(monkeypatch, blas_count):
+    # in each stream the helper draws, forwards and compares the odd chunks and the caller the
+    # even ones, and the draws are made one at a time in row order, handed thread to thread.
+    # Pixel (0, 0, 0) of row i reads i / 100, so a chunk's first row names it through the noise.
+    if blas_count is None:
+        pytest.skip("no OpenBLAS loaded, so sweep gets no helper thread")
+    digits = synthetic_digits(2000, 5)
+    images = digits.images.copy()
+    images[:, 0, 0, 0] = np.arange(digits.n) / 100.0
+    ds = LabeledDataset(images, digits.labels, digits.provenance)
+    real_forward, real_perturb, forwards, draws, drawing = (
+        regularizer.forward, regularizer.perturb, [], [], [])
+
+    def seen(x):  # (first row, whether the caller took it)
+        on_caller = threading.current_thread() is threading.main_thread()
+        return 100 * round(x.data[0, 0, 0, 0]), on_caller
+
+    def forward(model, x):
+        forwards.append(seen(x))
+        return real_forward(model, x)
+
+    def perturb(x, sigma, rng):
+        assert not drawing, "two draws of one stream at once"
+        draws.append(seen(x))
+        drawing.append(draws[-1])
+        try:
+            if not draws[-1][1]:
+                time.sleep(0.002)  # a slow draw on the helper, which the caller must wait for
+            return real_perturb(x, sigma, rng)
+        finally:
+            drawing.pop()
+
+    monkeypatch.setattr(regularizer, "forward", forward)
+    monkeypatch.setattr(regularizer, "perturb", perturb)
+    sweep(build_mnist_model(4), ds, [0.0, 0.01, 0.02], corruption_seed=7)
+    turns = [(row, row % 200 == 0) for row in range(0, digits.n, 100)]  # even chunks: the caller's
+    assert draws == turns * 2
+    assert len(forwards) == 3 * len(turns)  # the clean stream, then each sigma's
+    for stream in (forwards[:20], forwards[20:40], forwards[40:]):
+        assert sorted(stream) == turns
 
 
 def test_sweep_rows_equal_one_whole_array_draw_per_sigma():
