@@ -13,7 +13,7 @@ import ctypes
 import math
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,8 +167,14 @@ _OPENBLAS_THREADS = _find_openblas_threads()
 
 def _lone_caller() -> bool:
     """Whether the caller is the process's only Python thread (threads not started through
-    `threading` go unseen): the one caller that may split the BLAS count or draw ahead."""
+    `threading` go unseen): only it splits the BLAS count, draws ahead or makes digits in two."""
     return threading.active_count() == 1
+
+
+def _now(fn, *args) -> Future:
+    """fn(*args) run at once, as a finished future: a helper's share of the work without one."""
+    (done := Future()).set_result(fn(*args))
+    return done
 
 
 @contextlib.contextmanager

@@ -10,12 +10,11 @@ brute sampling.
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import _EAGER_ROWS, Model, _eager_helper, forward
+from .layers import _EAGER_ROWS, Model, _eager_helper, _now, forward
 from .tensor import Graph, Tensor, _acc, _record, add, cross_entropy, rows
 
 NORM_EPS = 1e-12  # input norms are clamped to it; output rows with a smaller norm get no gradient
@@ -114,12 +113,6 @@ def quotient(f_x: Tensor, f_x_bar: Tensor, x: np.ndarray, x_bar: np.ndarray,
         _acc(f_x, -gdf)
 
     return _record(graph, "quotient", (f_x, f_x_bar), out, rule)
-
-
-def _now(fn, *args) -> Future:
-    """fn(*args) run at once, as a finished future: the helper's half of a walk without one."""
-    (done := Future()).set_result(fn(*args))
-    return done
 
 
 def _eager_passes(model: Model, x: np.ndarray, noise=(), keep=lambda f, k: (f, k)):

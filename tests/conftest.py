@@ -43,9 +43,9 @@ def deadlock_watchdog(request):
 @pytest.fixture(autouse=True)
 def no_thread_outlives_the_test():
     """Fails a test that ends with a Python thread it did not start with. lipnet's helper
-    threads (the tape-free walk's, training's noise draws) end with the pass that started
-    them; one left running would make every later caller look like it has company, which
-    silently switches off every BLAS split and draw-ahead after it."""
+    threads (the tape-free walk's, training's noise draws, synthetic_digits' noise and blur)
+    end with the call that started them; one left running would make every later caller look
+    like it has company, which silently switches off every BLAS split and helper after it."""
     before = set(threading.enumerate())
     yield
     left = [t for t in threading.enumerate() if t not in before]

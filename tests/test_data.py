@@ -4,6 +4,9 @@ import gzip
 import hashlib
 import re
 import struct
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -191,13 +194,98 @@ def test_synthetic_digits_structure():
     assert (ds.images[zero_idx[0]] != ds.images[zero_idx[1]]).any()
 
 
-def test_synthetic_digits_bytes_are_pinned():
+@pytest.mark.parametrize("where", ["alone", "beside another thread"])
+def test_synthetic_digits_bytes_are_pinned(where, request):
     # the sha256 of these images from the per-image scipy generator, which the
     # batched numpy one replaced: every synthetic dataset, checkpoint and
-    # report stays byte for byte what it was
+    # report stays byte for byte what it was, with the helper thread (alone)
+    # and without it (beside another thread)
+    if where != "alone":
+        request.getfixturevalue("another_thread")
     ds = synthetic_digits(3000, seed=5)
     assert hashlib.sha256(ds.images.tobytes()).hexdigest() == (
         "1012fa9c0eb6e724e0b2c48f782b5da1781b525b5c9885a357b211e3c84eeb0c")
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, lipnet.data._HELPER_DIGITS, 733])
+def test_the_digit_helper_leaves_every_byte_in_place(n, monkeypatch):
+    monkeypatch.setattr(lipnet.data, "_HELPER_DIGITS", 1)
+    helped = synthetic_digits(n, seed=5)
+    monkeypatch.setattr(lipnet.data, "_HELPER_DIGITS", 10**9)
+    inline = synthetic_digits(n, seed=5)
+    assert helped.images.tobytes() == inline.images.tobytes()
+    assert helped.labels.tobytes() == inline.labels.tobytes()
+
+
+class _NoiseWitness:
+    """A digits rng that records the thread of each standard_normal call."""
+
+    def __init__(self, rng, fills):
+        self._rng, self._fills = rng, fills
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, *args, **kwargs):
+        self._fills.append(threading.current_thread())
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+@pytest.fixture()
+def digit_work(monkeypatch):
+    """The threads that fill synthetic_digits' pixel noise, and (thread, sigmas) of each
+    _gaussian_blur call. A blur on the caller takes 2 ms longer, so the caller cannot
+    finish every block while the helper draws; setting `fail_on` to "caller" or "helper"
+    makes that thread's blur raise."""
+    work = {"fills": [], "blurs": [], "fail_on": None}
+    derive, blur = lipnet.data.derive_rng, lipnet.data._gaussian_blur
+    monkeypatch.setattr(lipnet.data, "derive_rng",
+                        lambda *args: _NoiseWitness(derive(*args), work["fills"]))
+
+    def witness(images, sigmas):
+        here = threading.current_thread()
+        work["blurs"].append((here, sigmas))
+        side = "caller" if here is threading.main_thread() else "helper"
+        if side == "caller":
+            time.sleep(0.002)
+        if side == work["fail_on"]:
+            raise RuntimeError("blur failed on purpose")
+        return blur(images, sigmas)
+
+    monkeypatch.setattr(lipnet.data, "_gaussian_blur", witness)
+    return work
+
+
+@pytest.mark.parametrize("where", ["alone", "beside another thread", "below the row rule"])
+def test_the_helper_draws_the_noise_and_both_threads_blur(where, digit_work, monkeypatch,
+                                                           request):
+    # alone, the helper fills the noise, then both threads blur; otherwise no executor
+    # starts and everything runs on the caller. Either way each row is blurred once
+    started, main = [], threading.main_thread()
+    monkeypatch.setattr(lipnet.data, "ThreadPoolExecutor",
+                        lambda *args: started.append(1) or ThreadPoolExecutor(*args))
+    if where == "beside another thread":
+        request.getfixturevalue("another_thread")
+    n = lipnet.data._HELPER_DIGITS - 1 if where == "below the row rule" else 2000
+    ds = synthetic_digits(n, seed=5)
+    sigmas = np.concatenate([s for _, s in digit_work["blurs"]])
+    assert sigmas.size == np.unique(sigmas).size == n  # distinct draws: each row once
+    assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
+    threads = {t for t, _ in digit_work["blurs"]}
+    if where == "alone":
+        assert started == [1] and len(digit_work["fills"]) == 1
+        assert digit_work["fills"][0] is not main and threads == {main, digit_work["fills"][0]}
+    else:
+        assert started == [] and digit_work["fills"] == [main] and threads == {main}
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_a_failing_blur_on_either_thread_fails_the_call(failing, digit_work):
+    # the autouse no_thread_outlives_the_test fixture checks that the helper has ended
+    digit_work["fail_on"] = failing
+    with pytest.raises(RuntimeError, match="on purpose"):
+        synthetic_digits(2000, seed=5)
+    assert any(t is not threading.main_thread() for t, _ in digit_work["blurs"])
 
 
 # each side at least twice the largest radius, int(4 * 1.3 + 0.5) = 5
