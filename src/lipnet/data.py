@@ -8,14 +8,12 @@ import gzip
 import math
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ioutil import atomic_write_bytes
-from .layers import _lone_caller, _now
+from .layers import _helper
 from .seeding import derive_rng
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -197,8 +195,8 @@ _HELPER_DIGITS = 128  # the helper gained in 8 of 9 timing runs here but in only
 def synthetic_digits(n: int, seed: int) -> LabeledDataset:
     """Procedural ten-class 28x28 digit images: glyph templates with random shift, blur,
     stroke intensity, and clipped pixel noise. Deterministic in the seed; pixels stay in [0,1].
-    From _HELPER_DIGITS digits a lone caller (layers._lone_caller) gets a helper thread that
-    draws the pixel noise, then blurs blocks beside the caller; each block writes its own rows."""
+    From _HELPER_DIGITS digits a layers._helper thread draws the pixel noise, then blurs blocks
+    beside the caller; each block writes its own rows."""
     rng = derive_rng(seed, "digits")
     labels = rng.integers(0, 10, size=n)
     shifts = rng.integers(-3, 4, size=(n, 2))
@@ -222,8 +220,8 @@ def synthetic_digits(n: int, seed: int) -> LabeledDataset:
         np.multiply(rng.standard_normal(out=noise), 0.06, out=noise)  # rng.normal(0, 0.06)'s
         blur()
 
-    with ThreadPoolExecutor(1) if n >= _HELPER_DIGITS and _lone_caller() else nullcontext() as pool:
-        drawn = pool.submit(draw_then_blur) if pool else _now(draw_then_blur)
+    with _helper(n >= _HELPER_DIGITS) as run:
+        drawn = run(draw_then_blur)
         blur()
         drawn.result()
     images += noise

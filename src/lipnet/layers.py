@@ -167,7 +167,7 @@ _OPENBLAS_THREADS = _find_openblas_threads()
 
 def _lone_caller() -> bool:
     """Whether the caller is the process's only Python thread (threads not started through
-    `threading` go unseen): only it splits the BLAS count, draws ahead or makes digits in two."""
+    `threading` go unseen): only it splits the BLAS count or gets a _helper thread."""
     return threading.active_count() == 1
 
 
@@ -205,18 +205,26 @@ def _blas_threads_split(ways: int):
 
 
 @contextlib.contextmanager
-def _eager_helper(n: int):
-    """The helper thread of regularizer._eager_passes over n rows, which takes every other chunk
-    of each stream, with the BLAS threads split between it and the caller while it lives. Yields
-    None, so the caller walks alone, below _HELPER_ROWS, when OpenBLAS is missing or cannot end
-    its workers, whose spin would halve the helper's speed, and when _blas_threads_split does
-    not split."""
-    if n < _HELPER_ROWS or _OPENBLAS_THREADS is None or _OPENBLAS_THREADS[2] is None:
-        yield None
+def _helper(wanted: bool):
+    """Every helper thread of lipnet: yields run(fn, *args) -> Future, a one-worker pool's submit
+    if wanted holds and the caller is a _lone_caller, else _now. The thread ends with the block."""
+    if not (wanted and _lone_caller()):
+        yield _now
         return
-    with _blas_threads_split(2) as split:
-        with ThreadPoolExecutor(max_workers=1) if split else contextlib.nullcontext() as helper:
-            yield helper
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield pool.submit
+
+
+@contextlib.contextmanager
+def _eager_helper(n: int):
+    """The _helper of regularizer._eager_passes over n rows, which takes every other chunk of each
+    stream, with the BLAS threads split between it and the caller while it lives. Its run is _now
+    below _HELPER_ROWS, when OpenBLAS is missing or cannot end its workers, whose spin would halve
+    the helper's speed, and when _blas_threads_split does not split."""
+    blas = _OPENBLAS_THREADS
+    ways = 2 if n >= _HELPER_ROWS and blas is not None and blas[2] is not None else 1
+    with _blas_threads_split(ways) as split, _helper(split) as run:
+        yield run
 
 
 def build_mnist_model(seed: int) -> Model:

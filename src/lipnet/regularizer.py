@@ -43,10 +43,10 @@ class LipschitzParams:
     def __post_init__(self):
         if not 0 <= self.sigma_train < np.inf:  # written so that NaN fails too
             raise ValueError(f"sigma_train must be finite and >= 0, got {self.sigma_train}")
-        if not self.beta >= 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not self.l_n > 0:
-            raise ValueError(f"l_n must be > 0, got {self.l_n}")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if not 0 < self.l_n < np.inf:
+            raise ValueError(f"l_n must be finite and > 0, got {self.l_n}")
         if self.beta > 0 and self.sigma_train <= 0:
             raise ValueError("beta > 0 needs sigma_train > 0 to draw perturbations")
 
@@ -118,8 +118,8 @@ def quotient(f_x: Tensor, f_x_bar: Tensor, x: np.ndarray, x_bar: np.ndarray,
 def _eager_passes(model: Model, x: np.ndarray, noise=(), keep=lambda f, k: (f, k)):
     """Every tape-free pass: (f(x), [keep(f(x_bar), k) for each (sigma, rng) in noise]) with
     x_bar = perturb(x, sigma, rng). One loop walks the clean stream, then each noisy one, in
-    pairs (mine, theirs) of 100-row chunks: the helper (_eager_helper's, or _now inline) draws
-    theirs (the caller slices a clean one), forwards and compares it; the caller forwards and
+    pairs (mine, theirs) of 100-row chunks: _eager_helper's run (a layers._helper) draws theirs
+    (the caller slices a clean one), forwards and compares it; the caller forwards and
     compares mine, waits for that draw and draws the next. So each stream is drawn in row order,
     one whole-array draw's values, holding f(x), one stream's rows and two chunks' temporaries."""
     chunks = [slice(s, s + _EAGER_ROWS) for s in range(0, len(x), _EAGER_ROWS)]
@@ -132,8 +132,7 @@ def _eager_passes(model: Model, x: np.ndarray, noise=(), keep=lambda f, k: (f, k
         f = forward(model, Tensor(x_bar)).data
         return f, None if f_x is None else quotient(Tensor(f_x[sl]), Tensor(f), x[sl], x_bar).data
 
-    with _eager_helper(len(x)) as helper:
-        run = helper.submit if helper else _now
+    with _eager_helper(len(x)) as run:
         for sigma, rng in [(0.0, None), *noise]:
             out, x_bar = [], draw(chunks[0], sigma, rng)
             for mine, theirs, nxt in zip(chunks[::2], chunks[1::2], chunks[2::2] + [None]):

@@ -8,19 +8,17 @@ byte-identical checkpoints and records.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
 import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import regularizer
 from .data import LabeledDataset, batches, subsample
-from .layers import Model, _lone_caller, checkpoint_bytes
+from .layers import Model, _helper, checkpoint_bytes
 from .regularizer import LipschitzParams, _eager_passes, aggregated_loss
 from .reports import EpochRecord, EvalReport, EvalRow, StepRecord, TrainRecord
 from .seeding import derive_key, derive_rng
@@ -52,8 +50,8 @@ class HyperParams:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if not self.lr > 0:  # written so that NaN fails too
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:  # written so that NaN fails too
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -105,18 +103,15 @@ class SGD:
 TRAIN_ACC_PROBE_CAP = 5000  # per-epoch train accuracy uses at most this many samples
 
 
-def _epoch_steps(ds: LabeledDataset, hp: HyperParams, epoch: int, noise_rng, drawer):
-    """The epoch's (x, labels, drawn) steps in shuffled order. With a drawer, step i+1's
-    perturbed copy is queued on it as step i is handed out, so the draw runs while step i
-    trains, and drawn is its future; without one, drawn is None and aggregated_loss draws."""
+def _epoch_steps(ds: LabeledDataset, hp: HyperParams, epoch: int, noise_rng, run):
+    """The epoch's (x, labels, drawn) steps in shuffled order. At beta > 0 step i+1's perturbed
+    copy is queued on run (train's layers._helper) as step i is handed out, so on a helper thread
+    the draw runs while step i trains, and drawn is its future; at beta 0 drawn is None."""
     steps = ((Tensor(xb), yb) for xb, yb in
              batches(ds, hp.batch_size, derive_key(hp.seed, "shuffle", epoch)))
-    if drawer is None:
-        yield from ((x, y, None) for x, y in steps)
-        return
-    # a lazy generator: pulling a step submits its draw, through the module attribute
-    queued = ((x, y, drawer.submit(regularizer.perturb, x, hp.lip.sigma_train, noise_rng))
-              for x, y in steps)
+    # a lazy generator: pulling a step queues its draw, through the module attribute
+    queued = ((x, y, run(regularizer.perturb, x, hp.lip.sigma_train, noise_rng)
+               if hp.lip.beta > 0 else None) for x, y in steps)
     ahead = next(queued, None)
     while ahead is not None:
         step, ahead = ahead, next(queued, None)
@@ -129,10 +124,9 @@ def train(model: Model, ds: LabeledDataset, hp: HyperParams):
     Applies hp.train_ratio subsampling first. Aborts on a non-finite loss
     with the offending step's loss parts in the message.
 
-    At beta > 0 a lone caller (layers._lone_caller) draws each step's noise
-    one step ahead on a helper thread, in step order from the one stream, so
-    the bytes are those of inline draws. The thread lives for an epoch's steps
-    and has ended before the per-epoch probe; other callers draw inline.
+    At beta > 0 each step's noise is drawn one step ahead on an epoch's
+    layers._helper, in step order from the one stream, so the bytes are those
+    of inline draws. Any thread has ended before the per-epoch probe.
     """
     if hp.train_ratio < 1.0:
         ds = subsample(ds, hp.train_ratio, derive_key(hp.seed, "subset"))
@@ -150,9 +144,8 @@ def train(model: Model, ds: LabeledDataset, hp: HyperParams):
         if epoch in drops:
             lr /= drops[epoch]
         t0 = time.perf_counter()
-        ahead = hp.lip.beta > 0 and _lone_caller()
-        with ThreadPoolExecutor(max_workers=1) if ahead else contextlib.nullcontext() as drawer:
-            for x, yb, drawn in _epoch_steps(ds, hp, epoch, noise_rng, drawer):
+        with _helper(hp.lip.beta > 0) as run:
+            for x, yb, drawn in _epoch_steps(ds, hp, epoch, noise_rng, run):
                 graph = Graph()
                 loss, parts = aggregated_loss(model, x, yb, hp.lip, noise_rng, graph, drawn)
                 total = loss.item()

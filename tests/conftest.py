@@ -1,6 +1,8 @@
 import faulthandler
 import os
 import threading
+import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,10 +44,9 @@ def deadlock_watchdog(request):
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_the_test():
-    """Fails a test that ends with a Python thread it did not start with. lipnet's helper
-    threads (the tape-free walk's, training's noise draws, synthetic_digits' noise and blur)
-    end with the call that started them; one left running would make every later caller look
-    like it has company, which silently switches off every BLAS split and helper after it."""
+    """Fails a test that ends with a Python thread it did not start with. Every lipnet helper
+    thread comes from layers._helper and ends with its block; one left running would make every
+    later caller look like it has company, which silently switches off every split and helper."""
     before = set(threading.enumerate())
     yield
     left = [t for t in threading.enumerate() if t not in before]
@@ -78,9 +79,9 @@ def perturb_calls(monkeypatch):
     """One entry per regularizer.perturb call made during the test: the thread that made it.
 
     aggregated_loss, training's draw-ahead and the noisy pass that sweep and
-    audit_empirical_k share look perturb up in its module, so every perturbed
-    pass of training, drawn inline or one step ahead on training's helper
-    thread, and every noise draw of sweep and the audit goes through here.
+    audit_empirical_k share look perturb up in its module, so every noise draw
+    of training, sweep and the audit goes through here, whether layers._helper
+    runs it on its thread or on the caller.
     """
     calls = []
     original = regularizer.perturb
@@ -91,6 +92,26 @@ def perturb_calls(monkeypatch):
 
     monkeypatch.setattr(regularizer, "perturb", witness)
     return calls
+
+
+@pytest.fixture()
+def helper_starts(monkeypatch):
+    """One entry per helper thread started during the test, appended as its pool is made: the
+    lipnet function that asked layers._helper for it, such as "training.train",
+    "regularizer._eager_passes" or "data.synthetic_digits" (None when a test asks directly).
+    Every helper thread of lipnet is a one-worker pool made by layers._helper."""
+    starts, real = [], layers.ThreadPoolExecutor
+    package = Path(layers.__file__).parent
+
+    def pool(*args, **kwargs):
+        starts.append(next((f"{Path(f.filename).stem}.{f.name}"
+                            for f in reversed(traceback.extract_stack())
+                            if Path(f.filename).parent == package
+                            and Path(f.filename).stem != "layers"), None))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(layers, "ThreadPoolExecutor", pool)
+    return starts
 
 
 @pytest.fixture()

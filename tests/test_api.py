@@ -201,6 +201,25 @@ def test_only_the_tape_free_walk_takes_the_helper_thread():
     assert found == {"regularizer._eager_passes"}
 
 
+def test_every_helper_thread_comes_from_one_primitive():
+    # when lipnet hands work to a second thread is decided in layers._helper alone: no other
+    # function makes an executor, the grid's cell pool aside, and no other module asks
+    # whether the caller is alone
+    pools, asks = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                names = {getattr(node, "id", getattr(node, "attr", None))}
+                names |= {alias.name for alias in getattr(node, "names", [])
+                          if isinstance(alias, ast.alias)}
+                if "ThreadPoolExecutor" in names and not isinstance(top, ast.ImportFrom):
+                    pools.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+                if "_lone_caller" in names:
+                    asks.add(path.stem)
+    assert pools == {"layers._helper", "cli._run_cells"}
+    assert asks == {"layers"}
+
+
 def test_only_the_cli_stages_call_train_and_sweep():
     # every command trains through cli._train_to and sweeps through
     # cli._sweep_to, so no second "train several recipes, then sweep" loop

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -463,8 +462,8 @@ def test_grid_parallel_workers_match_serial(tmp_path, command):
     (2, None, True, 2),               # a resumed grid splits by the cells left to run
 ])
 def test_grid_splits_blas_threads_while_the_pool_runs(tmp_path, monkeypatch, blas_count,
-                                                      workers, failing, openblas_found,
-                                                      cells_done):
+                                                      helper_starts, workers, failing,
+                                                      openblas_found, cells_done):
     count = blas_count or (lambda: None)
     ends_workers = blas_count is not None and layers._OPENBLAS_THREADS[2] is not None
     out = tmp_path / "grid"
@@ -472,22 +471,19 @@ def test_grid_splits_blas_threads_while_the_pool_runs(tmp_path, monkeypatch, bla
     if cells_done:
         assert run("grid", "--config", cfg, "--out", out) == 0
         (out / "s0p5_b10_l0p01" / "resolved_config.json").unlink()
+        helper_starts.clear()
     if not openblas_found:
         monkeypatch.setattr(layers, "_OPENBLAS_THREADS", None)
-    seen, helpers, real_run_cell = [], [], cli._run_cell
+    seen, ran, real_run_cell = [], [], cli._run_cell
 
     def run_cell(cfg, cell_dir, *args):
         seen.append(count())
+        ran.append(cell_dir.name)
         if cell_dir.name == failing:
             raise RuntimeError("cell failed on purpose")
         return real_run_cell(cfg, cell_dir, *args)
 
-    def helper_pool(**kwargs):  # the executor of every probe's and sweep's helper thread
-        helpers.append(kwargs)
-        return ThreadPoolExecutor(**kwargs)
-
     monkeypatch.setattr(cli, "_run_cell", run_cell)
-    monkeypatch.setattr(layers, "ThreadPoolExecutor", helper_pool)
     assert run("grid", "--config", cfg, "--out", out) == (1 if failing else 0)
     if failing:
         assert "RuntimeError" in (out / failing / "error.txt").read_text()
@@ -496,11 +492,17 @@ def test_grid_splits_blas_threads_while_the_pool_runs(tmp_path, monkeypatch, bla
         pytest.skip("no OpenBLAS loaded, so there is no thread count to check")
     split = workers > 1 and openblas_found and not cells_done
     assert seen == [1 if split else 2] * (3 - cells_done)
-    # each epoch's probe (200 rows, two chunks) gets a helper thread only when the cell
-    # has the BLAS threads to split and OpenBLAS can end its idle worker; the sweep's
-    # 100 rows are one chunk and walk alone
+    # only cells run serially, on the calling thread, get helper threads. Each epoch's probe
+    # (200 rows, two chunks) gets one when the cell has the BLAS threads to split and OpenBLAS
+    # can end its idle worker, and each epoch of a regularized cell draws its noise ahead on
+    # one; the sweep's 100 rows are one chunk and walk alone
+    serial = ran if workers == 1 or len(ran) == 1 else []
     helped = not split and openblas_found and ends_workers
-    assert len(helpers) == BASE_CFG["epochs"] * (3 - cells_done) * helped
+    probes = BASE_CFG["epochs"] * len(serial) * helped
+    draws = BASE_CFG["epochs"] * sum(name != "standard" for name in serial)
+    assert helper_starts.count("regularizer._eager_passes") == probes
+    assert helper_starts.count("training.train") == draws
+    assert len(helper_starts) == probes + draws
     assert blas_count() == 2
 
 

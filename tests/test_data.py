@@ -6,7 +6,6 @@ import re
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -257,13 +256,11 @@ def digit_work(monkeypatch):
 
 
 @pytest.mark.parametrize("where", ["alone", "beside another thread", "below the row rule"])
-def test_the_helper_draws_the_noise_and_both_threads_blur(where, digit_work, monkeypatch,
+def test_the_helper_draws_the_noise_and_both_threads_blur(where, digit_work, helper_starts,
                                                            request):
-    # alone, the helper fills the noise, then both threads blur; otherwise no executor
+    # alone, the helper fills the noise, then both threads blur; otherwise no helper
     # starts and everything runs on the caller. Either way each row is blurred once
-    started, main = [], threading.main_thread()
-    monkeypatch.setattr(lipnet.data, "ThreadPoolExecutor",
-                        lambda *args: started.append(1) or ThreadPoolExecutor(*args))
+    main = threading.main_thread()
     if where == "beside another thread":
         request.getfixturevalue("another_thread")
     n = lipnet.data._HELPER_DIGITS - 1 if where == "below the row rule" else 2000
@@ -273,10 +270,10 @@ def test_the_helper_draws_the_noise_and_both_threads_blur(where, digit_work, mon
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
     threads = {t for t, _ in digit_work["blurs"]}
     if where == "alone":
-        assert started == [1] and len(digit_work["fills"]) == 1
+        assert helper_starts == ["data.synthetic_digits"] and len(digit_work["fills"]) == 1
         assert digit_work["fills"][0] is not main and threads == {main, digit_work["fills"][0]}
     else:
-        assert started == [] and digit_work["fills"] == [main] and threads == {main}
+        assert helper_starts == [] and digit_work["fills"] == [main] and threads == {main}
 
 
 @pytest.mark.parametrize("failing", ["caller", "helper"])

@@ -42,6 +42,15 @@ def test_params_validation():
     LipschitzParams(sigma_train=0.5, beta=1.0, l_n=0.01)  # valid
 
 
+@pytest.mark.parametrize("field", ["beta", "l_n"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_params_reject_non_finite_beta_and_l_n(field, value):
+    # an infinite l_n would report a guarantee radius of 0.0, and an infinite beta would
+    # only fail in training, as a NaN loss from 0 * inf
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        LipschitzParams(sigma_train=0.5, **{field: value})
+
+
 def test_perturb_sigma_zero_bit_exact():
     x = Tensor(np.linspace(0, 1, 12).reshape(3, 4))
     out = perturb(x, 0.0, np.random.default_rng(0))

@@ -52,6 +52,12 @@ def test_hyperparams_validation():
             HyperParams(**bad)
 
 
+@pytest.mark.parametrize("lr", [np.inf, -np.inf, np.nan])
+def test_hyperparams_reject_a_non_finite_lr(lr):
+    with pytest.raises(ValueError, match="^lr must be finite"):
+        HyperParams(lr=lr)
+
+
 def test_sgd_momentum_leaves_grad_unchanged():
     # stored gradients may be shared arrays, so the optimizer must not write them
     grad = np.array([1.0, -2.0, 3.0])
@@ -164,25 +170,23 @@ REGULARIZED = LipschitzParams(sigma_train=0.75, beta=10.0, l_n=0.005)
 
 
 def _watch_steps(monkeypatch):
-    """The Python thread count at each training step, and the draw threads train starts."""
-    at_step, drawers, real_loss = [], [], training.aggregated_loss
+    """The Python thread count at each training step."""
+    at_step, real_loss = [], training.aggregated_loss
 
     def counted_loss(*args, **kwargs):
         at_step.append(threading.active_count())
         return real_loss(*args, **kwargs)
 
     monkeypatch.setattr(training, "aggregated_loss", counted_loss)
-    monkeypatch.setattr(training, "ThreadPoolExecutor",
-                        lambda **kwargs: drawers.append(1) or ThreadPoolExecutor(**kwargs))
-    return at_step, drawers
+    return at_step
 
 
 @pytest.mark.parametrize("where", ["alone", "beside another thread"])
 def test_each_step_draws_once_ahead_alone_and_inline_beside_a_thread(
-        where, blobs_train, quick_hp, perturb_calls, monkeypatch, request):
+        where, blobs_train, quick_hp, perturb_calls, helper_starts, monkeypatch, request):
     # the draw of step i+1 runs on one helper thread per epoch while step i trains; beside
     # another Python thread, as in a grid's pool, every draw stays on the calling thread
-    at_step, drawers = _watch_steps(monkeypatch)
+    at_step = _watch_steps(monkeypatch)
     if where != "alone":
         request.getfixturevalue("another_thread")
     before = threading.active_count()
@@ -191,20 +195,25 @@ def test_each_step_draws_once_ahead_alone_and_inline_beside_a_thread(
     assert len(perturb_calls) == len(at_step) == n_steps
     if where == "alone":
         assert not any(t is threading.main_thread() for t in perturb_calls)
-        assert len(drawers) == quick_hp.epochs and set(at_step) == {before + 1}
+        assert helper_starts.count("training.train") == quick_hp.epochs
+        assert set(at_step) == {before + 1}
     else:
         assert all(t is threading.main_thread() for t in perturb_calls)
-        assert drawers == [] and set(at_step) == {before}
+        assert "training.train" not in helper_starts and set(at_step) == {before}
     assert threading.active_count() == before
 
 
-def test_beta_zero_training_draws_nothing_and_starts_no_thread(blobs_train, quick_hp,
-                                                               perturb_calls, monkeypatch):
+# the second is the CLI's default regularizer: noise set, but no penalty to spend it on
+@pytest.mark.parametrize("lip", [LipschitzParams(), LipschitzParams(sigma_train=0.75, beta=0.0)])
+def test_beta_zero_training_draws_nothing_and_starts_no_thread(lip, blobs_train, quick_hp,
+                                                               perturb_calls, helper_starts,
+                                                               monkeypatch):
     # criterion 8: plain training runs no regularizer code, a draw thread included
-    at_step, drawers = _watch_steps(monkeypatch)
+    at_step = _watch_steps(monkeypatch)
     before = threading.active_count()
-    train(build_blobs_mlp(0), blobs_train, quick_hp)
-    assert perturb_calls == [] and drawers == [] and set(at_step) == {before}
+    train(build_blobs_mlp(0), blobs_train, replace(quick_hp, lip=lip))
+    assert perturb_calls == [] and "training.train" not in helper_starts
+    assert set(at_step) == {before}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -359,34 +368,33 @@ def test_sweep_same_seed_same_corruption(blobs_test):
     assert r1.rows == r2.rows
 
 
-def _tape_free_passes(ds, out):
+def _tape_free_passes(ds, out, starts):
     """sweep, evaluate, the audit, the bare walk with one noise stream and a 2-epoch train
-    with its per-epoch probe; the last item says whether the bare walk started a helper."""
+    with its per-epoch probe; the last item says whether the bare walk added a helper to
+    starts, the test's helper_starts."""
     model = build_mnist_model(4)
     report = sweep(model, ds, [0.0, 0.5, 1.0], corruption_seed=7)
     scores = evaluate(model, ds)
     k = audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(3)).values()
-    started = []
-    with pytest.MonkeyPatch.context() as spy:
-        spy.setattr(layers, "ThreadPoolExecutor",
-                    lambda **kwargs: started.append(1) or ThreadPoolExecutor(**kwargs))
-        clean, [(noisy, walk_k)] = _eager_passes(model, ds.images,
-                                                 [(0.5, np.random.default_rng(5))])
+    before = len(starts)
+    clean, [(noisy, walk_k)] = _eager_passes(model, ds.images, [(0.5, np.random.default_rng(5))])
+    walk_helped = len(starts) > before
     trained, record = train(build_mnist_model(4), ds, HyperParams(epochs=2, seed=3))
     write_train_record(record, out)
     return ([vars(r) for r in report.rows], scores, k.tobytes(), clean.tobytes(),
             noisy.tobytes(), walk_k.tobytes(), checkpoint_bytes(trained),
-            (out / "train_epochs.csv").read_bytes(), bool(started))
+            (out / "train_epochs.csv").read_bytes(), walk_helped)
 
 
 @pytest.mark.parametrize("n", [1, 99, 100, 101, 149, 150, 199, 200, 733, 2000])
-def test_the_helper_thread_leaves_every_bit_in_place(n, monkeypatch, blas_count, tmp_path):
+def test_the_helper_thread_leaves_every_bit_in_place(n, monkeypatch, blas_count, tmp_path,
+                                                     helper_starts):
     if blas_count is None:
         pytest.skip("no OpenBLAS loaded, so the tape-free passes get no helper thread")
     ds = synthetic_digits(n, 5)
-    *threaded, helped = _tape_free_passes(ds, tmp_path / "threaded")
+    *threaded, helped = _tape_free_passes(ds, tmp_path / "threaded", helper_starts)
     monkeypatch.setattr(layers, "_OPENBLAS_THREADS", None)
-    *serial, alone = _tape_free_passes(ds, tmp_path / "serial")
+    *serial, alone = _tape_free_passes(ds, tmp_path / "serial", helper_starts)
     assert helped == (n >= layers._HELPER_ROWS) and not alone  # below 1.5 chunks, alone
     assert repr(threaded[:2]) == repr(serial[:2])  # NaN mean_k at sigma 0 compares by repr
     for a, b in zip(threaded[2:], serial[2:]):
@@ -486,9 +494,9 @@ def test_the_helper_ends_the_workers_after_each_set(count, can_stop, rows, where
         state["count"] = n
 
     def walk():
-        with layers._eager_helper(rows) as helper:
+        with layers._eager_helper(rows) as run:
             calls.append("walk")
-        return helper
+        return run
 
     stop = (lambda: calls.append("stop")) if can_stop else None
     blas = None if count is None else (lambda: state["count"], put, stop)
@@ -497,29 +505,28 @@ def test_the_helper_ends_the_workers_after_each_set(count, can_stop, rows, where
         request.getfixturevalue("another_thread")
     if where == "pool":
         with ThreadPoolExecutor(max_workers=1) as pool:
-            helper = pool.submit(walk).result()
+            run = pool.submit(walk).result()
     else:
-        helper = walk()
+        run = walk()
     helped = count == 2 and can_stop and rows >= layers._HELPER_ROWS and where == "alone"
-    assert (helper is not None) == helped
+    assert (run is not layers._now) == helped
     assert calls == (["set(1)", "stop", "walk", "set(2)", "stop"] if helped else ["walk"])
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep", "audit"])
-def test_a_one_chunk_pass_starts_no_helper(command, monkeypatch):
+def test_a_one_chunk_pass_starts_no_helper(command, monkeypatch, helper_starts):
     # below one and a half chunks the thread, the split and the workers' restart cost more than
     # the second thread gains: 120 digits took 1.97 ms with the helper against 1.49 ms without
-    calls = []
+    calls = helper_starts  # the helper's start, in order among the sets and stops
     blas = (lambda: 2, lambda n: calls.append(f"set({n})"), lambda: calls.append("stop"))
     monkeypatch.setattr(layers, "_OPENBLAS_THREADS", blas)
-    monkeypatch.setattr(layers, "ThreadPoolExecutor",
-                        lambda **kwargs: calls.append("helper") or ThreadPoolExecutor(**kwargs))
     model = build_blobs_mlp(0)
     run = {"evaluate": lambda ds: evaluate(model, ds),
            "sweep": lambda ds: sweep(model, ds, [0.0, 0.5], corruption_seed=7),
            "audit": lambda ds: audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(0))}
     for n, expected in ((layers._HELPER_ROWS - 1, []),
-                        (layers._HELPER_ROWS, ["set(1)", "stop", "helper", "set(2)", "stop"])):
+                        (layers._HELPER_ROWS, ["set(1)", "stop", "regularizer._eager_passes",
+                                               "set(2)", "stop"])):
         calls.clear()
         run[command](synthetic_blobs(n, 3))
         assert calls == expected
@@ -560,16 +567,15 @@ def test_a_failing_helper_stops_both_threads(command, failing, monkeypatch, blas
 
 @pytest.mark.parametrize("n", [150, 500, 733, 2000])  # 2, 5, 8 (the last partial) and 20 chunks
 @pytest.mark.parametrize("where", ["helper", "alone"])
-def test_each_noise_stream_draws_every_value_once(n, where, monkeypatch, request):
+def test_each_noise_stream_draws_every_value_once(n, where, monkeypatch, request,
+                                                  helper_starts):
     # the two threads draw a stream's chunks in turn; a chunk skipped or drawn twice would
     # leave its rng away from where one whole-array draw of the same shape leaves it
     if where == "alone":
         monkeypatch.setattr(layers, "_OPENBLAS_THREADS", None)
     elif request.getfixturevalue("blas_count") is None:
         pytest.skip("no OpenBLAS loaded, so sweep and the audit get no helper thread")
-    started, streams = [], []
-    monkeypatch.setattr(layers, "ThreadPoolExecutor",
-                        lambda **kwargs: started.append(1) or ThreadPoolExecutor(**kwargs))
+    streams = []
     monkeypatch.setattr(training, "derive_rng",
                         lambda *tags: streams.append(derive_rng(*tags)) or streams[-1])
     model, ds, audit_rng = build_blobs_mlp(0), synthetic_blobs(n, 3), np.random.default_rng(0)
@@ -580,7 +586,7 @@ def test_each_noise_stream_draws_every_value_once(n, where, monkeypatch, request
         audit_empirical_k(model, ds, 0.5, ds.n, audit_rng)
     finally:
         sys.setswitchinterval(interval)
-    assert len(started) == (2 if where == "helper" else 0)
+    assert helper_starts == ["regularizer._eager_passes"] * (2 if where == "helper" else 0)
     for sigma, rng in zip([0.5, 1.0], streams, strict=True):
         want = derive_rng(7, "sigma", repr(sigma))
         want.normal(0.0, sigma, size=ds.images.shape)
