@@ -2,6 +2,7 @@ import faulthandler
 import os
 import threading
 import traceback
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,20 @@ def no_thread_outlives_the_test():
     yield
     left = [t for t in threading.enumerate() if t not in before]
     assert not left, f"threads outlived the test: {left}"
+
+
+@pytest.fixture()
+def traced_peak():
+    """traced_peak(fn): the tracemalloc peak, in bytes, of running fn() from a fresh start.
+    Every thread's Python and numpy allocations count; tracing stops even if fn raises."""
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
 
 
 @pytest.fixture(scope="session")

@@ -110,6 +110,16 @@ def test_idx_count_mismatch(tmp_path):
         load_idx(ip, lp)
 
 
+def test_load_idx_keeps_one_float64_copy(tmp_path, traced_peak):
+    # the payload is read as a view of the file's bytes and scaled into the one float64 array;
+    # a copy of the payload and a second float64 array would not fit under the bound
+    images, labels, ip, lp = write_pair(tmp_path, n=5000, h=28, w=28)
+    peak = traced_peak(lambda: load_idx(ip, lp))
+    assert peak < 8 * images.nbytes + 2 * images.nbytes
+    ds = load_idx(ip, lp)
+    assert ds.images.tobytes() == (images.astype(np.float64)[:, None] / 255.0).tobytes()
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError, match="labels"):
         LabeledDataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), Provenance("x"))
@@ -206,7 +216,7 @@ def test_synthetic_digits_bytes_are_pinned(where, request):
         "1012fa9c0eb6e724e0b2c48f782b5da1781b525b5c9885a357b211e3c84eeb0c")
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, lipnet.data._HELPER_DIGITS, 733])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, lipnet.data._HELPER_DIGITS, 255, 256, 257, 513, 733])
 def test_the_digit_helper_leaves_every_byte_in_place(n, monkeypatch):
     monkeypatch.setattr(lipnet.data, "_HELPER_DIGITS", 1)
     helped = synthetic_digits(n, seed=5)
@@ -216,30 +226,44 @@ def test_the_digit_helper_leaves_every_byte_in_place(n, monkeypatch):
     assert helped.labels.tobytes() == inline.labels.tobytes()
 
 
-class _NoiseWitness:
-    """A digits rng that records the thread of each standard_normal call."""
+def test_zero_digits_is_an_empty_dataset():
+    with pytest.raises(ValueError, match="empty dataset"):
+        synthetic_digits(0, seed=5)
 
-    def __init__(self, rng, fills):
-        self._rng, self._fills = rng, fills
+
+@pytest.mark.parametrize("n", [2000, 5000])
+def test_the_digits_hold_one_dataset_sized_array(n, traced_peak):
+    # the pixel noise is drawn straight into the images, so with both threads at work the rest
+    # stays under the tape-free walk's 12 MB, which a second dataset-sized array would exceed
+    assert traced_peak(lambda: synthetic_digits(n, seed=5)) < n * 28 * 28 * 8 + 12e6
+
+
+class _NoiseWitness:
+    """A digits rng that records (thread, out array) of each standard_normal call, after
+    sleeping `delay_s` seconds before it draws."""
+
+    def __init__(self, rng, work):
+        self._rng, self._work = rng, work
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
-    def standard_normal(self, *args, **kwargs):
-        self._fills.append(threading.current_thread())
-        return self._rng.standard_normal(*args, **kwargs)
+    def standard_normal(self, *args, out=None, **kwargs):
+        time.sleep(self._work["delay_s"])
+        self._work["fills"].append((threading.current_thread(), out))
+        return self._rng.standard_normal(*args, out=out, **kwargs)
 
 
 @pytest.fixture()
 def digit_work(monkeypatch):
-    """The threads that fill synthetic_digits' pixel noise, and (thread, sigmas) of each
-    _gaussian_blur call. A blur on the caller takes 2 ms longer, so the caller cannot
-    finish every block while the helper draws; setting `fail_on` to "caller" or "helper"
-    makes that thread's blur raise."""
-    work = {"fills": [], "blurs": [], "fail_on": None}
+    """(thread, out array) of each draw of synthetic_digits' pixel noise, and (thread, sigmas)
+    of each _gaussian_blur call. A blur on the caller takes 2 ms longer, so the caller cannot
+    finish every chunk while the helper draws; setting `delay_s` slows every draw, and setting
+    `fail_on` to "caller" or "helper" makes that thread's blur raise."""
+    work = {"fills": [], "blurs": [], "delay_s": 0.0, "fail_on": None}
     derive, blur = lipnet.data.derive_rng, lipnet.data._gaussian_blur
     monkeypatch.setattr(lipnet.data, "derive_rng",
-                        lambda *args: _NoiseWitness(derive(*args), work["fills"]))
+                        lambda *args: _NoiseWitness(derive(*args), work))
 
     def witness(images, sigmas):
         here = threading.current_thread()
@@ -255,25 +279,40 @@ def digit_work(monkeypatch):
     return work
 
 
-@pytest.mark.parametrize("where", ["alone", "beside another thread", "below the row rule"])
+@pytest.mark.parametrize("where", ["alone", "alone with slow draws", "beside another thread",
+                                   "below the row rule"])
 def test_the_helper_draws_the_noise_and_both_threads_blur(where, digit_work, helper_starts,
                                                            request):
-    # alone, the helper fills the noise, then both threads blur; otherwise no helper
-    # starts and everything runs on the caller. Either way each row is blurred once
+    # alone, the helper makes every draw, one per chunk in row order, straight into the images,
+    # and both threads blur; otherwise no helper starts and everything runs on the caller.
+    # Either way each row is blurred once. A chunk's noise is added only after its draw has
+    # ended, so draws slowed to 20 ms each leave every byte as it was
     main = threading.main_thread()
     if where == "beside another thread":
         request.getfixturevalue("another_thread")
+    if where == "alone with slow draws":
+        digit_work["delay_s"] = 0.02
     n = lipnet.data._HELPER_DIGITS - 1 if where == "below the row rule" else 2000
     ds = synthetic_digits(n, seed=5)
     sigmas = np.concatenate([s for _, s in digit_work["blurs"]])
     assert sigmas.size == np.unique(sigmas).size == n  # distinct draws: each row once
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
+    chunk, row_bytes = lipnet.data._DIGIT_ROWS, ds.images[0].nbytes
+    drawers = [t for t, _ in digit_work["fills"]]
+    drawn = [((out.ctypes.data - ds.images.ctypes.data) // row_bytes, len(out))
+             for _, out in digit_work["fills"]]  # (first row, rows) of each draw
+    assert drawn == [(s, min(chunk, n - s)) for s in range(0, n, chunk)]
     threads = {t for t, _ in digit_work["blurs"]}
-    if where == "alone":
-        assert helper_starts == ["data.synthetic_digits"] and len(digit_work["fills"]) == 1
-        assert digit_work["fills"][0] is not main and threads == {main, digit_work["fills"][0]}
+    if where.startswith("alone"):
+        helper = drawers[0]
+        assert helper_starts == ["data.synthetic_digits"] and helper is not main
+        assert set(drawers) == {helper} and main in threads and threads <= {main, helper}
+        if where == "alone":  # slow draws keep the caller waiting, so it may take every chunk
+            assert helper in threads
     else:
-        assert helper_starts == [] and digit_work["fills"] == [main] and threads == {main}
+        assert helper_starts == [] and set(drawers) == threads == {main}
+    digit_work["delay_s"] = 0.0
+    assert ds.images.tobytes() == synthetic_digits(n, seed=5).images.tobytes()
 
 
 @pytest.mark.parametrize("failing", ["caller", "helper"])

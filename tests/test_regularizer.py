@@ -1,7 +1,6 @@
 """The quotient, hinge penalty, aggregated loss, k audit and the
 distortion-radius machinery, each against an independent oracle."""
 
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -423,17 +422,11 @@ def test_classify_matches_broadcast_argmin(m, width, one_hot, seed):
         assert got[2] == 0  # the ramp's midpoint is as near label 1 as label 0
 
 
-def test_classify_memory_does_not_grow_with_label_count_squared():
+def test_classify_memory_does_not_grow_with_label_count_squared(traced_peak):
     # the broadcast difference array is 500 * 200 * 200 floats, 160 MB
     oracle = RampClassifier(1.0, one_hot_labels(200))
     points = oracle.sample_base(500, np.random.default_rng(0))
-    tracemalloc.start()
-    try:
-        oracle.classify(points)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    assert traced_peak(lambda: oracle.classify(points)) < 16e6
 
 
 def test_audit_constant_model_all_zero():

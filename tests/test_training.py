@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -302,7 +301,8 @@ def test_evaluate_is_pure(blobs_test):
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep", "audit", "evaluate_with_helper",
                                      "sweep_with_helper", "audit_with_helper"])
-def test_memory_is_bounded_by_the_chunk_not_the_dataset(command, monkeypatch, request):
+def test_memory_is_bounded_by_the_chunk_not_the_dataset(command, monkeypatch, request,
+                                                        traced_peak):
     # conv2d's im2col buffer is 2000 * 25 * 14 * 14 floats (78 MB) in one pass.
     # sweep and the audit draw, forward and compare their noisy rows 100 at a
     # time; the audit also holds the rows it samples, here all 2000 (12.5 MB).
@@ -321,13 +321,7 @@ def test_memory_is_bounded_by_the_chunk_not_the_dataset(command, monkeypatch, re
         "audit": (lambda: audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(0)),
                   ds.images.nbytes),
     }[command]
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 12e6 + held
+    assert traced_peak(run) < 12e6 + held
 
 
 def test_sweep_sigma_zero_row_matches_evaluate(blobs_test):
