@@ -18,10 +18,8 @@ from .regularizer import (GuaranteeReport, KStatistics, LipschitzParams,
                           compute_rho, counterexample_outside_radius, guarantee,
                           lipschitz_loss, one_hot_labels, perturb, quotient,
                           sample_in_ball, verify_theorem1_synthetic)
-from .reports import (EvalReport, EvalRow, SensitivityEntry, SensitivityReport,
-                      StepRecord, TrainRecord, write_eval_report, write_json,
-                      write_ratio_table, write_sensitivity_report,
-                      write_train_record)
+from .reports import (EvalReport, EvalRow, StepRecord, TrainRecord,
+                      write_eval_report, write_json, write_train_record)
 from .seeding import derive_int, derive_key, derive_rng
 from .tensor import Graph, Tensor, backward, gradcheck
 from .training import SGD, HyperParams, TrainingDivergedError, evaluate, sweep, train
@@ -33,7 +31,7 @@ __all__ = [
     "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION", "EvalReport", "EvalRow",
     "Graph", "GuaranteeReport", "HyperParams", "IdxError", "KStatistics",
     "LabeledDataset", "LayerSpec", "LipschitzParams", "Model", "Provenance",
-    "RampClassifier", "SGD", "SensitivityEntry", "SensitivityReport",
+    "RampClassifier", "SGD",
     "StepRecord", "Tensor", "TrainRecord", "TrainingDivergedError",
     "aggregated_loss", "audit_empirical_k", "backward", "batches",
     "build_blobs_mlp", "build_mnist_model", "build_model", "build_registered",
@@ -45,6 +43,5 @@ __all__ = [
     "save_checkpoint", "save_idx", "subsample",
     "sweep", "synthetic_blobs", "synthetic_digits",
     "train", "verify_theorem1_synthetic",
-    "write_eval_report", "write_json", "write_ratio_table",
-    "write_sensitivity_report", "write_train_record", "__version__",
+    "write_eval_report", "write_json", "write_train_record", "__version__",
 ]

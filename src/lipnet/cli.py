@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +28,10 @@ from .regularizer import (COUNTEREXAMPLE_SCALE, ORACLE_DIM, ORACLE_L, ORACLE_SEE
                           ORACLE_TRIALS, LipschitzParams, RampClassifier, audit_empirical_k,
                           counterexample_outside_radius, guarantee, one_hot_labels,
                           verify_theorem1_synthetic)
-from .reports import (SensitivityEntry, SensitivityReport, _csv_text, write_eval_report,
-                      write_json, write_ratio_table, write_sensitivity_report,
-                      write_train_record)
+from .reports import _csv_text, write_eval_report, write_json, write_train_record
 from .seeding import derive_int, derive_rng
 from .tensor import Tensor
-from .training import (HyperParams, _check_deltas, _check_ratios, _check_sigmas,
-                       _sensitivity_runs, sweep, train)
+from .training import HyperParams, _check_sigmas, sweep, train
 from .version import VERSION
 
 DATA_DIR_ENV = "LIPNET_DATA_DIR"
@@ -195,8 +193,8 @@ def _hp_from_cfg(cfg) -> HyperParams:
 def _resolve_idx_path(cfg, key):
     if cfg[key]:
         p = Path(cfg[key])
-        if not p.exists():
-            raise ConfigError(f"dataset path for {key} does not exist: {p}")
+        if not p.is_file():
+            raise ConfigError(f"dataset path for {key} is not a file: {p}")
         return p
     data_dir = cfg["data_dir"] or os.environ.get(DATA_DIR_ENV)
     if not data_dir:
@@ -204,7 +202,7 @@ def _resolve_idx_path(cfg, key):
                           f"or export {DATA_DIR_ENV}")
     base = Path(data_dir) / IDX_STANDARD_NAMES[key]
     for candidate in (base, base.with_name(base.name + ".gz")):
-        if candidate.exists():
+        if candidate.is_file():
             return candidate
     raise ConfigError(f"no {key} file under {data_dir} "
                       f"(looked for {base.name}[.gz])")
@@ -375,6 +373,35 @@ def cmd_grid(cfg, out: Path) -> int:
     return 0 if len(rows) == len(cells) else 1
 
 
+SENSITIVITY_PARAMS = ("sigma_train", "beta", "l_n", "control")
+
+
+def _check_deltas(deltas: dict) -> None:
+    """sensitivity's rule for its deltas alone, already floats (_typed): a nonempty map
+    from known parameter names to finite nonzero steps."""
+    if not deltas:
+        raise ValueError("sensitivity: deltas must be nonempty")
+    unknown = set(deltas) - set(SENSITIVITY_PARAMS)
+    if unknown:
+        raise ValueError(f"sensitivity: unknown parameters {sorted(unknown)}, "
+                         f"allowed: {list(SENSITIVITY_PARAMS)}")
+    for name, delta in sorted(deltas.items()):
+        if not (np.isfinite(delta) and delta != 0.0):
+            raise ValueError(f"sensitivity: delta {name}={delta} must be finite and nonzero")
+
+
+def _sensitivity_runs(baseline: LipschitzParams, deltas: dict) -> list:
+    """(name, delta, shifted regularizer) per delta in name order, or a
+    ValueError before anything trains."""
+    _check_deltas(deltas)
+    runs = []
+    for name, delta in sorted(deltas.items()):
+        lip = baseline if name == "control" else replace(
+            baseline, **{name: getattr(baseline, name) + delta})
+        runs.append((name, delta, lip))
+    return runs
+
+
 def cmd_sensitivity(cfg, out: Path) -> int:
     """Finite-difference sensitivity of the accuracy at sigma_eval, in
     percentage points, to each regularizer parameter: a baseline cell and one
@@ -393,12 +420,13 @@ def cmd_sensitivity(cfg, out: Path) -> int:
         return 1
     acc = {name: cell_rows[0]["accuracy"] * 100.0 for name, cell_rows in rows.items()}
     before = acc["baseline"]
-    entries = [SensitivityEntry(name, delta, before, acc[name], (acc[name] - before) / delta)
-               for name, delta, _ in runs]
+    entries = [{"param": name, "delta": delta, "acc_before": before, "acc_after": acc[name],
+                "sensitivity": (acc[name] - before) / delta} for name, delta, _ in runs]
     metadata = {"sigma_eval": cfg["sigma_eval"], "units": "percentage points",
                 "corruption_seed": cfg["corruption_seed"], "code_version": VERSION,
                 "reference_cifar10": dict(REFERENCE_SENSITIVITIES_CIFAR10)}
-    write_sensitivity_report(SensitivityReport(baseline.as_dict(), entries, metadata), out)
+    write_json(out / "sensitivity_report.json",
+               {"baseline": baseline.as_dict(), "entries": entries, "metadata": metadata})
     return 0
 
 
@@ -434,6 +462,14 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
     return 0
 
 
+def _check_ratios(ratios) -> list[float]:
+    """ratio-study's rule for training fractions."""
+    ratios = [float(r) for r in ratios]
+    if not ratios or any(not 0.0 < r <= 1.0 for r in ratios):
+        raise ValueError(f"ratio-study: ratios must be a nonempty list in (0, 1], got {ratios}")
+    return ratios
+
+
 def cmd_ratio_study(cfg, out: Path) -> int:
     """One cell per entry of ratios, each training on that fraction of the
     training split with its own derived seed, from the command's initial model."""
@@ -442,8 +478,10 @@ def cmd_ratio_study(cfg, out: Path) -> int:
     cells = {f"ratio_{i}": dict(common, seed=derive_int(cfg["seed"], "ratio", i), train_ratio=r)
              for i, r in enumerate(cfg["ratios"])}
     rows = _run_cells("ratio-study", cfg, out, cells)
-    write_ratio_table([(cell["train_ratio"], row["sigma_test"], row["accuracy"])
-                       for name, cell in cells.items() for row in rows.get(name, ())], out)
+    table = [(cell["train_ratio"], row["sigma_test"], row["accuracy"])
+             for name, cell in cells.items() for row in rows.get(name, ())]
+    atomic_write_text(out / "ratio_study.csv",
+                      _csv_text(["ratio", "sigma_test", "accuracy"], table))
     return 0 if len(rows) == len(cells) else 1
 
 

@@ -151,13 +151,16 @@ def batches(ds: LabeledDataset, batch_size: int, shuffle_seed):
         yield ds.images[idx], ds.labels[idx]
 
 
-def synthetic_blobs(n: int, seed: int, centers=((-1.5, -1.5), (1.5, 1.5)),
-                    std: float = 0.5) -> LabeledDataset:
+_BLOB_CENTERS = ((-1.5, -1.5), (1.5, 1.5))
+_BLOB_STD = 0.5  # about one point in 10^5 falls on the other centre's side of the midline
+
+
+def synthetic_blobs(n: int, seed: int) -> LabeledDataset:
     """Two well-separated 2-D Gaussian clusters; labels 0 and 1."""
     rng = derive_rng(seed, "blobs")
     labels = rng.integers(0, 2, size=n)
-    c = np.asarray(centers, dtype=np.float64)
-    points = c[labels] + rng.normal(0.0, std, size=(n, 2))
+    c = np.asarray(_BLOB_CENTERS, dtype=np.float64)
+    points = c[labels] + rng.normal(0.0, _BLOB_STD, size=(n, 2))
     return LabeledDataset(points, labels, Provenance(source="synthetic_blobs", seed=seed))
 
 

@@ -4,6 +4,9 @@ A Model maps image batches to class-probability rows (the stack always ends
 in softmax). ``_apply`` alone maps a layer kind to its tensor op. build_model
 runs every layer once on a one-row zero batch, so the ops' own checks reject
 a misconfigured stack before it reaches forward().
+
+It also holds lipnet's generic thread primitives, _lone_caller, _now,
+_blas_threads_split and _helper; each caller keeps its own rule for them.
 """
 
 from __future__ import annotations
@@ -126,10 +129,6 @@ def forward(model: Model, x: Tensor, graph: Graph | None = None) -> Tensor:
     return x
 
 
-_EAGER_ROWS = 100  # im2col buffer stays cache-resident; same bytes as 500-row chunks
-_HELPER_ROWS = _EAGER_ROWS + _EAGER_ROWS // 2  # below it the helper costs more than it gains
-
-
 # OpenBLAS exports its thread controls under a build-specific name. numpy's
 # ILP64 build is tried first, so scipy's own OpenBLAS, if loaded, is not picked.
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -213,18 +212,6 @@ def _helper(wanted: bool):
         return
     with ThreadPoolExecutor(max_workers=1) as pool:
         yield pool.submit
-
-
-@contextlib.contextmanager
-def _eager_helper(n: int):
-    """The _helper of regularizer._eager_passes over n rows, which takes every other chunk of each
-    stream, with the BLAS threads split between it and the caller while it lives. Its run is _now
-    below _HELPER_ROWS, when OpenBLAS is missing or cannot end its workers, whose spin would halve
-    the helper's speed, and when _blas_threads_split does not split."""
-    blas = _OPENBLAS_THREADS
-    ways = 2 if n >= _HELPER_ROWS and blas is not None and blas[2] is not None else 1
-    with _blas_threads_split(ways) as split, _helper(split) as run:
-        yield run
 
 
 def build_mnist_model(seed: int) -> Model:

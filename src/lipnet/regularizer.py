@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import _EAGER_ROWS, Model, _eager_helper, _now, forward
+from . import layers
+from .layers import Model, _blas_threads_split, _helper, _now, forward
 from .tensor import Graph, Tensor, _acc, _record, add, cross_entropy, rows
 
 NORM_EPS = 1e-12  # input norms are clamped to it; output rows with a smaller norm get no gradient
@@ -25,6 +26,8 @@ ORACLE_L = 1.0
 ORACLE_DIM = 2
 ORACLE_TRIALS = 10000
 ORACLE_SEEDS = 5
+_EAGER_ROWS = 100  # im2col buffer stays cache-resident; same bytes as 500-row chunks
+_HELPER_ROWS = _EAGER_ROWS + _EAGER_ROWS // 2  # below it the helper costs more than it gains
 
 
 @dataclass(frozen=True)
@@ -118,10 +121,15 @@ def quotient(f_x: Tensor, f_x_bar: Tensor, x: np.ndarray, x_bar: np.ndarray,
 def _eager_passes(model: Model, x: np.ndarray, noise=(), keep=lambda f, k: (f, k)):
     """Every tape-free pass: (f(x), [keep(f(x_bar), k) for each (sigma, rng) in noise]) with
     x_bar = perturb(x, sigma, rng). One loop walks the clean stream, then each noisy one, in
-    pairs (mine, theirs) of 100-row chunks: _eager_helper's run (a layers._helper) draws theirs
-    (the caller slices a clean one), forwards and compares it; the caller forwards and
-    compares mine, waits for that draw and draws the next. So each stream is drawn in row order,
-    one whole-array draw's values, holding f(x), one stream's rows and two chunks' temporaries."""
+    pairs (mine, theirs) of 100-row chunks: a layers._helper's run draws theirs (the caller
+    slices a clean one), forwards and compares it; the caller forwards and compares mine, waits
+    for that draw and draws the next. So each stream is drawn in row order, one whole-array
+    draw's values, holding f(x), one stream's rows and two chunks' temporaries. The helper
+    splits the BLAS threads with the caller; its run is _now below _HELPER_ROWS rows, without
+    an OpenBLAS that can end its workers (whose spin would halve its speed), and when
+    _blas_threads_split does not split."""
+    blas = layers._OPENBLAS_THREADS  # read at call time, so that a test can replace it
+    ways = 2 if len(x) >= _HELPER_ROWS and blas is not None and blas[2] is not None else 1
     chunks = [slice(s, s + _EAGER_ROWS) for s in range(0, len(x), _EAGER_ROWS)]
     f_x, noisy = None, []
 
@@ -132,7 +140,7 @@ def _eager_passes(model: Model, x: np.ndarray, noise=(), keep=lambda f, k: (f, k
         f = forward(model, Tensor(x_bar)).data
         return f, None if f_x is None else quotient(Tensor(f_x[sl]), Tensor(f), x[sl], x_bar).data
 
-    with _eager_helper(len(x)) as run:
+    with _blas_threads_split(ways) as split, _helper(split) as run:
         for sigma, rng in [(0.0, None), *noise]:
             out, x_bar = [], draw(chunks[0], sigma, rng)
             for mine, theirs, nxt in zip(chunks[::2], chunks[1::2], chunks[2::2] + [None]):

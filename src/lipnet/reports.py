@@ -20,7 +20,6 @@ from .ioutil import atomic_write_text
 EVAL_CSV_COLUMNS = ("sigma_test", "accuracy", "mean_confidence_correct", "mean_k", "n")
 TRAIN_CSV_COLUMNS = ("step", "loss_usual", "loss_lipschitz", "mean_k", "loss_total")
 EPOCH_CSV_COLUMNS = ("epoch", "train_acc")
-RATIO_CSV_COLUMNS = ("ratio", "sigma_test", "accuracy")
 
 
 def _fmt_float(v: float) -> str:
@@ -132,35 +131,3 @@ def write_train_record(record: TrainRecord, out_dir) -> None:
         "epoch_wall_time": [e.wall_time for e in record.epochs],
         "total_wall_time": sum(e.wall_time for e in record.epochs),
         "meta": record.meta})
-
-
-@dataclass(frozen=True)
-class SensitivityEntry:
-    param: str
-    delta: float
-    acc_before: float
-    acc_after: float
-    sensitivity: float
-
-
-@dataclass
-class SensitivityReport:
-    """Finite-difference accuracy sensitivities, in percentage points per
-    unit of each hyperparameter."""
-    baseline: dict
-    entries: list
-    metadata: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"baseline": self.baseline,
-                "entries": [vars(e) for e in self.entries],
-                "metadata": self.metadata}
-
-
-def write_sensitivity_report(report: SensitivityReport, out_dir) -> None:
-    write_json(Path(out_dir) / "sensitivity_report.json", report.as_dict())
-
-
-def write_ratio_table(rows, out_dir) -> None:
-    """ratio_study.csv of (ratio, sigma_test, accuracy) rows."""
-    atomic_write_text(Path(out_dir) / "ratio_study.csv", _csv_text(RATIO_CSV_COLUMNS, rows))

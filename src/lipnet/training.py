@@ -12,7 +12,7 @@ import hashlib
 import math
 import operator
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -220,42 +220,3 @@ def sweep(model: Model, clean_test: LabeledDataset, sigmas, corruption_seed: int
         "code_version": VERSION,
     }
     return EvalReport(rows, metadata)
-
-
-def _check_ratios(ratios) -> list[float]:
-    """ratio-study's rule for training fractions."""
-    ratios = [float(r) for r in ratios]
-    if not ratios or any(not 0.0 < r <= 1.0 for r in ratios):
-        raise ValueError(f"ratio-study: ratios must be a nonempty list in (0, 1], got {ratios}")
-    return ratios
-
-
-SENSITIVITY_PARAMS = ("sigma_train", "beta", "l_n", "control")
-
-
-def _check_deltas(deltas: dict) -> None:
-    """sensitivity's rule for its deltas alone: a nonempty map from known
-    parameter names to finite nonzero steps."""
-    if not deltas:
-        raise ValueError("sensitivity: deltas must be nonempty")
-    unknown = set(deltas) - set(SENSITIVITY_PARAMS)
-    if unknown:
-        raise ValueError(f"sensitivity: unknown parameters {sorted(unknown)}, "
-                         f"allowed: {list(SENSITIVITY_PARAMS)}")
-    for name in sorted(deltas):
-        delta = float(deltas[name])
-        if not (math.isfinite(delta) and delta != 0.0):
-            raise ValueError(f"sensitivity: delta {name}={delta} must be finite and nonzero")
-
-
-def _sensitivity_runs(baseline: LipschitzParams, deltas: dict) -> list:
-    """(name, delta, shifted regularizer) per delta in name order, or a
-    ValueError before anything trains."""
-    _check_deltas(deltas)
-    runs = []
-    for name in sorted(deltas):
-        delta = float(deltas[name])
-        lip = baseline if name == "control" else replace(
-            baseline, **{name: getattr(baseline, name) + delta})
-        runs.append((name, delta, lip))
-    return runs

@@ -188,17 +188,26 @@ def test_only_apply_calls_the_layer_ops():
     assert apply and found == []
 
 
-def test_only_the_tape_free_walk_takes_the_helper_thread():
-    # evaluate, sweep and the audit all go through regularizer._eager_passes, so
-    # when a tape-free pass gets a second thread is decided in that one function
-    found = set()
+def test_each_rule_lives_beside_its_only_caller():
+    # the tape-free walk decides its own chunk size and when it takes a helper thread, and
+    # the CLI its study commands' rules: layers keeps only the thread primitives and
+    # training only what train and sweep use, so no other module names these rules
+    split_callers, named = set(), {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(fn, ast.FunctionDef) and any(
-                    getattr(node, "id", getattr(node, "attr", None)) == "_eager_helper"
-                    for node in ast.walk(fn)):
-                found.add(f"{path.stem}.{fn.name}")
-    assert found == {"regularizer._eager_passes"}
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)  # only a call has one
+                if getattr(func, "id", getattr(func, "attr", None)) == "_blas_threads_split":
+                    split_callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+                # names read or bound, imported names and defined functions alike
+                for name in (getattr(node, "id", getattr(node, "attr", None)),
+                             getattr(node, "name", None)):
+                    named.setdefault(name, set()).add(path.stem)
+    assert split_callers == {"regularizer._eager_passes", "cli._run_cells"}
+    for rule, owner in (("_EAGER_ROWS", "regularizer"), ("_HELPER_ROWS", "regularizer"),
+                        ("_check_ratios", "cli"), ("SENSITIVITY_PARAMS", "cli"),
+                        ("_check_deltas", "cli"), ("_sensitivity_runs", "cli")):
+        assert named.get(rule) == {owner}, rule
 
 
 def test_every_helper_thread_comes_from_one_primitive():

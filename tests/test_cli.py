@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes, resume."""
 
 import contextlib
+import gzip
 import json
 import os
 import subprocess
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lipnet import (HyperParams, LipschitzParams, build_blobs_mlp, build_mnist_model,
-                    checkpoint_bytes, derive_int, save_checkpoint, save_idx, sweep, train)
+from lipnet import (HyperParams, LabeledDataset, LipschitzParams, build_blobs_mlp,
+                    build_mnist_model, checkpoint_bytes, derive_int, load_idx, save_checkpoint,
+                    save_idx, sweep, synthetic_digits, train)
 from lipnet import cli, layers
 from lipnet.cli import IDX_STANDARD_NAMES, main
 
@@ -265,6 +267,87 @@ def test_missing_idx_data_fails_before_writing(tmp_path, capsys, monkeypatch):
     assert run("train", "--config", cfg, "--out", tmp_path / "x") == 2
     assert "train_images" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def save_digit_pair(directory: Path, gz: bool):
+    """(images, labels) paths of a u8 IDX pair of 30 synthetic digits, gzipped if gz."""
+    directory.mkdir()
+    ds = synthetic_digits(30, 2)
+    paths = directory / "digits-images", directory / "digits-labels"
+    save_idx(np.round(ds.images[:, 0] * 255.0), ds.labels, *paths)
+    if not gz:
+        return paths
+    for path in paths:
+        path.with_name(path.name + ".gz").write_bytes(gzip.compress(path.read_bytes()))
+        path.unlink()
+    return tuple(path.with_name(path.name + ".gz") for path in paths)
+
+
+def idx_cfg(tmp_path, images, labels, **overrides):
+    """A config whose four IDX keys name the one pair (images, labels)."""
+    paths = {f"{split}_{kind}": str(path) for split in ("train", "test")
+             for kind, path in (("images", images), ("labels", labels))}
+    return write_cfg(tmp_path, dataset="idx", model="mnist_cnn", batch_size=10,
+                     **dict(paths, **overrides))
+
+
+@pytest.mark.parametrize("gz", [False, True])
+def test_explicit_idx_paths_load_the_files_they_name(tmp_path, monkeypatch, gz):
+    images, labels = save_digit_pair(tmp_path / "digits", gz)
+    loaded, real = [], cli._load_split
+
+    def witnessed(cfg, split):
+        loaded.append((split, real(cfg, split)))
+        return loaded[-1][1]
+
+    monkeypatch.setattr(cli, "_load_split", witnessed)
+    cfg = idx_cfg(tmp_path, images, labels)
+    assert run("train", "--config", cfg, "--out", tmp_path / "run") == 0
+    assert run("sweep", "--config", cfg, "--out", tmp_path / "swept",
+               "--checkpoint", tmp_path / "run" / "model.ckpt") == 0
+    want = load_idx(images, labels)
+    assert [split for split, _ in loaded] == ["train", "test"]
+    for _, ds in loaded:
+        assert ds.images.tobytes() == want.images.tobytes()
+        assert ds.labels.tobytes() == want.labels.tobytes()
+
+
+@pytest.mark.parametrize("key", list(IDX_STANDARD_NAMES))
+def test_a_missing_explicit_idx_path_is_usage_error(tmp_path, capsys, key):
+    images, labels = save_digit_pair(tmp_path / "digits", gz=False)
+    save_checkpoint(build_mnist_model(seed=0), tmp_path / "model.ckpt")
+    cfg = idx_cfg(tmp_path, images, labels, **{key: str(tmp_path / "nowhere")})
+    command = "train" if key.startswith("train") else "sweep --checkpoint"
+    out = tmp_path / "out"
+    assert run_command(command, cfg, out, tmp_path / "model.ckpt") == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["explicit", "under data_dir"])
+def test_an_idx_path_that_is_a_directory_is_usage_error(tmp_path, capsys, where):
+    folder = tmp_path / "data" / IDX_STANDARD_NAMES["train_images"]
+    folder.mkdir(parents=True)
+    keys = ({"train_images": str(folder), "train_labels": str(folder)} if where == "explicit"
+            else {"data_dir": str(tmp_path / "data")})
+    cfg = write_cfg(tmp_path, dataset="idx", model="mnist_cnn", **keys)
+    out = tmp_path / "out"
+    assert run("train", "--config", cfg, "--out", out) == 2
+    assert "train_images" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("limit", [150, 200, 500])  # below, at and above the split's 200 rows
+def test_train_limit_trains_on_the_splits_first_rows(tmp_path, limit):
+    out = tmp_path / "run"
+    assert run("train", "--config", write_cfg(tmp_path, train_limit=limit), "--out", out) == 0
+    full = cli.load_datasets(cli.load_config(write_cfg(tmp_path, name="full.json")))[0]
+    kept = min(limit, full.n)
+    first = LabeledDataset(full.images[:kept], full.labels[:kept], full.provenance)
+    hp = HyperParams(lip=LipschitzParams(0.75, 0.0, 0.01), lr=0.1, epochs=1, batch_size=20)
+    model, _ = train(build_blobs_mlp(0), first, hp)
+    assert (out / "model.ckpt").read_bytes() == checkpoint_bytes(model)
+    assert json.loads((out / "timings.json").read_text())["meta"]["n_train"] == kept
 
 
 def test_corrupt_checkpoint_is_run_error(tmp_path, capsys):
@@ -813,6 +896,7 @@ def test_ratio_study_command(tmp_path):
         assert "ratios" not in resolved and "workers" not in resolved
     rows = ratio_rows(out)
     assert [r[:2] for r in rows] == [(r, s) for r in ratios for s in (0.0, 0.5)]
+    assert (out / "ratio_study.csv").read_text().count("\n") == 1 + len(rows)
     # each ratio's cell is a direct train + sweep with the seed derived from
     # its index, on the command's initial model, bit for bit
     train_ds, test_ds = cli.load_datasets(cli.load_config(cfg))
@@ -859,8 +943,9 @@ def test_sensitivity_command(tmp_path):
                     sensitivity_deltas={"beta": 5.0, "control": 1.0})
     out = tmp_path / "s"
     assert run("sensitivity", "--config", cfg, "--out", out) == 0
-    # a baseline cell and one per delta, each swept at sigma_eval alone
-    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["baseline", "beta", "control"]
+    # a baseline cell and one per delta, each swept at sigma_eval alone, and the report
+    assert {p.name for p in out.iterdir()} == {"baseline", "beta", "control",
+                                              "sensitivity_report.json", "resolved_config.json"}
     for cell, beta in (("baseline", 10.0), ("beta", 15.0), ("control", 10.0)):
         assert {p.name for p in (out / cell).iterdir()} == CELL_FILES
         resolved = json.loads((out / cell / "resolved_config.json").read_text())
@@ -868,8 +953,12 @@ def test_sensitivity_command(tmp_path):
         assert resolved["sweep_sigmas"] == [0.5]
         assert not {"sensitivity_deltas", "sigma_eval", "workers"} & set(resolved)
     payload = json.loads((out / "sensitivity_report.json").read_text())
+    assert set(payload) == {"baseline", "entries", "metadata"}
     by_name = {e["param"]: e for e in payload["entries"]}
     assert set(by_name) == {"beta", "control"}
+    for entry in payload["entries"]:
+        assert set(entry) == {"param", "delta", "acc_before", "acc_after", "sensitivity"}
+    assert (by_name["beta"]["delta"], by_name["control"]["delta"]) == (5.0, 1.0)
     # the control cell retrains with nothing changed, so it reads exactly 0
     control, beta = by_name["control"], by_name["beta"]
     assert control["sensitivity"] == 0.0

@@ -9,9 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lipnet import (EvalReport, EvalRow, SensitivityEntry, SensitivityReport,
-                    StepRecord, TrainRecord, write_eval_report,
-                    write_ratio_table, write_sensitivity_report,
+from lipnet import (EvalReport, EvalRow, StepRecord, TrainRecord, write_eval_report,
                     write_train_record)
 from lipnet.reports import EpochRecord, _fmt_float, _json_safe, write_json
 
@@ -95,27 +93,6 @@ def test_write_train_record_excludes_wall_time(tmp_path):
     timings = json.loads((tmp_path / "timings.json").read_text())
     assert timings["epoch_wall_time"] == [12.5, 13.5]
     assert timings["total_wall_time"] == 26.0
-
-
-def test_write_sensitivity_report(tmp_path):
-    report = SensitivityReport(
-        baseline={"lr": 0.05},
-        entries=[SensitivityEntry("beta", 1.0, 90.0, 92.0, 2.0)],
-        metadata={"units": "percentage points"})
-    write_sensitivity_report(report, tmp_path)
-    parsed = json.loads((tmp_path / "sensitivity_report.json").read_text())
-    assert parsed["entries"][0] == {"param": "beta", "delta": 1.0,
-                                    "acc_before": 90.0, "acc_after": 92.0,
-                                    "sensitivity": 2.0}
-
-
-def test_write_ratio_table(tmp_path):
-    rows = [(0.1, 0.0, 0.8), (0.1, 0.5, 0.6), (1.0, 0.0, 0.95), (1.0, 0.5, 0.9)]
-    write_ratio_table(rows, tmp_path)
-    text = (tmp_path / "ratio_study.csv").read_text()
-    assert text.split("\n")[0] == "ratio,sigma_test,accuracy"
-    assert text.count("\n") == 5
-    assert {p.name for p in tmp_path.iterdir()} == {"ratio_study.csv"}
 
 
 def test_csv_rejects_booleans():

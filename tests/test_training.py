@@ -251,7 +251,7 @@ def test_the_per_epoch_probe_still_takes_its_helper(blobs_train, quick_hp, monke
             probes.append(split)
             yield split
 
-    monkeypatch.setattr(layers, "_blas_threads_split", witnessed_split)
+    monkeypatch.setattr(regularizer, "_blas_threads_split", witnessed_split)
     train(build_blobs_mlp(0), blobs_train, replace(quick_hp, lip=REGULARIZED))
     assert probes == [True] * quick_hp.epochs
     assert blas_count() == 2
@@ -389,7 +389,7 @@ def test_the_helper_thread_leaves_every_bit_in_place(n, monkeypatch, blas_count,
     *threaded, helped = _tape_free_passes(ds, tmp_path / "threaded", helper_starts)
     monkeypatch.setattr(layers, "_OPENBLAS_THREADS", None)
     *serial, alone = _tape_free_passes(ds, tmp_path / "serial", helper_starts)
-    assert helped == (n >= layers._HELPER_ROWS) and not alone  # below 1.5 chunks, alone
+    assert helped == (n >= regularizer._HELPER_ROWS) and not alone  # below 1.5 chunks, alone
     assert repr(threaded[:2]) == repr(serial[:2])  # NaN mean_k at sigma 0 compares by repr
     for a, b in zip(threaded[2:], serial[2:]):
         assert a == b
@@ -402,7 +402,7 @@ def _native_threads() -> int:
 
 
 @pytest.mark.parametrize("block", ["helper", "split"])
-def test_no_idle_blas_worker_is_left_spinning(block, blas_count):
+def test_no_idle_blas_worker_is_left_spinning(block, blas_count, monkeypatch):
     # after a threaded GEMM the worker spin-waits on the second core and set(1) leaves it;
     # a set that starts a worker leaves that one spinning too
     if blas_count is None or layers._OPENBLAS_THREADS[2] is None:
@@ -411,11 +411,17 @@ def test_no_idle_blas_worker_is_left_spinning(block, blas_count):
         pytest.skip("no /proc to list this process's threads")
     a = np.random.default_rng(0).random((400, 400))
     a @ a
-    working = _native_threads()
-    with {"helper": lambda: layers._eager_helper(2 * layers._EAGER_ROWS),
-          "split": lambda: layers._blas_threads_split(2)}[block]():
-        ended = _native_threads()
-        assert ended < working
+    working, inside = _native_threads(), []
+    if block == "helper":  # counted as the walk's helper block opens, inside its split
+        real_helper = regularizer._helper
+        monkeypatch.setattr(regularizer, "_helper",
+                            lambda wanted: inside.append(_native_threads()) or real_helper(wanted))
+        _eager_passes(build_blobs_mlp(0), np.zeros((2 * regularizer._EAGER_ROWS, 2)))
+    else:
+        with layers._blas_threads_split(2):
+            inside.append(_native_threads())
+    [ended] = inside
+    assert ended < working
     assert blas_count() == 2
     assert _native_threads() == ended  # the restoring set starts no worker that stays
     a @ a  # OpenBLAS starts its workers again for the next threaded call
@@ -487,14 +493,23 @@ def test_the_helper_ends_the_workers_after_each_set(count, can_stop, rows, where
         calls.append(f"set({n})")
         state["count"] = n
 
-    def walk():
-        with layers._eager_helper(rows) as run:
+    real_helper, runs = regularizer._helper, []
+
+    @contextlib.contextmanager
+    def witnessed_helper(wanted):
+        with real_helper(wanted) as run:
             calls.append("walk")
-        return run
+            runs.append(run)
+            yield run
+
+    def walk():
+        _eager_passes(build_blobs_mlp(0), np.zeros((rows, 2)))
+        return runs[0]
 
     stop = (lambda: calls.append("stop")) if can_stop else None
     blas = None if count is None else (lambda: state["count"], put, stop)
     monkeypatch.setattr(layers, "_OPENBLAS_THREADS", blas)
+    monkeypatch.setattr(regularizer, "_helper", witnessed_helper)
     if where == "beside an idle thread":
         request.getfixturevalue("another_thread")
     if where == "pool":
@@ -502,7 +517,7 @@ def test_the_helper_ends_the_workers_after_each_set(count, can_stop, rows, where
             run = pool.submit(walk).result()
     else:
         run = walk()
-    helped = count == 2 and can_stop and rows >= layers._HELPER_ROWS and where == "alone"
+    helped = count == 2 and can_stop and rows >= regularizer._HELPER_ROWS and where == "alone"
     assert (run is not layers._now) == helped
     assert calls == (["set(1)", "stop", "walk", "set(2)", "stop"] if helped else ["walk"])
 
@@ -518,9 +533,9 @@ def test_a_one_chunk_pass_starts_no_helper(command, monkeypatch, helper_starts):
     run = {"evaluate": lambda ds: evaluate(model, ds),
            "sweep": lambda ds: sweep(model, ds, [0.0, 0.5], corruption_seed=7),
            "audit": lambda ds: audit_empirical_k(model, ds, 0.5, ds.n, np.random.default_rng(0))}
-    for n, expected in ((layers._HELPER_ROWS - 1, []),
-                        (layers._HELPER_ROWS, ["set(1)", "stop", "regularizer._eager_passes",
-                                               "set(2)", "stop"])):
+    for n, expected in ((regularizer._HELPER_ROWS - 1, []),
+                        (regularizer._HELPER_ROWS, ["set(1)", "stop", "regularizer._eager_passes",
+                                                    "set(2)", "stop"])):
         calls.clear()
         run[command](synthetic_blobs(n, 3))
         assert calls == expected
