@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,7 @@ IDX_STANDARD_NAMES = {
     "test_labels": "t10k-labels-idx1-ubyte",
 }
 
-CONFIG_DEFAULTS = {
+_CELL_DEFAULTS = {  # the run keys: all that a study cell reads but its own changes
     # data
     "dataset": "idx",            # idx | synthetic_digits | synthetic_blobs
     "data_dir": None,            # fallback: $LIPNET_DATA_DIR
@@ -72,6 +72,10 @@ CONFIG_DEFAULTS = {
     # evaluation
     "sweep_sigmas": [0.0, 0.5, 1.0],
     "corruption_seed": 9000,
+}
+
+CONFIG_DEFAULTS = {
+    **_CELL_DEFAULTS,
     # grid
     "grid_sigma_train": [0.5, 0.75],
     "grid_beta": [10.0],
@@ -103,6 +107,8 @@ _OPTIONAL_INTS = ("train_limit", "arch_seed")
 # Sizes, counts and the audit noise level; each must be > 0 (train_limit when set).
 _POSITIVE = ("train_limit", "synthetic_train_n", "synthetic_test_n", "workers", "audit_n",
              "audit_sigma")
+# Seeds are 32-bit: seeding.derive_key keeps only a seed's low 32 bits.
+_SEEDS = ("seed", "arch_seed", "synthetic_seed", "corruption_seed")
 
 
 def _as(kind: type, value):
@@ -133,6 +139,8 @@ def _typed(key: str, value):
         return {name: _as(float, v) for name, v in value.items()}
     if key in _POSITIVE and not value > 0:
         raise ValueError(f"must be > 0, got {value}")
+    if key in _SEEDS and not 0 <= value < 2**32:
+        raise ValueError(f"must be in [0, 2**32), got {value}")
     return value
 
 
@@ -164,7 +172,6 @@ def load_config(path, seed_override=None) -> dict:
     if cfg["dataset"] not in ("idx", "synthetic_digits", "synthetic_blobs"):
         raise ConfigError(f"unknown dataset kind: {cfg['dataset']!r} (config key 'dataset')")
     _checked("model", _registered, cfg["model"])
-    _checked("seed/arch_seed", np.random.SeedSequence, _arch_seed(cfg))
     _checked("lr/epochs/batch_size/lr_drops/momentum/sigma_train/beta/l_n", _hp_from_cfg, cfg)
     _checked("grid_sigma_train/grid_beta/grid_l_n", _grid_cells, cfg)
     _checked("sweep_sigmas", _check_sigmas, cfg["sweep_sigmas"])
@@ -285,8 +292,7 @@ def _cell_name(lip: LipschitzParams) -> str:
 
 
 def _grid_cells(cfg) -> dict:
-    """{directory name: the cell's own config}: the grid's config without the
-    grid axes and workers, plus the cell's sigma_train, beta and l_n."""
+    """{directory name: the cell's changes}: its sigma_train, beta and l_n."""
     lips = []
     if cfg["grid_include_standard"]:
         lips.append(LipschitzParams(0.0, 0.0, cfg["l_n"]))
@@ -302,8 +308,7 @@ def _grid_cells(cfg) -> dict:
         raise ValueError(f"grid cells share a directory name: {shared}; axis values "
                          f"must differ in their %g form, and every beta-0 cell "
                          f"is named 'standard'")
-    common = {k: v for k, v in cfg.items() if not k.startswith("grid_") and k != "workers"}
-    return {name: dict(common, **vars(lip)) for name, lip in zip(names, lips)}
+    return {name: vars(lip) for name, lip in zip(names, lips)}
 
 
 def _run_cell(cfg, cell_dir: Path, train_ds, test_ds, command: str) -> None:
@@ -315,12 +320,14 @@ def _run_cell(cfg, cell_dir: Path, train_ds, test_ds, command: str) -> None:
     write_json(cell_dir / "resolved_config.json", _resolved_config(cfg, command))
 
 
-def _run_cells(command: str, cfg, out: Path, cells: dict) -> dict:
-    """Train + sweep each {name: cell config} under out/name; returns the
-    sweep rows of every finished cell by name. A cell whose
-    resolved_config.json matches its current config is done and skipped, so
-    an interrupted run resumes and a changed recipe retrains; per-cell
-    failures are recorded and printed, and the other cells continue."""
+def _run_cells(command: str, cfg, out: Path, changes: dict) -> dict:
+    """Train + sweep each cell, cfg's run keys plus its {name: changes}, under
+    out/name; returns the sweep rows of every finished cell by name. A cell
+    whose resolved_config.json matches its config is done and skipped, so an
+    interrupted run resumes and a changed recipe retrains; per-cell failures
+    are recorded and printed, and the other cells continue."""
+    cells = {name: dict({k: cfg[k] for k in _CELL_DEFAULTS}, **change)
+             for name, change in changes.items()}
     workers = cfg["workers"]
     train_ds, test_ds = load_datasets(cfg)
 
@@ -411,9 +418,7 @@ def cmd_sensitivity(cfg, out: Path) -> int:
     # the shifted runs depend on the baseline, so they cannot be checked at load
     runs = _checked("sensitivity_deltas", _sensitivity_runs, baseline.lip,
                     cfg["sensitivity_deltas"])
-    common = {k: v for k, v in cfg.items()
-              if k not in ("workers", "sensitivity_deltas", "sigma_eval")}
-    common["sweep_sigmas"] = [cfg["sigma_eval"]]
+    common = {"sweep_sigmas": [cfg["sigma_eval"]]}
     cells = {"baseline": common, **{name: dict(common, **vars(lip)) for name, _, lip in runs}}
     rows = _run_cells("sensitivity", cfg, out, cells)
     if len(rows) < len(cells):
@@ -426,7 +431,7 @@ def cmd_sensitivity(cfg, out: Path) -> int:
                 "corruption_seed": cfg["corruption_seed"], "code_version": VERSION,
                 "reference_cifar10": dict(REFERENCE_SENSITIVITIES_CIFAR10)}
     write_json(out / "sensitivity_report.json",
-               {"baseline": baseline.as_dict(), "entries": entries, "metadata": metadata})
+               {"baseline": asdict(baseline), "entries": entries, "metadata": metadata})
     return 0
 
 
@@ -473,9 +478,8 @@ def _check_ratios(ratios) -> list[float]:
 def cmd_ratio_study(cfg, out: Path) -> int:
     """One cell per entry of ratios, each training on that fraction of the
     training split with its own derived seed, from the command's initial model."""
-    common = {k: v for k, v in cfg.items() if k not in ("workers", "ratios")}
-    common["arch_seed"] = _arch_seed(cfg)
-    cells = {f"ratio_{i}": dict(common, seed=derive_int(cfg["seed"], "ratio", i), train_ratio=r)
+    cells = {f"ratio_{i}": dict(arch_seed=_arch_seed(cfg), train_ratio=r,
+                                seed=derive_int(cfg["seed"], "ratio", i))
              for i, r in enumerate(cfg["ratios"])}
     rows = _run_cells("ratio-study", cfg, out, cells)
     table = [(cell["train_ratio"], row["sigma_test"], row["accuracy"])

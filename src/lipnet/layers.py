@@ -55,10 +55,6 @@ class Model:
         self.params: dict[str, Tensor] = params
         self.input_shape = tuple(input_shape)
 
-    @property
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()

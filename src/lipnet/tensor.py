@@ -54,10 +54,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.shape}")
@@ -101,9 +97,6 @@ class Graph:
     def record(self, name, inputs, output, rule) -> None:
         output._on_tape = True
         self.nodes.append(Node(name, inputs, output, rule))
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 def _wants_grad(t: Tensor) -> bool:

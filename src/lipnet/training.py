@@ -12,7 +12,7 @@ import hashlib
 import math
 import operator
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,9 +71,6 @@ class HyperParams:
             if not f > 0:
                 raise ValueError(f"lr drop factor must be > 0, got {f}")
             last = e
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 class SGD:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes, resume."""
 
 import contextlib
+import dataclasses
 import gzip
 import json
 import os
@@ -380,8 +381,7 @@ def test_grid_trains_all_cells_and_summarizes(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("standard,") and lines[2].startswith("proposed,")
     assert "failed_cells" not in json.loads((out / "resolved_config.json").read_text())
-    # each cell records its own recipe: the grid's config without the axes and
-    # workers, plus the cell's regularizer
+    # each cell records its own recipe: the grid's run keys plus the cell's regularizer
     for cell, lip, method in [("standard", (0.0, 0.0, 0.01), "standard"),
                               ("s0p5_b10_l0p005", (0.5, 10.0, 0.005), "proposed")]:
         resolved = json.loads((out / cell / "resolved_config.json").read_text())
@@ -478,6 +478,72 @@ def test_grid_rerun_with_a_changed_recipe_matches_a_fresh_grid(tmp_path, change)
     assert run("grid", "--config", changed, "--out", rerun) == 0
     assert run("grid", "--config", changed, "--out", fresh) == 0
     assert cell_files(rerun) == cell_files(fresh)  # grid_summary.csv included
+
+
+# two cells for each study command
+STUDY_2 = dict(GRID_AXES, grid_include_standard=False, ratios=[0.5, 1.0],
+               sensitivity_deltas={"control": 1.0})
+SUMMARY = {"grid": "grid_summary.csv", "ratio-study": "ratio_study.csv",
+           "sensitivity": "sensitivity_report.json"}
+
+
+@pytest.mark.parametrize("command,change,retrains", [
+    # a key that no cell reads leaves every finished cell as it is
+    ("grid", {"audit_n": 7}, False),
+    ("grid", {"sigma_eval": 0.25}, False),
+    ("ratio-study", {"grid_l_n": [0.02]}, False),
+    ("sensitivity", {"ratios": [0.25]}, False),
+    # a run key retrains every cell
+    ("grid", {"epochs": 2}, True),
+    ("ratio-study", {"epochs": 2}, True),
+    ("sensitivity", {"epochs": 2}, True),
+])
+def test_a_study_rerun_retrains_only_for_a_key_its_cells_read(tmp_path, command, change,
+                                                              retrains):
+    changed = write_cfg(tmp_path, "b.json", **dict(STUDY_2, **change))
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert run(command, "--config", write_cfg(tmp_path, "a.json", **STUDY_2), "--out", rerun) == 0
+    stamps = checkpoint_stamps(rerun)
+    assert len(stamps) == 2
+    assert run(command, "--config", changed, "--out", rerun) == 0
+    moved = {name for name, stamp in checkpoint_stamps(rerun).items() if stamp != stamps[name]}
+    assert moved == (set(stamps) if retrains else set())
+    assert run(command, "--config", changed, "--out", fresh) == 0
+    assert (rerun / SUMMARY[command]).read_bytes() == (fresh / SUMMARY[command]).read_bytes()
+
+
+class ReadRecorder(dict):
+    """A config that records every key read through [] or get."""
+
+    def __init__(self, cfg, reads: set):
+        super().__init__(cfg)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return super().get(key, default)
+
+
+def test_a_cell_reads_and_records_only_the_run_keys(tmp_path, monkeypatch):
+    reads, real_run_cell = set(), cli._run_cell
+    monkeypatch.setattr(cli, "_run_cell",
+                        lambda cfg, *args: real_run_cell(ReadRecorder(cfg, reads), *args))
+    cfg = write_cfg(tmp_path, **STUDY_2)
+    for command in SUMMARY:
+        assert run(command, "--config", cfg, "--out", tmp_path / command) == 0
+    # train_ratio is no config key: a ratio-study cell's changes set it
+    assert {"epochs", "sweep_sigmas", "train_ratio"} <= reads
+    assert reads <= set(cli._CELL_DEFAULTS) | {"train_ratio"}
+    meta = {"command", "method", "code_version", "sigma_units"}
+    records = list(tmp_path.glob("*/*/resolved_config.json"))
+    assert len(records) == 6
+    for record in records:
+        keys = set(json.loads(record.read_text())) - meta - {"train_ratio"}
+        assert keys == set(cli._CELL_DEFAULTS), record
 
 
 @pytest.mark.parametrize("command,first,second", [("grid", "standard", "s0p5_b10_l0p005"),
@@ -742,10 +808,15 @@ def test_grid_cells_sharing_a_directory_are_usage_error(tmp_path, capsys, axes):
     # an lr drop epoch is an int, never truncated
     ("train", {"lr_drops": [[1.9, 10.0]]}, "lr_drops"),
     ("train", {"lr_drops": [[True, 10.0]]}, "lr_drops"),
-    # a negative seed fails the model build at load, before the data loads
+    # every seed is an int in [0, 2**32): the streams keep only its low 32 bits
     ("train", {"seed": -1}, "seed"),
     ("sensitivity", {"arch_seed": -1}, "arch_seed"),
     ("train --seed -1", {}, "seed"),
+    ("train", {"seed": 2**32}, "seed"),
+    ("sensitivity", {"arch_seed": 2**32}, "arch_seed"),
+    (f"train --seed {2**32}", {}, "seed"),
+    ("train", {"synthetic_seed": -1}, "synthetic_seed"),
+    ("sweep --checkpoint", {"corruption_seed": -1}, "corruption_seed"),
     # keys that earlier versions read are unknown now, at their old defaults too
     ("guarantee --checkpoint --synthetic", {"l_n": 0.01, "n_classes": 10}, "n_classes"),
     ("guarantee --synthetic", {"l_n": 0.01, "synthetic_trials": 10000}, "synthetic_trials"),
@@ -800,6 +871,14 @@ def test_config_mutation_is_a_usage_error_or_runs(blobs_ckpt, key, mutation):
                 assert calls == [] and not out.exists(), command
 
 
+def test_the_largest_seeds_run(tmp_path, blobs_ckpt):
+    top = 2**32 - 1
+    cfg = write_cfg(tmp_path, **dict(TINY_CFG, seed=top, arch_seed=top, synthetic_seed=top,
+                                     corruption_seed=top))
+    for command in ("train", "sweep --checkpoint"):
+        assert run_command(command, cfg, tmp_path / command.split()[0], blobs_ckpt) == 0
+
+
 def test_load_config_checks_model_and_seed_without_building_the_model(tmp_path, monkeypatch):
     def build(seed):
         raise AssertionError("load_config built the model")
@@ -813,6 +892,18 @@ def test_guarantee_requires_explicit_l_n(tmp_path, capsys):
     cfg = write_cfg(tmp_path)  # no l_n key
     assert run("guarantee", "--config", cfg, "--out", tmp_path / "x") == 2
     assert "l_n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [(["guarantee", "--synthetic"], "l_n"),
+                                          (["train"], "train_images")])
+def test_a_run_without_a_config_takes_every_default(tmp_path, capsys, monkeypatch, argv,
+                                                    message):
+    # no key is explicit, so guarantee has no l_n, and train reads IDX data from nowhere
+    monkeypatch.delenv("LIPNET_DATA_DIR", raising=False)
+    out = tmp_path / "o"
+    assert run(*argv, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--synthetic"]])
@@ -969,7 +1060,7 @@ def test_sensitivity_command(tmp_path):
     assert control["acc_before"] == eval_rows(out / "baseline")[0]["accuracy"] * 100.0
     hp = HyperParams(lip=LipschitzParams(0.5, 10.0, 0.01), lr=0.1, epochs=1, batch_size=20,
                      seed=4)
-    assert payload["baseline"] == json.loads(json.dumps(hp.as_dict()))
+    assert payload["baseline"] == json.loads(json.dumps(dataclasses.asdict(hp)))
     assert payload["metadata"]["units"] == "percentage points"
     ref = payload["metadata"]["reference_cifar10"]
     assert (ref["sigma_train"], ref["beta"], ref["l_n"]) == (87.20, 2.55, -28.89)

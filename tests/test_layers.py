@@ -17,7 +17,8 @@ from lipnet import (CHECKPOINT_VERSION, LayerSpec, Model, Tensor, build_blobs_ml
 def test_mnist_model_shapes_and_param_count():
     model = build_mnist_model(seed=0)
     # conv 8x1x5x5 + 8, dense 1568x128 + 128, dense 128x10 + 10
-    assert model.n_params == (8 * 25 + 8) + (1568 * 128 + 128) + (128 * 10 + 10)
+    assert (sum(p.data.size for p in model.params.values())
+            == (8 * 25 + 8) + (1568 * 128 + 128) + (128 * 10 + 10))
     out = forward(model, Tensor(np.zeros((3, 1, 28, 28))))
     assert out.shape == (3, 10)
 

@@ -288,7 +288,7 @@ def test_aggregated_loss_tape_length_mnist_cnn(beta, nodes):
     graph = Graph()
     aggregated_loss(build_mnist_model(seed=0), Tensor(ds.images), ds.labels, params,
                     np.random.default_rng(0), graph)
-    assert len(graph) == nodes
+    assert len(graph.nodes) == nodes
 
 
 def test_compute_rho_one_hot_ten():

@@ -213,7 +213,7 @@ def test_backward_requires_scalar():
 def test_eager_mode_records_nothing():
     graph = Graph()
     out = T.add(Tensor(np.ones(2)), Tensor(np.ones(2)), None)
-    assert len(graph) == 0
+    assert len(graph.nodes) == 0
     assert out._on_tape is False
 
 
