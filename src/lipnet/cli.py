@@ -328,8 +328,6 @@ def _run_cells(command: str, cfg, out: Path, changes: dict) -> dict:
     are recorded and printed, and the other cells continue."""
     cells = {name: dict({k: cfg[k] for k in _CELL_DEFAULTS}, **change)
              for name, change in changes.items()}
-    workers = cfg["workers"]
-    train_ds, test_ds = load_datasets(cfg)
 
     def done(name: str) -> bool:
         try:
@@ -338,31 +336,32 @@ def _run_cells(command: str, cfg, out: Path, changes: dict) -> dict:
         except (OSError, ValueError):  # missing or unreadable: not done
             return False
 
-    def run_one(name: str) -> None:
+    def run_one(name: str) -> bool:
         try:
             _run_cell(cells[name], out / name, train_ds, test_ds, command)
+            return True
         except Exception as e:  # recorded, the other cells continue
             atomic_write_text(out / name / "error.txt", f"{type(e).__name__}: {e}\n")
+            return False
 
     todo = [name for name in cells if not done(name)]
-    ways = min(workers, len(todo))
+    if todo:  # a finished study loads no data
+        train_ds, test_ds = load_datasets(cfg)
+    ways = min(cfg["workers"], len(todo))
     if ways < 2:  # on the calling thread, where a cell's tape-free passes may take a helper
-        for name in todo:
-            run_one(name)
+        finished = [run_one(name) for name in todo]
     else:
         # the count is process-wide: it is lowered only while the pool runs, by the cells it runs
         with _blas_threads_split(ways), ThreadPoolExecutor(max_workers=ways) as pool:
-            list(pool.map(run_one, todo))
-
-    rows, failed = {}, []
-    for name in cells:
-        if not done(name):
-            failed.append(name)
-            continue
-        report = json.loads((out / name / "eval_report.json").read_text(encoding="utf-8"))
-        rows[name] = report["rows"]
+            finished = list(pool.map(run_one, todo))
+    failed = [name for name, ok in zip(todo, finished) if not ok]
     if failed:
         print(f"error: {len(failed)} {command} cell(s) failed: {failed}", file=sys.stderr)
+    rows = {}
+    for name in cells:
+        if name not in failed:
+            report = json.loads((out / name / "eval_report.json").read_text(encoding="utf-8"))
+            rows[name] = report["rows"]
     return rows
 
 
@@ -384,8 +383,8 @@ SENSITIVITY_PARAMS = ("sigma_train", "beta", "l_n", "control")
 
 
 def _check_deltas(deltas: dict) -> None:
-    """sensitivity's rule for its deltas alone, already floats (_typed): a nonempty map
-    from known parameter names to finite nonzero steps."""
+    """sensitivity's rule for its deltas alone, already finite floats (_typed): a
+    nonempty map from known parameter names to nonzero steps."""
     if not deltas:
         raise ValueError("sensitivity: deltas must be nonempty")
     unknown = set(deltas) - set(SENSITIVITY_PARAMS)
@@ -393,14 +392,13 @@ def _check_deltas(deltas: dict) -> None:
         raise ValueError(f"sensitivity: unknown parameters {sorted(unknown)}, "
                          f"allowed: {list(SENSITIVITY_PARAMS)}")
     for name, delta in sorted(deltas.items()):
-        if not (np.isfinite(delta) and delta != 0.0):
-            raise ValueError(f"sensitivity: delta {name}={delta} must be finite and nonzero")
+        if delta == 0.0:
+            raise ValueError(f"sensitivity: delta {name}={delta} must be nonzero")
 
 
 def _sensitivity_runs(baseline: LipschitzParams, deltas: dict) -> list:
     """(name, delta, shifted regularizer) per delta in name order, or a
     ValueError before anything trains."""
-    _check_deltas(deltas)
     runs = []
     for name, delta in sorted(deltas.items()):
         lip = baseline if name == "control" else replace(
@@ -467,12 +465,10 @@ def cmd_guarantee(cfg, out: Path, checkpoint=None, synthetic=False) -> int:
     return 0
 
 
-def _check_ratios(ratios) -> list[float]:
-    """ratio-study's rule for training fractions."""
-    ratios = [float(r) for r in ratios]
+def _check_ratios(ratios) -> None:
+    """ratio-study's rule for training fractions, already floats (_typed)."""
     if not ratios or any(not 0.0 < r <= 1.0 for r in ratios):
         raise ValueError(f"ratio-study: ratios must be a nonempty list in (0, 1], got {ratios}")
-    return ratios
 
 
 def cmd_ratio_study(cfg, out: Path) -> int:

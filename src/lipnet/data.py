@@ -104,8 +104,11 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
                        f"{labels_path} has {labels_u8.shape[0]} labels")
     n, h, w = images_u8.shape
     images = np.divide(images_u8.reshape(n, 1, h, w), 255.0, dtype=np.float64)  # one copy
-    return LabeledDataset(images, labels_u8.astype(np.int64),
-                          Provenance(source=str(images_path)))
+    try:
+        return LabeledDataset(images, labels_u8.astype(np.int64),
+                              Provenance(source=str(images_path)))
+    except ValueError as e:  # no images, or a label outside [0, 10)
+        raise IdxError(f"{images_path}, {labels_path}: {e}") from None
 
 
 def save_idx(images_u8: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:

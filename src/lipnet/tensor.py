@@ -36,7 +36,7 @@ class Tensor:
     first accumulation during a backward pass stores its array by reference.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_on_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         # ascontiguousarray alone would promote 0-d scalars to 1-d
@@ -48,7 +48,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
-        self._on_tape = False
 
     @property
     def shape(self) -> tuple:
@@ -95,18 +94,13 @@ class Graph:
         self.backward_done = False
 
     def record(self, name, inputs, output, rule) -> None:
-        output._on_tape = True
+        output.requires_grad = True  # to chain its gradient to its operands
         self.nodes.append(Node(name, inputs, output, rule))
 
 
-def _wants_grad(t: Tensor) -> bool:
-    # Gradients are accumulated into trainable leaves and into every tape
-    # intermediate (needed to chain); plain constant leaves are skipped.
-    return t.requires_grad or t._on_tape
-
-
 def _acc(t: Tensor, g) -> None:
-    if _wants_grad(t):
+    # trainable leaves and tape outputs take gradients; constant leaves are skipped
+    if t.requires_grad:
         t.accumulate_grad(g)
 
 
@@ -160,7 +154,7 @@ def rows(a: Tensor, start: int, stop: int, graph: Graph | None = None) -> Tensor
     out = Tensor(a.data[start:stop])
 
     def rule(g):
-        if _wants_grad(a):
+        if a.requires_grad:
             ga = np.zeros_like(a.data)
             ga[start:stop] = g
             a.accumulate_grad(ga)
@@ -267,7 +261,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
         g2 = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
         _acc(kernel, (g2 @ cols.T).reshape(f, c, kh, kw))
         _acc(bias, g.sum(axis=(0, 2, 3)))
-        if _wants_grad(x):
+        if x.requires_grad:
             dcols = (w2.T @ g2).reshape(c, kh, kw, n, ho, wo)
             dxp = np.zeros((c, n, hp, wp))
             for i in range(kh):

@@ -512,6 +512,26 @@ def test_a_study_rerun_retrains_only_for_a_key_its_cells_read(tmp_path, command,
     assert (rerun / SUMMARY[command]).read_bytes() == (fresh / SUMMARY[command]).read_bytes()
 
 
+def cell_file_stamps(out: Path) -> dict:
+    """Bytes, mtime and inode of every file in a study's cell directories: a
+    rewrite, in place or by rename, changes one of them."""
+    return {p: (p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino)
+            for p in out.glob("*/*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command", list(SUMMARY))
+def test_a_finished_study_reruns_without_loading_data(tmp_path, command):
+    cfg, out = write_cfg(tmp_path, **STUDY_2), tmp_path / command
+    assert run(command, "--config", cfg, "--out", out) == 0
+    stamps, summary = cell_file_stamps(out), (out / SUMMARY[command]).read_bytes()
+    assert len({p.parent for p in stamps}) == 2
+    with counted_loaders() as calls:
+        assert run(command, "--config", cfg, "--out", out) == 0
+    assert calls == []
+    assert cell_file_stamps(out) == stamps
+    assert (out / SUMMARY[command]).read_bytes() == summary
+
+
 class ReadRecorder(dict):
     """A config that records every key read through [] or get."""
 

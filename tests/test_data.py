@@ -110,6 +110,17 @@ def test_idx_count_mismatch(tmp_path):
         load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("n,label,fault", [(20, 10, "labels must lie in [0, 10)"),
+                                           (0, 0, "empty dataset")],
+                         ids=["label_10", "no_images"])
+def test_idx_pair_that_is_no_dataset_is_idx_error_naming_both_files(tmp_path, n, label, fault):
+    # well-formed files whose contents LabeledDataset refuses
+    images, labels, ip, lp = write_pair(tmp_path, n=n)
+    save_idx(images, np.full(n, label), ip, lp)
+    with pytest.raises(IdxError, match=re.escape(f"{ip}, {lp}: {fault}")):
+        load_idx(ip, lp)
+
+
 def test_load_idx_keeps_one_float64_copy(tmp_path, traced_peak):
     # the payload is read as a view of the file's bytes and scaled into the one float64 array;
     # a copy of the payload and a second float64 array would not fit under the bound

@@ -195,7 +195,6 @@ def test_hinge_slope_is_beta_over_batch():
     params = LipschitzParams(0.5, 6.0, 0.01)
     stats = make_k_stats([0.5, 0.001, 0.02])
     graph = Graph()
-    stats.per_sample_k._on_tape = False
     stats.per_sample_k.requires_grad = True
     loss = lipschitz_loss(stats, params, graph)
     backward(loss, graph)

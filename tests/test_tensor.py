@@ -214,7 +214,7 @@ def test_eager_mode_records_nothing():
     graph = Graph()
     out = T.add(Tensor(np.ones(2)), Tensor(np.ones(2)), None)
     assert len(graph.nodes) == 0
-    assert out._on_tape is False
+    assert out.requires_grad is False
 
 
 def test_constant_leaves_get_no_grad():
